@@ -5,13 +5,12 @@ Implements the distributed strategy-decision machinery of the paper:
 * :mod:`repro.distributed.messages` -- control messages exchanged on the
   common control channel (weight broadcast, LocalLeader declaration, status
   determination).
-* :mod:`repro.distributed.network` -- a synchronous message-passing simulator
-  with k-hop broadcast and per-vertex cost accounting.
 * :mod:`repro.distributed.vertex` -- per-vertex protocol state (statuses
   Candidate / LocalLeader / Winner / Loser and local knowledge).
 * :mod:`repro.distributed.transport` -- the :class:`Transport` interface all
-  protocol messages travel through, plus the oracle-backed
-  :class:`SimulatedTransport`.
+  protocol messages travel through, plus :class:`SimulatedTransport`, the
+  synchronous oracle network with k-hop broadcast and per-vertex cost
+  accounting.
 * :mod:`repro.distributed.serialize` -- the versioned JSON wire codec for
   control messages.
 * :mod:`repro.distributed.runtime` -- the message-driven
@@ -32,7 +31,6 @@ from repro.distributed.messages import (
     LeaderDeclaration,
     StatusDetermination,
 )
-from repro.distributed.network import MessageNetwork
 from repro.distributed.vertex import VertexStatus, VertexAgent
 from repro.distributed.transport import Transport, SimulatedTransport
 from repro.distributed.serialize import (
@@ -54,12 +52,6 @@ from repro.distributed.ptas import (
     ProtocolResult,
 )
 from repro.distributed.framework import DistributedMWISSolver
-from repro.distributed.backbone import (
-    greedy_dominating_set,
-    greedy_connected_dominating_set,
-    is_dominating_set,
-    pipelined_broadcast_timeslots,
-)
 from repro.distributed.costs import (
     CommunicationCosts,
     ComputationCosts,
@@ -75,7 +67,6 @@ __all__ = [
     "WeightBroadcast",
     "LeaderDeclaration",
     "StatusDetermination",
-    "MessageNetwork",
     "Transport",
     "SimulatedTransport",
     "AsyncioTransport",
@@ -93,10 +84,6 @@ __all__ = [
     "MiniRoundRecord",
     "ProtocolResult",
     "DistributedMWISSolver",
-    "greedy_dominating_set",
-    "greedy_connected_dominating_set",
-    "is_dominating_set",
-    "pipelined_broadcast_timeslots",
     "CommunicationCosts",
     "ComputationCosts",
     "RoundCosts",

@@ -16,7 +16,7 @@ This module splits the protocol into the two halves a real deployment has:
   :class:`ProtocolResult`.
 
 :class:`AsyncioTransport` is the "real network" counterpart of the oracle
-:class:`~repro.distributed.network.MessageNetwork`: every vertex gets its
+:class:`~repro.distributed.transport.SimulatedTransport`: every vertex gets its
 own asyncio mailbox task, frames travel as newline-delimited JSON
 (:mod:`repro.distributed.serialize`) over in-memory asyncio streams, and the
 router supports configurable latency distributions, reordering and seeded
@@ -199,7 +199,9 @@ class VertexProtocol:
         agent = self.agent
         if agent.status != VertexStatus.CANDIDATE:
             return None
-        if not agent.is_local_maximum(agent.known_weights):
+        if not agent.is_local_maximum(
+            agent.known_weights, exclude=self._election_exclusions()
+        ):
             return None
         agent.mark(VertexStatus.LOCAL_LEADER)
         message = LeaderDeclaration(
@@ -226,21 +228,8 @@ class VertexProtocol:
         agent = self.agent
         if agent.status != VertexStatus.LOCAL_LEADER:
             return None
-        candidate_set = agent.candidate_set_r()
-        local_weights = {
-            vertex: agent.known_weights.get(vertex, 0.0) for vertex in candidate_set
-        }
-        solution = solve_local_mwis(
-            self._adjacency,
-            _DictWeights(local_weights, len(self._adjacency)),
-            candidate_set,
-            solver=self._local_solver,
-        )
-        winners = set(solution.vertices)
-        if not winners:
-            # All candidate weights were non-positive (e.g. the all-zero
-            # first round); the leader itself is a valid singleton IS.
-            winners = {self.vertex}
+        candidate_set = agent.candidate_set_r(exclude=self._election_exclusions())
+        winners = self._choose_winners(candidate_set)
         winner_neighbors: Set[int] = set()
         for winner in winners:
             winner_neighbors |= self._adjacency[winner]
@@ -269,6 +258,29 @@ class VertexProtocol:
                 agent.mark(status)
             agent.observe_status(vertex, status)
         return message
+
+    def _election_exclusions(self) -> Optional[Set[int]]:
+        """Vertices the election and ``A_r(v)`` ignore (none when honest)."""
+        return None
+
+    def _choose_winners(self, candidate_set: Set[int]) -> Set[int]:
+        """LMWIS: the Winners this LocalLeader picks from ``A_r(v)``."""
+        agent = self.agent
+        local_weights = {
+            vertex: agent.known_weights.get(vertex, 0.0) for vertex in candidate_set
+        }
+        solution = solve_local_mwis(
+            self._adjacency,
+            _DictWeights(local_weights, len(self._adjacency)),
+            candidate_set,
+            solver=self._local_solver,
+        )
+        winners = set(solution.vertices)
+        if not winners:
+            # All candidate weights were non-positive (e.g. the all-zero
+            # first round); the leader itself is a valid singleton IS.
+            winners = {self.vertex}
+        return winners
 
     # ------------------------------------------------------------------
     # Message delivery
@@ -310,6 +322,22 @@ class ProtocolEngine:
     the broadcast decisions said.  All state transitions happen inside the
     vertex machines.
 
+    It is the only driver: fault-injection runs go through it too, by
+    passing a fault participant to :meth:`run` (duck-typed, so this module
+    never imports :mod:`repro.faults`).  The participant supplies the six
+    ways a fault run differs from an honest one:
+
+    * ``make_vertex(...)`` -- the vertex factory (same arguments as
+      :class:`VertexProtocol`);
+    * ``enter_phase(mini_round, phase)`` -- the fault clock, set at every
+      WB / LD / LB boundary;
+    * ``after_barrier(mini_round, deliver)`` -- work after every delivery
+      barrier (the QR accusation phase and its own ``deliver()`` call);
+    * ``has_live_candidates()`` -- the termination predicate;
+    * ``mini_round_budget(num_vertices)`` and ``phases`` -- the default
+      mini-round budget and the phases whose mini-timeslots are reported;
+    * a dependent winner set on a lossless transport is data, not a bug.
+
     Parameters mirror :class:`~repro.distributed.ptas.DistributedRobustPTAS`
     (which delegates here); the four neighbourhood tables must already be
     computed for radii ``r``, ``r+1``, ``2r+1`` and ``3r+2``.
@@ -338,15 +366,25 @@ class ProtocolEngine:
         weights: Sequence[float],
         broadcasting_vertices: Optional[Iterable[int]] = None,
         hard_limit: Optional[int] = None,
+        *,
+        faults=None,
     ) -> ProtocolResult:
-        """Execute one full strategy decision over ``transport``."""
+        """Execute one full strategy decision over ``transport``.
+
+        ``faults`` is the fault participant of a fault-injection run (see
+        the class docstring); ``None`` runs the honest protocol.
+        """
         if transport.num_vertices != self._num_vertices:
             raise ValueError(
                 f"transport connects {transport.num_vertices} vertices but the "
                 f"graph has {self._num_vertices}"
             )
         if hard_limit is None:
-            hard_limit = self._num_vertices
+            hard_limit = (
+                self._num_vertices
+                if faults is None
+                else faults.mini_round_budget(self._num_vertices)
+            )
         obs = current_observer()
         messages_before = transport.total_messages_sent
         deliveries_before = transport.total_deliveries
@@ -355,7 +393,7 @@ class ProtocolEngine:
             "protocol.run", num_vertices=self._num_vertices, r=self._r
         ) as run_span:
             result = self._execute(
-                transport, weights, broadcasting_vertices, hard_limit, obs
+                transport, weights, broadcasting_vertices, hard_limit, obs, faults
             )
             run_span.set_attrs(
                 mini_rounds=result.num_mini_rounds, converged=result.converged
@@ -374,9 +412,11 @@ class ProtocolEngine:
         broadcasting_vertices: Optional[Iterable[int]],
         hard_limit: int,
         obs,
+        faults,
     ) -> ProtocolResult:
+        make_vertex = VertexProtocol if faults is None else faults.make_vertex
         vertices = [
-            VertexProtocol(
+            make_vertex(
                 vertex,
                 transport,
                 self._r,
@@ -396,12 +436,17 @@ class ProtocolEngine:
                 }
             )
 
+        def deliver() -> None:
+            self._deliver(transport, vertices)
+
         # WB phase: the previous round's strategy members announce weights.
         if broadcasting_vertices is None:
             broadcasters: Iterable[int] = range(self._num_vertices)
         else:
             broadcasters = sorted(set(broadcasting_vertices))
         with obs.span("protocol.phase", phase="WB"):
+            if faults is not None:
+                faults.enter_phase(0, "WB")
             for sender in broadcasters:
                 if not (0 <= sender < self._num_vertices):
                     raise ValueError(
@@ -409,7 +454,9 @@ class ProtocolEngine:
                         f"[0, {self._num_vertices})"
                     )
                 vertices[sender].announce_weight()
-            self._deliver(transport, vertices)
+            deliver()
+        if faults is not None:
+            faults.after_barrier(0, deliver)
 
         records: List[MiniRoundRecord] = []
         winners: Set[int] = set()
@@ -417,12 +464,18 @@ class ProtocolEngine:
         computation = ComputationCosts()
 
         for mini_round in range(1, hard_limit + 1):
-            if not any(
-                vertex.status == VertexStatus.CANDIDATE for vertex in vertices
-            ):
+            if faults is None:
+                running = any(
+                    vertex.status == VertexStatus.CANDIDATE for vertex in vertices
+                )
+            else:
+                running = faults.has_live_candidates()
+            if not running:
                 break
             with obs.span("protocol.mini_round", mini_round=mini_round) as round_span:
                 with obs.span("protocol.phase", phase="LD"):
+                    if faults is not None:
+                        faults.enter_phase(mini_round, "LD")
                     leaders = [
                         vertex.vertex
                         for vertex in vertices
@@ -431,15 +484,21 @@ class ProtocolEngine:
                 new_winners: Set[int] = set()
                 new_losers: Set[int] = set()
                 with obs.span("protocol.phase", phase="LB"):
+                    if faults is not None:
+                        faults.enter_phase(mini_round, "LB")
                     for leader in leaders:
                         determination = vertices[leader].determine_statuses(mini_round)
+                        if determination is None:
+                            continue  # a faulty leader crashed between LD and LB
                         computation.local_mwis_calls += 1
                         computation.candidate_set_sizes.append(
                             vertices[leader].last_candidate_set_size
                         )
                         for vertex, is_winner in determination.decisions.items():
                             (new_winners if is_winner else new_losers).add(vertex)
-                    self._deliver(transport, vertices)
+                    deliver()
+                if faults is not None:
+                    faults.after_barrier(mini_round, deliver)
                 round_span.set_attrs(
                     leaders=len(leaders),
                     new_winners=len(new_winners),
@@ -465,19 +524,19 @@ class ProtocolEngine:
                 break
 
         independent = is_independent(self._adjacency, winners)
-        if not independent and transport.is_lossless:
+        if not independent and transport.is_lossless and faults is None:
             raise RuntimeError(
                 "distributed PTAS produced a dependent vertex set on a "
                 "lossless transport; this is a bug"
             )
         converged = all(vertex.status.is_decided for vertex in vertices)
+        phases = ("WB", "LD", "LB") if faults is None else faults.phases
         costs = RoundCosts(
             communication=CommunicationCosts(
                 messages_per_vertex=transport.messages_sent(),
                 total_deliveries=transport.total_deliveries,
                 mini_timeslots_per_phase={
-                    phase: transport.mini_timeslots(phase)
-                    for phase in ("WB", "LD", "LB")
+                    phase: transport.mini_timeslots(phase) for phase in phases
                 },
             ),
             computation=computation,
@@ -787,7 +846,7 @@ class AsyncioTransport(Transport):
     def broadcast(self, message: Message, phase: str) -> int:
         """Encode ``message`` onto the sender's up-link and route it.
 
-        Counter semantics mirror :class:`MessageNetwork`: one originated
+        Counter semantics mirror :class:`SimulatedTransport`: one originated
         message, ``max(1, hop_limit)`` mini-timeslots, one delivery per
         recipient — except that dropped (message, recipient) pairs are *not*
         counted as deliveries (they never happened on this transport).
@@ -863,7 +922,7 @@ class AsyncioTransport(Transport):
         and one ``net_delivered_<tag>`` counter per delivered message type.
         Lossy and faulty runs surface this into the JSON envelope so they
         are diagnosable without re-running.  The schema is shared with
-        :meth:`repro.distributed.network.MessageNetwork.telemetry_summary`.
+        :meth:`repro.distributed.transport.SimulatedTransport.telemetry_summary`.
         """
         return self._telemetry.summary()
 

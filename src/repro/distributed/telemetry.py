@@ -1,6 +1,6 @@
 """Unified delivery telemetry shared by every transport.
 
-Both :class:`~repro.distributed.network.MessageNetwork` (the lossless
+Both :class:`~repro.distributed.transport.SimulatedTransport` (the lossless
 oracle) and :class:`~repro.distributed.runtime.AsyncioTransport` (the
 wire-codec network with latency/reordering/drops) accumulate their
 delivery metrics in one :class:`DeliveryTelemetry`, backed by the

@@ -6,9 +6,8 @@ which owns k-hop broadcast delivery and the communication cost counters the
 paper's complexity analysis talks about (messages originated per vertex,
 total deliveries, mini-timeslots per phase).  Two implementations ship:
 
-* :class:`SimulatedTransport` -- the in-process oracle network
-  (:class:`~repro.distributed.network.MessageNetwork`) exposed through the
-  interface; delivers instantly, in order, losslessly.
+* :class:`SimulatedTransport` -- the in-process oracle network; delivers
+  instantly, in order, losslessly.
 * :class:`~repro.distributed.runtime.AsyncioTransport` -- real asyncio
   streams between per-vertex tasks, with every message crossing a JSON wire
   boundary (:mod:`repro.distributed.serialize`) and configurable latency,
@@ -22,10 +21,12 @@ ProtocolResult` to the simulated one (see ``docs/transport.md``).
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Set
+from collections import defaultdict
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.distributed.messages import Message
-from repro.distributed.network import MessageNetwork
+from repro.distributed.telemetry import DeliveryTelemetry
+from repro.graph.neighborhoods import r_hop_neighborhood
 
 __all__ = ["Transport", "SimulatedTransport"]
 
@@ -39,11 +40,11 @@ class Transport(abc.ABC):
     :meth:`collect` only after the sender side of the phase is over, which is
     exactly the synchronous mini-timeslot structure of Algorithm 3.
 
-    Implementations must mirror :class:`MessageNetwork`'s cost accounting so
-    protocol results stay comparable across transports: one originated
-    message per broadcast, one delivery per (message, recipient) pair and
-    ``max(1, hop_limit)`` mini-timeslots per broadcast, with zero-hop
-    broadcasts charging nothing.
+    Implementations must mirror :class:`SimulatedTransport`'s cost
+    accounting so protocol results stay comparable across transports: one
+    originated message per broadcast, one delivery per (message, recipient)
+    pair and ``max(1, hop_limit)`` mini-timeslots per broadcast, with
+    zero-hop broadcasts charging nothing.
     """
 
     # ------------------------------------------------------------------
@@ -148,16 +149,160 @@ class Transport(abc.ABC):
         """Release any resources held by the transport (idempotent)."""
 
 
-class SimulatedTransport(MessageNetwork, Transport):
-    """The in-process oracle network, exposed through :class:`Transport`.
+class SimulatedTransport(Transport):
+    """The in-process oracle network: synchronous k-hop broadcast delivery.
 
-    Inherits the whole :class:`MessageNetwork` implementation -- instant
-    lossless in-order delivery with exact cost counters -- and is therefore
-    the reference behaviour every other transport is tested against.
+    The real system relays control messages hop by hop on a common control
+    channel; this transport simulates the outcome of that relay: a k-hop
+    broadcast from vertex ``v`` lands in the inbox of every vertex within
+    ``k`` hops of ``v`` in ``H``, instantly, in order and losslessly.  It
+    keeps the exact cost counters the paper's complexity analysis talks
+    about (messages originated per vertex, total deliveries, and
+    mini-timeslots per phase: ``O((2r+1)^2)`` for WB, ``O(2r+1)`` for LD and
+    ``O(3r+1)`` for LB, Section IV-C), and is the reference behaviour every
+    other transport is tested against.
+
+    Parameters
+    ----------
+    adjacency:
+        Adjacency sets of the extended conflict graph ``H``.
+    precomputed_neighborhoods:
+        Optional cache mapping hop radius -> list of neighbourhood sets per
+        vertex.  The distributed PTAS passes its own cache so neighbourhoods
+        are computed once per topology rather than once per round.
     """
 
+    def __init__(
+        self,
+        adjacency: Sequence[Set[int]],
+        precomputed_neighborhoods: Optional[Dict[int, List[Set[int]]]] = None,
+    ) -> None:
+        self._adjacency = adjacency
+        self._num_vertices = len(adjacency)
+        self._neighborhood_cache: Dict[int, List[Set[int]]] = (
+            dict(precomputed_neighborhoods) if precomputed_neighborhoods else {}
+        )
+        self._inboxes: List[List[Message]] = [[] for _ in range(self._num_vertices)]
+        self._messages_sent: List[int] = [0] * self._num_vertices
+        self._telemetry = DeliveryTelemetry()
+        self._mini_timeslots: Dict[str, int] = defaultdict(int)
 
-# ``MessageNetwork`` predates the interface but satisfies it method for
-# method, so existing instances (e.g. ones built by legacy callers) pass
-# ``isinstance(..., Transport)`` checks without being re-wrapped.
-Transport.register(MessageNetwork)
+    # ------------------------------------------------------------------
+    # Neighbourhood handling
+    # ------------------------------------------------------------------
+    def _neighborhood(self, vertex: int, hops: int) -> Set[int]:
+        cache = self._neighborhood_cache.get(hops)
+        if cache is None:
+            cache = [
+                r_hop_neighborhood(self._adjacency, v, hops)
+                for v in range(self._num_vertices)
+            ]
+            self._neighborhood_cache[hops] = cache
+        return cache[vertex]
+
+    # ------------------------------------------------------------------
+    # Broadcast and delivery
+    # ------------------------------------------------------------------
+    def broadcast(self, message: Message, phase: str) -> int:
+        """Deliver ``message`` to every vertex within its hop limit.
+
+        Returns the number of recipients (excluding the sender).  ``phase``
+        labels the protocol phase (``"WB"``, ``"LD"`` or ``"LB"``) for the
+        mini-timeslot accounting.
+        """
+        sender = message.sender
+        if not (0 <= sender < self._num_vertices):
+            raise ValueError(
+                f"sender {sender} out of range [0, {self._num_vertices})"
+            )
+        if message.hop_limit < 0:
+            raise ValueError(f"hop_limit must be non-negative, got {message.hop_limit}")
+        if message.hop_limit == 0:
+            # A zero-hop broadcast reaches nobody; nothing is transmitted, so
+            # neither the message counter nor the timeslot budget is charged.
+            return 0
+        recipients = self._neighborhood(sender, message.hop_limit) - {sender}
+        for recipient in recipients:
+            self._inboxes[recipient].append(message)
+        self._messages_sent[sender] += 1
+        if recipients:
+            self._telemetry.count_deliveries(len(recipients))
+            self._telemetry.count_delivered_type(
+                type(message).__name__, len(recipients)
+            )
+        # A k-hop flood needs O(k) mini-timeslots to propagate.
+        self._mini_timeslots[phase] += max(1, message.hop_limit)
+        return len(recipients)
+
+    def collect(self, vertex: int) -> List[Message]:
+        """Drain and return the inbox of ``vertex``."""
+        if not (0 <= vertex < self._num_vertices):
+            raise ValueError(f"vertex {vertex} out of range [0, {self._num_vertices})")
+        inbox = self._inboxes[vertex]
+        self._inboxes[vertex] = []
+        return inbox
+
+    def pending(self, vertex: int) -> int:
+        """Number of undelivered messages waiting for ``vertex``."""
+        return len(self._inboxes[vertex])
+
+    # ------------------------------------------------------------------
+    # Cost accounting
+    # ------------------------------------------------------------------
+    @property
+    def num_vertices(self) -> int:
+        """Number of vertices the transport connects."""
+        return self._num_vertices
+
+    @property
+    def adjacency(self) -> Sequence[Set[int]]:
+        """Adjacency sets of the graph the transport routes over."""
+        return self._adjacency
+
+    def messages_sent(self, vertex: Optional[int] = None):
+        """Messages originated by ``vertex`` (or the per-vertex list)."""
+        if vertex is None:
+            return list(self._messages_sent)
+        return self._messages_sent[vertex]
+
+    @property
+    def total_messages_sent(self) -> int:
+        """Total number of broadcasts originated by any vertex."""
+        return sum(self._messages_sent)
+
+    @property
+    def total_deliveries(self) -> int:
+        """Total number of (message, recipient) deliveries."""
+        return self._telemetry.deliveries
+
+    @property
+    def total_dropped(self) -> int:
+        """Pairs lost to a drop model (always 0: this transport is lossless)."""
+        return self._telemetry.dropped
+
+    def mini_timeslots(self, phase: Optional[str] = None) -> int:
+        """Mini-timeslots consumed, optionally restricted to one phase."""
+        if phase is not None:
+            return self._mini_timeslots.get(phase, 0)
+        return sum(self._mini_timeslots.values())
+
+    def telemetry_summary(self) -> Dict[str, float]:
+        """Flat numeric delivery summary (same schema on every transport).
+
+        Instant lossless delivery means drops, out-of-order arrivals and
+        latency are structurally zero here, but the keys match
+        :meth:`repro.distributed.runtime.AsyncioTransport.telemetry_summary`
+        so callers report through one code path.
+        """
+        return self._telemetry.summary()
+
+    def reset_costs(self) -> None:
+        """Zero all counters (inboxes are left untouched)."""
+        self._messages_sent = [0] * self._num_vertices
+        self._telemetry.reset()
+        self._mini_timeslots = defaultdict(int)
+
+    def reset(self) -> None:
+        """Discard all undelivered messages and zero all counters."""
+        self._inboxes = [[] for _ in range(self._num_vertices)]
+        self.reset_costs()

@@ -6,8 +6,10 @@ The subsystem has three layers:
   round-tripping :class:`FaultPlan` objects naming crashed and Byzantine
   vertices (the fault counterpart of the dynamics ``EventSchedule``).
 * :mod:`repro.faults.runtime` — *how it fails*: fault-wrapped
-  ``VertexProtocol`` machines and the :class:`FaultInjectionEngine` driver
-  that injects the faults into a real protocol run over any transport.
+  ``VertexProtocol`` machines, the :class:`FaultController` that plugs them
+  (plus the fault clock and the QR accusation phase) into the one
+  ``ProtocolEngine``, and the :class:`FaultInjectionEngine` entry point that
+  runs it over any transport and reports what the faults did.
 * :mod:`repro.faults.quorum` — *how honest vertices cope*: evidence
   checking, DLS-style accusation quorums and the Algorithm-Two termination
   bound that replaces waiting on dead neighbours.

@@ -20,13 +20,13 @@
   outside the evidence horizon), and suspect silent blockers after the
   Algorithm-Two termination bound instead of waiting on dead neighbours.
 
-:class:`FaultInjectionEngine` mirrors the synchronous driver of
-:class:`~repro.distributed.runtime.ProtocolEngine` — same phase barriers,
-same cost accounting — plus a fault clock, an accusation (QR) phase and the
-fault metrics summarized in :class:`FaultReport`.  It is deliberately a
-separate driver: the honest engine stays byte-identical, and a faulty run
-on a lossless transport is *expected* to lose independence or convergence,
-which the honest engine treats as a bug.
+There is one protocol engine.  :class:`FaultController` is the fault
+participant :class:`~repro.distributed.runtime.ProtocolEngine` accepts: it
+builds the faulty vertex machines, runs the fault clock, adds the accusation
+(QR) phase after every delivery barrier and supplies the alive-honest
+termination predicate.  :class:`FaultInjectionEngine` is the thin entry point
+around one such engine run; it validates the plan, derives the quorum
+patience and turns the final vertex states into the :class:`FaultReport`.
 
 All fault behaviour is deterministic given the plan (no runtime randomness),
 so the transport-equivalence contract extends to fault runs: a lossless
@@ -35,10 +35,9 @@ in-order asyncio run is bit-identical to the simulated oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.distributed.costs import CommunicationCosts, ComputationCosts, RoundCosts
 from repro.distributed.messages import (
     Accusation,
     LeaderDeclaration,
@@ -46,18 +45,15 @@ from repro.distributed.messages import (
     StatusDetermination,
     WeightBroadcast,
 )
-from repro.distributed.runtime import (
-    MiniRoundRecord,
-    ProtocolResult,
-    VertexProtocol,
-    _DictWeights,
-)
+from repro.distributed.runtime import ProtocolEngine, ProtocolResult, VertexProtocol
 from repro.distributed.transport import Transport
 from repro.distributed.vertex import VertexStatus
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CRASH_PHASES, FaultPlan
 from repro.faults.quorum import QuorumConfig, QuorumState, termination_bound
 from repro.mwis.base import Adjacency, IndependentSet, MWISSolver, is_independent
-from repro.mwis.local import solve_local_mwis
+# Re-exported: benchmark harnesses wrap ``repro.faults.runtime.solve_local_mwis``
+# by name; the LMWIS itself runs in ``repro.distributed.runtime``.
+from repro.mwis.local import solve_local_mwis  # noqa: F401
 from repro.obs import current_observer
 
 __all__ = [
@@ -67,19 +63,23 @@ __all__ = [
     "FaultInjectionEngine",
 ]
 
-#: Total order of the phases a fault clock can point at.
-_PHASE_WB, _PHASE_LD, _PHASE_LB = 0, 1, 2
-
 
 class FaultController:
-    """Shared, read-only fault state of one protocol run.
+    """The fault side of one protocol run.
 
-    Owns the plan, the fault clock the engine advances, and the deterministic
-    fake weights Byzantine vertices announce.  A fake weight is
-    ``1.5 * max(true (2r+1)-hop weight) + 1.0`` — strictly above everything
-    the vertex could legitimately see, so the lie wins every election it
-    reaches, and a pure function of the primed truth, so both transports
-    (and both ends of the wire codec) see the identical float.
+    Owns the plan, the fault clock, the deterministic fake weights Byzantine
+    vertices announce and the run's :class:`FaultyVertexProtocol` machines.
+    It is the fault participant
+    :meth:`~repro.distributed.runtime.ProtocolEngine.run` accepts: the engine
+    builds the vertices through :meth:`make_vertex`, moves the clock with
+    :meth:`enter_phase`, calls :meth:`after_barrier` after every delivery
+    barrier and stops once :meth:`has_live_candidates` turns false.  One
+    controller drives exactly one run.
+
+    A fake weight is ``1.5 * sum(true (2r+1)-hop weights) + 1.0`` — strictly
+    above everything the vertex could legitimately see, so the lie wins every
+    election it reaches, and a pure function of the primed truth, so both
+    transports (and both ends of the wire codec) see the identical float.
     """
 
     def __init__(
@@ -95,9 +95,66 @@ class FaultController:
         self.adjacency = adjacency
         self.hood_2r1 = hood_2r1
         self.quorum = quorum
-        #: Fault clock: (mini_round, phase index), advanced by the engine.
-        self.clock: Tuple[int, int] = (0, _PHASE_WB)
+        #: Fault clock: (mini_round, index into ``CRASH_PHASES``), set by
+        #: the engine at every phase boundary.
+        self.clock: Tuple[int, int] = (0, 0)
         self._fake_weights: Dict[int, float] = {}
+        #: The run's vertex machines, in vertex order.
+        self.vertices: List[FaultyVertexProtocol] = []
+        self.accusations_sent = 0
+        #: Phases whose mini-timeslots the run reports.
+        self.phases: Tuple[str, ...] = (
+            ("WB", "LD", "LB", "QR") if quorum is not None else ("WB", "LD", "LB")
+        )
+
+    # ------------------------------------------------------------------
+    # Engine hooks
+    # ------------------------------------------------------------------
+    def make_vertex(self, *args, **kwargs) -> "FaultyVertexProtocol":
+        """Build (and keep) one vertex machine of the run."""
+        vertex = FaultyVertexProtocol(*args, controller=self, **kwargs)
+        self.vertices.append(vertex)
+        return vertex
+
+    def mini_round_budget(self, num_vertices: int) -> int:
+        """Suspicion needs ``patience`` silent rounds before the stuck part
+        of the graph can resume; budget for both."""
+        if self.quorum is None:
+            return num_vertices
+        return num_vertices + self.quorum.patience
+
+    def enter_phase(self, mini_round: int, phase: str) -> None:
+        """Set the fault clock at a WB / LD / LB boundary."""
+        self.clock = (mini_round, CRASH_PHASES.index(phase))
+
+    def after_barrier(self, mini_round: int, deliver: Callable[[], None]) -> None:
+        """QR phase, then (in a mini-round) the silence bookkeeping.
+
+        Mitigation runs only.  Accusations queued at a barrier spread before
+        the next election — after WB too, so out-of-horizon vertices can
+        already reject a weight liar's first LB.
+        """
+        if self.quorum is None:
+            return
+        with current_observer().span("protocol.phase", phase="QR"):
+            sent = sum(vertex.flush_accusations(mini_round) for vertex in self.vertices)
+            if sent:
+                self.accusations_sent += sent
+                deliver()
+        if mini_round:
+            for vertex in self.vertices:
+                vertex.end_mini_round()
+
+    def is_live_honest(self, vertex: "FaultyVertexProtocol") -> bool:
+        """Neither Byzantine nor (yet) crashed on the fault clock."""
+        return vertex.behavior is None and not self.is_crashed(vertex.vertex)
+
+    def has_live_candidates(self) -> bool:
+        """Termination predicate: some live honest vertex is still undecided."""
+        return any(
+            self.is_live_honest(vertex) and vertex.status == VertexStatus.CANDIDATE
+            for vertex in self.vertices
+        )
 
     def is_crashed(self, vertex: int) -> bool:
         """Has ``vertex``'s scheduled crash time passed on the fault clock?"""
@@ -154,100 +211,35 @@ class FaultyVertexProtocol(VertexProtocol):
         return super().announce_weight()
 
     # ------------------------------------------------------------------
-    # LD phase
+    # LD + LMWIS + LB phases
     # ------------------------------------------------------------------
     def begin_mini_round(self, mini_round: int) -> Optional[LeaderDeclaration]:
         if self._controller.is_crashed(self.vertex):
             return None
-        state = self.quorum_state
-        if state is None:
-            return super().begin_mini_round(mini_round)
-        agent = self.agent
-        if agent.status != VertexStatus.CANDIDATE:
-            return None
-        ignore = state.excluded | state.suspected
-        if not agent.is_local_maximum(agent.known_weights, exclude=ignore):
-            return None
-        agent.mark(VertexStatus.LOCAL_LEADER)
-        message = LeaderDeclaration(
-            sender=self.vertex,
-            hop_limit=2 * self._r + 1,
-            weight=agent.own_weight(),
-            mini_round=mini_round,
-        )
-        self._transport.broadcast(message, phase="LD")
-        return message
+        return super().begin_mini_round(mini_round)
 
-    # ------------------------------------------------------------------
-    # LMWIS + LB phase
-    # ------------------------------------------------------------------
     def determine_statuses(self, mini_round: int) -> Optional[StatusDetermination]:
         if self._controller.is_crashed(self.vertex):
             # The stalled-leader failure: a LocalLeader that declared itself
             # and died before LB leaves its whole ball waiting.
             return None
-        if self.behavior in ("winner-usurpation", "conflicting-decisions"):
-            return self._corrupt_determination(mini_round)
+        return super().determine_statuses(mini_round)
+
+    def _election_exclusions(self) -> Optional[Set[int]]:
+        # Excluded / suspected vertices neither block elections nor receive
+        # Winner slots: A_r(v) is filtered before the local MWIS.  (They can
+        # still be Loser-marked as Winner neighbours, which only confirms
+        # their exclusion.)
         state = self.quorum_state
         if state is None:
-            return super().determine_statuses(mini_round)
-        agent = self.agent
-        if agent.status != VertexStatus.LOCAL_LEADER:
             return None
-        # Same decision rule as the honest path, but excluded / suspected
-        # vertices never receive Winner slots: A_r(v) is filtered before the
-        # local MWIS.  (They can still be Loser-marked as Winner neighbours,
-        # which only confirms their exclusion.)
-        ignore = state.excluded | state.suspected
-        candidate_set = agent.candidate_set_r(exclude=ignore)
-        local_weights = {
-            vertex: agent.known_weights.get(vertex, 0.0) for vertex in candidate_set
-        }
-        solution = solve_local_mwis(
-            self._adjacency,
-            _DictWeights(local_weights, len(self._adjacency)),
-            candidate_set,
-            solver=self._local_solver,
-        )
-        winners = set(solution.vertices)
-        if not winners:
-            winners = {self.vertex}
-        winner_neighbors: Set[int] = set()
-        for winner in winners:
-            winner_neighbors |= self._adjacency[winner]
-        removal = candidate_set | {
-            vertex
-            for vertex in winner_neighbors
-            if vertex in self._hood_r1
-            and not agent.known_statuses.get(
-                vertex, VertexStatus.CANDIDATE
-            ).is_decided
-        }
-        losers = removal - winners
-        self.last_candidate_set_size = len(candidate_set)
-        decisions: Dict[int, bool] = {vertex: True for vertex in winners}
-        decisions.update({vertex: False for vertex in losers})
-        message = StatusDetermination(
-            sender=self.vertex,
-            hop_limit=3 * self._r + 2,
-            decisions=decisions,
-            mini_round=mini_round,
-        )
-        self._transport.broadcast(message, phase="LB")
-        for vertex, is_winner in decisions.items():
-            status = VertexStatus.WINNER if is_winner else VertexStatus.LOSER
-            if vertex == self.vertex:
-                agent.mark(status)
-            agent.observe_status(vertex, status)
-        return message
+        return state.excluded | state.suspected
 
-    def _corrupt_determination(self, mini_round: int) -> Optional[StatusDetermination]:
-        """Byzantine LB: skip the LMWIS and claim what the behavior dictates."""
+    def _choose_winners(self, candidate_set: Set[int]) -> Set[int]:
+        if self.behavior not in ("winner-usurpation", "conflicting-decisions"):
+            return super()._choose_winners(candidate_set)
+        # Byzantine LB: skip the LMWIS and claim what the behavior dictates.
         agent = self.agent
-        if agent.status != VertexStatus.LOCAL_LEADER:
-            return None
-        candidate_set = agent.candidate_set_r()
-        self.last_candidate_set_size = len(candidate_set)
         winners: Set[int] = {self.vertex}
         if self.behavior == "conflicting-decisions":
             # Also crown the heaviest adjacent candidate: two adjacent
@@ -262,33 +254,7 @@ class FaultyVertexProtocol(VertexProtocol):
                     partner, partner_key = u, key
             if partner is not None:
                 winners.add(partner)
-        winner_neighbors: Set[int] = set()
-        for winner in winners:
-            winner_neighbors |= self._adjacency[winner]
-        removal = candidate_set | {
-            vertex
-            for vertex in winner_neighbors
-            if vertex in self._hood_r1
-            and not agent.known_statuses.get(
-                vertex, VertexStatus.CANDIDATE
-            ).is_decided
-        }
-        losers = removal - winners
-        decisions: Dict[int, bool] = {vertex: True for vertex in winners}
-        decisions.update({vertex: False for vertex in losers})
-        message = StatusDetermination(
-            sender=self.vertex,
-            hop_limit=3 * self._r + 2,
-            decisions=decisions,
-            mini_round=mini_round,
-        )
-        self._transport.broadcast(message, phase="LB")
-        for vertex, is_winner in decisions.items():
-            status = VertexStatus.WINNER if is_winner else VertexStatus.LOSER
-            if vertex == self.vertex:
-                agent.mark(status)
-            agent.observe_status(vertex, status)
-        return message
+        return winners
 
     # ------------------------------------------------------------------
     # QR phase (mitigation only)
@@ -445,13 +411,17 @@ class FaultReport:
 
 
 class FaultInjectionEngine:
-    """The fault-mode counterpart of :class:`ProtocolEngine`.
+    """Entry point of a fault-injection run.
 
-    Same phase barriers and cost accounting, plus: a fault clock gating
-    crashed vertices, a QR (accusation) phase after every delivery barrier
-    in mitigation runs, honest-only convergence accounting, and no
-    lossless-independence assertion (a faulty run is *supposed* to be able
-    to violate it — the violation is data, recorded in the report).
+    Validates the plan against the graph, derives the quorum patience, then
+    runs :class:`~repro.distributed.runtime.ProtocolEngine` once with a
+    :class:`FaultController` as its fault participant.  The engine's run
+    differs from an honest one by a fault clock gating crashed vertices, a
+    QR (accusation) phase after every delivery barrier in mitigation runs,
+    honest-only termination, and no lossless-independence assertion (a
+    faulty run is *supposed* to be able to violate it).  Afterwards the
+    final winners, convergence and the :class:`FaultReport` are read off the
+    vertex machines.
     """
 
     def __init__(
@@ -468,11 +438,7 @@ class FaultInjectionEngine:
     ) -> None:
         self._adjacency = adjacency
         self._num_vertices = len(adjacency)
-        self._r = r
-        self._hood_r = hood_r
-        self._hood_r1 = hood_r1
         self._hood_2r1 = hood_2r1
-        self._local_solver = local_solver
         if plan.max_vertex >= self._num_vertices:
             raise ValueError(
                 f"fault plan names vertex {plan.max_vertex} but the graph "
@@ -488,6 +454,9 @@ class FaultInjectionEngine:
                 ),
             )
         self._quorum = quorum
+        self._engine = ProtocolEngine(
+            adjacency, r, hood_r, hood_r1, hood_2r1, local_solver
+        )
 
     def run(
         self,
@@ -496,11 +465,9 @@ class FaultInjectionEngine:
         hard_limit: Optional[int] = None,
     ) -> Tuple[ProtocolResult, FaultReport]:
         """Execute one faulty strategy decision over ``transport``."""
-        if transport.num_vertices != self._num_vertices:
-            raise ValueError(
-                f"transport connects {transport.num_vertices} vertices but the "
-                f"graph has {self._num_vertices}"
-            )
+        controller = FaultController(
+            self._plan, self._adjacency, self._hood_2r1, quorum=self._quorum
+        )
         obs = current_observer()
         with obs.span(
             "faults.run",
@@ -508,7 +475,15 @@ class FaultInjectionEngine:
             num_faults=self._plan.num_faults,
             quorum=self._quorum is not None,
         ) as run_span:
-            result, report = self._execute(transport, weights, hard_limit, obs)
+            try:
+                result = self._engine.run(
+                    transport, weights, hard_limit=hard_limit, faults=controller
+                )
+                report = self._settle(result, controller, weights)
+            finally:
+                # The vertices reference the controller: break the cycle so
+                # the run's machines are freed now, not at the next full GC.
+                controller.vertices.clear()
             run_span.set_attrs(
                 mini_rounds=result.num_mini_rounds,
                 corrupted_winners=report.corrupted_winners,
@@ -526,136 +501,20 @@ class FaultInjectionEngine:
                 obs.count(name, value)
         return result, report
 
-    def _execute(
+    def _settle(
         self,
-        transport: Transport,
+        result: ProtocolResult,
+        controller: FaultController,
         weights: Sequence[float],
-        hard_limit: Optional[int],
-        obs,
-    ) -> Tuple[ProtocolResult, FaultReport]:
-        if hard_limit is None:
-            hard_limit = self._num_vertices
-            if self._quorum is not None:
-                # Suspicion needs `patience` silent rounds before the stuck
-                # part of the graph can resume; budget for both.
-                hard_limit += self._quorum.patience
-        controller = FaultController(
-            self._plan, self._adjacency, self._hood_2r1, quorum=self._quorum
-        )
-        vertices = [
-            FaultyVertexProtocol(
-                vertex,
-                transport,
-                self._r,
-                self._adjacency,
-                hood_r=self._hood_r[vertex],
-                hood_r1=self._hood_r1[vertex],
-                hood_2r1=self._hood_2r1[vertex],
-                local_solver=self._local_solver,
-                controller=controller,
-            )
-            for vertex in range(self._num_vertices)
-        ]
-        for vertex in vertices:
-            vertex.prime(
-                {
-                    neighbor: float(weights[neighbor])
-                    for neighbor in self._hood_2r1[vertex.vertex]
-                }
-            )
-
-        accusations_sent = 0
-
-        def deliver() -> None:
-            for vertex in vertices:
-                for message in transport.collect(vertex.vertex):
-                    vertex.receive(message)
-
-        def qr_phase(mini_round: int) -> None:
-            nonlocal accusations_sent
-            if self._quorum is None:
-                return
-            sent = sum(vertex.flush_accusations(mini_round) for vertex in vertices)
-            if sent:
-                accusations_sent += sent
-                deliver()
-
-        # WB phase (fault clock at round 0).
-        controller.clock = (0, _PHASE_WB)
-        for vertex in vertices:
-            vertex.announce_weight()
-        deliver()
-        # Evidence found at the WB barrier (inflated weights) spreads before
-        # the first election, so out-of-horizon vertices can already reject
-        # the liar's first LB.
-        qr_phase(0)
-
-        def is_alive_honest(vertex: FaultyVertexProtocol) -> bool:
-            return vertex.behavior is None and not controller.is_crashed(
-                vertex.vertex
-            )
-
-        records: List[MiniRoundRecord] = []
-        winners_claimed: Set[int] = set()
-        cumulative_weight = 0.0
-        computation = ComputationCosts()
-
-        for mini_round in range(1, hard_limit + 1):
-            if not any(
-                is_alive_honest(vertex) and vertex.status == VertexStatus.CANDIDATE
-                for vertex in vertices
-            ):
-                break
-            with obs.span("faults.mini_round", mini_round=mini_round):
-                controller.clock = (mini_round, _PHASE_LD)
-                leaders = [
-                    vertex.vertex
-                    for vertex in vertices
-                    if vertex.begin_mini_round(mini_round) is not None
-                ]
-                controller.clock = (mini_round, _PHASE_LB)
-                new_winners: Set[int] = set()
-                new_losers: Set[int] = set()
-                for leader in leaders:
-                    determination = vertices[leader].determine_statuses(mini_round)
-                    if determination is None:
-                        continue  # the leader crashed between LD and LB
-                    computation.local_mwis_calls += 1
-                    computation.candidate_set_sizes.append(
-                        vertices[leader].last_candidate_set_size
-                    )
-                    for vertex, is_winner in determination.decisions.items():
-                        (new_winners if is_winner else new_losers).add(vertex)
-                deliver()
-                qr_phase(mini_round)
-                for vertex in vertices:
-                    vertex.end_mini_round()
-            winners_claimed |= new_winners
-            cumulative_weight += sum(float(weights[v]) for v in new_winners)
-            remaining = sum(
-                1 for vertex in vertices if vertex.status == VertexStatus.CANDIDATE
-            )
-            records.append(
-                MiniRoundRecord(
-                    index=mini_round,
-                    leaders=frozenset(leaders),
-                    new_winners=frozenset(new_winners),
-                    new_losers=frozenset(new_losers),
-                    cumulative_weight=cumulative_weight,
-                    remaining_candidates=remaining,
-                )
-            )
-            computation.mini_rounds = mini_round
-
-        # ------------------------------------------------------------------
-        # Final output and fault accounting
-        # ------------------------------------------------------------------
+    ) -> FaultReport:
+        """Replace the claimed outcome on ``result`` by the final one and
+        account for the faults."""
+        vertices = controller.vertices
         status_winners = {
             vertex.vertex
             for vertex in vertices
             if vertex.status == VertexStatus.WINNER
         }
-        threshold = self._quorum.threshold if self._quorum is not None else 0
         quorum_rejected: Set[int] = set()
         if self._quorum is not None:
             votes: Dict[int, int] = {}
@@ -668,7 +527,7 @@ class FaultInjectionEngine:
             quorum_rejected = {
                 accused
                 for accused, count in votes.items()
-                if count >= threshold
+                if count >= self._quorum.threshold
             }
         final_winners = status_winners - quorum_rejected
         byzantine_set = set(self._plan.byzantine)
@@ -681,11 +540,9 @@ class FaultInjectionEngine:
         honest_weight = sum(
             float(weights[v]) for v in final_winners - corrupted
         )
-        undecided_honest = sum(
-            1
-            for vertex in vertices
-            if is_alive_honest(vertex) and not vertex.status.is_decided
-        )
+        live_honest = [
+            vertex for vertex in vertices if controller.is_live_honest(vertex)
+        ]
         excluded_union: Set[int] = set()
         suspected_union: Set[int] = set()
         for vertex in vertices:
@@ -694,34 +551,10 @@ class FaultInjectionEngine:
                 excluded_union |= state.excluded
                 suspected_union |= state.suspected
 
-        independent = is_independent(self._adjacency, final_winners)
-        converged = all(
-            vertex.status.is_decided
-            for vertex in vertices
-            if is_alive_honest(vertex)
-        )
-        phases = ("WB", "LD", "LB", "QR") if self._quorum else ("WB", "LD", "LB")
-        costs = RoundCosts(
-            communication=CommunicationCosts(
-                messages_per_vertex=transport.messages_sent(),
-                total_deliveries=transport.total_deliveries,
-                mini_timeslots_per_phase={
-                    phase: transport.mini_timeslots(phase) for phase in phases
-                },
-            ),
-            computation=computation,
-            stored_weights_per_vertex=[
-                len(vertex.agent.known_weights) for vertex in vertices
-            ],
-        )
-        result = ProtocolResult(
-            independent_set=IndependentSet.from_iterable(final_winners, weights),
-            mini_rounds=records,
-            costs=costs,
-            converged=converged,
-            independent=independent,
-        )
-        report = FaultReport(
+        result.independent_set = IndependentSet.from_iterable(final_winners, weights)
+        result.independent = is_independent(self._adjacency, final_winners)
+        result.converged = all(vertex.status.is_decided for vertex in live_honest)
+        return FaultReport(
             num_crashed=len(self._plan.crashes),
             num_byzantine=len(byzantine_set),
             fault_fraction=self._plan.num_faults / max(1, self._num_vertices),
@@ -733,11 +566,12 @@ class FaultInjectionEngine:
             corrupted_winners=len(corrupted),
             corrupted_winner_rate=len(corrupted) / max(1, len(final_winners)),
             honest_winner_weight=honest_weight,
-            undecided_honest=undecided_honest,
+            undecided_honest=sum(
+                1 for vertex in live_honest if not vertex.status.is_decided
+            ),
             suspected_crashed=len(suspected_union),
             excluded_senders=len(excluded_union),
-            accusations_sent=accusations_sent,
+            accusations_sent=controller.accusations_sent,
             patience=self._quorum.patience if self._quorum is not None else 0,
             quorum_enabled=self._quorum is not None,
         )
-        return result, report

@@ -1,9 +1,9 @@
-"""Tests for repro.distributed.network."""
+"""Broadcast delivery and cost accounting of the simulated transport."""
 
 import pytest
 
 from repro.distributed.messages import StatusDetermination, WeightBroadcast
-from repro.distributed.network import MessageNetwork
+from repro.distributed.transport import SimulatedTransport
 
 
 @pytest.fixture
@@ -14,7 +14,7 @@ def path_adjacency():
 
 class TestBroadcast:
     def test_one_hop_broadcast_reaches_neighbors_only(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         recipients = network.broadcast(
             WeightBroadcast(sender=2, hop_limit=1, weight=1.0), phase="WB"
         )
@@ -24,19 +24,19 @@ class TestBroadcast:
         assert network.pending(0) == 0
 
     def test_two_hop_broadcast(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         network.broadcast(WeightBroadcast(sender=0, hop_limit=2, weight=1.0), phase="WB")
         assert network.pending(1) == 1
         assert network.pending(2) == 1
         assert network.pending(3) == 0
 
     def test_sender_does_not_receive_own_message(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         network.broadcast(WeightBroadcast(sender=2, hop_limit=3, weight=1.0), phase="WB")
         assert network.pending(2) == 0
 
     def test_collect_drains_inbox(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         network.broadcast(WeightBroadcast(sender=0, hop_limit=1, weight=4.2), phase="WB")
         messages = network.collect(1)
         assert len(messages) == 1
@@ -44,24 +44,24 @@ class TestBroadcast:
         assert network.collect(1) == []
 
     def test_invalid_sender_rejected(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         with pytest.raises(ValueError):
             network.broadcast(WeightBroadcast(sender=99, hop_limit=1, weight=1.0), "WB")
 
     def test_negative_hop_limit_rejected(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         with pytest.raises(ValueError):
             network.broadcast(WeightBroadcast(sender=0, hop_limit=-1, weight=1.0), "WB")
 
     def test_collect_invalid_vertex(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         with pytest.raises(ValueError):
             network.collect(99)
 
 
 class TestCostAccounting:
     def test_messages_sent_counter(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         network.broadcast(WeightBroadcast(sender=0, hop_limit=1, weight=1.0), "WB")
         network.broadcast(WeightBroadcast(sender=0, hop_limit=1, weight=1.0), "WB")
         network.broadcast(WeightBroadcast(sender=1, hop_limit=1, weight=1.0), "LD")
@@ -70,12 +70,12 @@ class TestCostAccounting:
         assert network.total_messages_sent == 3
 
     def test_deliveries_counter(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         network.broadcast(WeightBroadcast(sender=2, hop_limit=1, weight=1.0), "WB")
         assert network.total_deliveries == 2
 
     def test_mini_timeslots_per_phase(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         network.broadcast(WeightBroadcast(sender=0, hop_limit=3, weight=1.0), "WB")
         network.broadcast(
             StatusDetermination(sender=1, hop_limit=5, decisions={0: True}), "LB"
@@ -85,7 +85,7 @@ class TestCostAccounting:
         assert network.mini_timeslots() == 8
 
     def test_reset_costs(self, path_adjacency):
-        network = MessageNetwork(path_adjacency)
+        network = SimulatedTransport(path_adjacency)
         network.broadcast(WeightBroadcast(sender=0, hop_limit=1, weight=1.0), "WB")
         network.reset_costs()
         assert network.total_messages_sent == 0
@@ -96,6 +96,6 @@ class TestCostAccounting:
 
     def test_precomputed_neighborhood_cache_is_used(self, path_adjacency):
         cache = {1: [{0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4}]}
-        network = MessageNetwork(path_adjacency, precomputed_neighborhoods=cache)
+        network = SimulatedTransport(path_adjacency, precomputed_neighborhoods=cache)
         network.broadcast(WeightBroadcast(sender=0, hop_limit=1, weight=1.0), "WB")
         assert network.pending(1) == 1

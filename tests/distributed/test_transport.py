@@ -1,8 +1,8 @@
 """Transport abstraction tests (repro.distributed.transport).
 
-Covers the ABC contract, the SimulatedTransport / MessageNetwork identity,
-the zero-hop broadcast accounting fix, and the ``transport=`` injection path
-of :class:`DistributedRobustPTAS`.
+Covers the ABC contract, the simulated transport, the zero-hop broadcast
+accounting fix, and the ``transport=`` injection path of
+:class:`DistributedRobustPTAS`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from repro.distributed import (
     AsyncioTransport,
     DistributedRobustPTAS,
-    MessageNetwork,
     SimulatedTransport,
     Transport,
     WeightBroadcast,
@@ -31,15 +30,10 @@ class TestTransportABC:
         with pytest.raises(TypeError):
             Transport()
 
-    def test_message_network_is_a_transport(self):
-        # MessageNetwork is registered as a virtual subclass: existing code
-        # holding one already satisfies the Transport contract.
-        assert isinstance(MessageNetwork(path_adjacency()), Transport)
-
-    def test_simulated_transport_is_both(self):
-        transport = SimulatedTransport(path_adjacency())
-        assert isinstance(transport, Transport)
-        assert isinstance(transport, MessageNetwork)
+    def test_simulated_transport_is_a_transport(self):
+        # A real subclass, not a virtual one registered on the ABC.
+        assert isinstance(SimulatedTransport(path_adjacency()), Transport)
+        assert Transport in SimulatedTransport.__mro__
 
     def test_asyncio_transport_is_a_transport(self):
         transport = AsyncioTransport(path_adjacency())
@@ -89,8 +83,8 @@ class TestSimulatedTransport:
 class TestZeroHopBroadcast:
     """hop_limit=0 reaches nobody, so it must charge nothing.
 
-    Regression: MessageNetwork used to charge one message and one timeslot
-    while delivering to no one.
+    Regression: the simulated transport used to charge one message and one
+    timeslot while delivering to no one.
     """
 
     @pytest.fixture(params=["simulated", "asyncio"])

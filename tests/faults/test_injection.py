@@ -150,6 +150,11 @@ class TestEngineContracts:
         honest = DistributedRobustPTAS(STAR, r=1).run(STAR_WEIGHTS)
         assert run.independent_set.vertices == honest.independent_set.vertices
         assert run.num_mini_rounds == honest.num_mini_rounds
+        assert run.mini_rounds == honest.mini_rounds
+        assert run.costs == honest.costs
+        assert (run.converged, run.independent) == (
+            honest.converged, honest.independent
+        )
         assert report.fault_fraction == 0.0
         assert report.corrupted_winners == 0
 

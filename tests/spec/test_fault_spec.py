@@ -118,15 +118,22 @@ class TestPresetsAndRunner:
         assert paths == {"faults.byzantine", "faults.quorum"}
 
     def test_fault_records_surface_in_the_envelope(self):
-        result = run_scenario(get_scenario("faults-quick"))
-        record = result.records["20x3"]
-        for key in (
-            "fault_fraction", "num_crashed", "num_byzantine",
-            "corrupted_winner_rate", "honest_winner_weight",
-            "baseline_winner_weight", "fault_regret", "reconvergence_cost",
-        ):
-            assert key in record, key
-        assert record["fault_fraction"] == pytest.approx(0.2)
+        arms = (
+            ({}, 0.2),  # mixed crash + Byzantine
+            ({"faults.byzantine": 0.0}, 0.1),  # crash-only
+            ({"faults.quorum": True}, 0.2),  # quorum mitigation
+        )
+        for overrides, fraction in arms:
+            spec = apply_overrides(get_scenario("faults-quick"), overrides)
+            record = run_scenario(spec).records["20x3"]
+            for key in (
+                "fault_fraction", "num_crashed", "num_byzantine",
+                "corrupted_winner_rate", "honest_winner_weight",
+                "baseline_winner_weight", "fault_regret", "reconvergence_cost",
+                "final_winners",
+            ):
+                assert key in record, (overrides, key)
+            assert record["fault_fraction"] == pytest.approx(fraction), overrides
 
     def test_honest_records_carry_no_fault_fields(self):
         result = run_scenario(get_scenario("fig6-smoke"))

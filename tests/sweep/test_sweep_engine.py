@@ -100,6 +100,21 @@ class TestResume:
         for a, b in zip(first.outcomes, healed.outcomes):
             assert _deterministic(a.result) == _deterministic(b.result)
 
+    def test_byzantine_sweep_rerun_on_the_process_backend_computes_nothing(
+        self, tmp_path
+    ):
+        from repro.sweep.presets import get_plan
+
+        plan = get_plan("byzantine-sweep")
+        store = ResultStore(tmp_path / "store")
+        first = run_sweep(plan, store=store, backend="process", jobs=2)
+        assert first.computed_units == first.stats()["unique_units"] > 0
+        second = run_sweep(plan, store=store, backend="process", jobs=2)
+        assert second.computed_units == 0
+        assert second.cached_units == second.stats()["unique_units"] > 0
+        for a, b in zip(first.outcomes, second.outcomes):
+            assert _deterministic(a.result) == _deterministic(b.result)
+
     def test_storeless_run_recomputes_everything(self, smoke_plan):
         sweep = run_sweep(smoke_plan, store=None)
         assert sweep.computed_units == 2

@@ -48,7 +48,6 @@ class TestWorkflow:
             "sweep-smoke",
             "dynamics-smoke",
             "transport-smoke",
-            "faults-smoke",
             "scale-smoke",
             "obs-smoke",
             "serve-smoke",
@@ -285,41 +284,6 @@ class TestWorkflow:
         assert any(
             'second["computed"] == 0' in command for command in commands
         ), "dynamics-smoke must assert the sweep re-run dedups against the store"
-
-    def test_faults_smoke_covers_both_transports_quorum_and_the_sweep(self):
-        smoke = _load_workflow()["jobs"]["faults-smoke"]
-        commands = [step.get("run", "") for step in smoke["steps"]]
-        assert any(
-            "repro run faults-quick" in command
-            and "transport.kind=asyncio" not in command
-            and "--set" not in command
-            for command in commands
-        ), "faults-smoke must run faults-quick on the simulated transport"
-        assert any(
-            "repro run faults-quick" in command
-            and "transport.kind=asyncio" in command
-            for command in commands
-        ), "faults-smoke must run faults-quick on the asyncio transport"
-        assert any(
-            "faults.byzantine=0.0" in command for command in commands
-        ), "faults-smoke must run a crash-only arm"
-        assert any(
-            "simulated == asyncio_run" in command for command in commands
-        ), "faults-smoke must diff the two fault envelopes"
-        assert any(
-            "faults.quorum=true" in command for command in commands
-        ), "faults-smoke must run the quorum-mitigation arm"
-        assert any(
-            "mitigated[cell] < rate" in command for command in commands
-        ), "faults-smoke must assert quorum reduces the corrupted-winner rate"
-        assert any(
-            "repro sweep byzantine-sweep" in command
-            and "--backend process" in command
-            for command in commands
-        ), "faults-smoke must run the byzantine sweep on the process backend"
-        assert any(
-            'second["computed"] == 0' in command for command in commands
-        ), "faults-smoke must assert the sweep re-run dedups against the store"
 
     def test_jobs_cache_pip_against_pyproject(self):
         jobs = _load_workflow()["jobs"]
