@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark suite.
 
-Benchmarks use scaled-down experiment configurations so the whole suite runs
-in well under a minute; the paper-scale runs are reachable through the same
-``run_*`` functions with ``*.paper()`` configurations (see EXPERIMENTS.md).
+Benchmarks use scaled-down presets so the whole suite runs in well under a
+minute; the paper-scale runs are the ``*-paper`` presets, reachable through
+the same ``run_scenario`` call (or ``repro run <preset>``).
 """
 
 from __future__ import annotations

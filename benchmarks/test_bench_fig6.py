@@ -10,17 +10,18 @@ from __future__ import annotations
 import numpy as np
 from repro.channels.catalog import assign_rates_to_network
 from repro.distributed.ptas import DistributedRobustPTAS
-from repro.experiments.config import Fig6Config
-from repro.experiments.fig6_convergence import format_fig6, run_fig6
 from repro.graph.extended import ExtendedConflictGraph
 from repro.graph.topology import linear_network, random_network
+from repro.spec import format_result, get_scenario, run_scenario
 
 
 def test_fig6_experiment(benchmark):
     """Regenerate the Fig. 6 convergence series (scaled-down networks)."""
-    result = benchmark(run_fig6, Fig6Config.from_scenario("fig6-quick"))
-    print("\n" + format_fig6(result))
-    assert all(trajectory[-1] > 0 for trajectory in result.trajectories.values())
+    result = benchmark(run_scenario, get_scenario("fig6-quick"))
+    print("\n" + format_result(result))
+    trajectories = [v for k, v in result.series.items() if k.startswith("weight[")]
+    assert trajectories
+    assert all(trajectory[-1] > 0 for trajectory in trajectories)
 
 
 def test_fig6_single_protocol_round(benchmark, bench_rng):

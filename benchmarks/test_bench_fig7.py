@@ -7,18 +7,20 @@ Algorithm 2 competitive with LLR).
 
 from __future__ import annotations
 
-from repro.experiments.config import Fig7Config
-from repro.experiments.fig7_regret import format_fig7, run_fig7
+from repro.sim.metrics import tail_mean
+from repro.spec import apply_overrides, format_result, get_scenario, run_scenario
 
 
 def test_fig7_experiment(benchmark):
     """Regenerate the Fig. 7 regret comparison (scaled-down network)."""
-    config = Fig7Config(num_nodes=8, num_channels=3, num_rounds=80, r=1, seed=7)
-    result = benchmark.pedantic(run_fig7, args=(config,), rounds=1, iterations=1)
-    print("\n" + format_fig7(result))
-    for name in result.policies():
-        assert result.converged_practical_regret(name) > 0
-        assert result.converged_beta_regret(name) < 0
+    spec = apply_overrides(
+        get_scenario("fig7-quick"), {"schedule.num_rounds": 80, "seed": 7}
+    )
+    result = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1)
+    print("\n" + format_result(result))
+    for name in ("Algorithm2", "LLR"):
+        assert tail_mean(result.series[f"practical_regret[{name}]"]) > 0
+        assert tail_mean(result.series[f"beta_regret[{name}]"]) < 0
 
 
 def test_fig7_single_learning_round(benchmark, bench_network):

@@ -7,19 +7,25 @@ size and checks the paper's qualitative observations.
 
 from __future__ import annotations
 
-from repro.experiments.config import Fig8Config
-from repro.experiments.fig8_periodic import format_fig8, run_fig8
+from repro.spec import apply_overrides, format_result, get_scenario, run_scenario
 
 
 def test_fig8_experiment(benchmark):
     """Regenerate the Fig. 8 periodic-update comparison (scaled down)."""
-    config = Fig8Config(
-        num_nodes=12, num_channels=3, periods=(1, 5), num_periods=25, r=1, seed=5
+    spec = apply_overrides(
+        get_scenario("fig8-quick"),
+        {
+            "topology.num_nodes": 12,
+            "topology.num_channels": 3,
+            "schedule.num_periods": 25,
+            "seed": 5,
+        },
     )
-    result = benchmark.pedantic(run_fig8, args=(config,), rounds=1, iterations=1)
-    print("\n" + format_fig8(result))
-    for policy in result.policies():
-        assert result.final_actual(5, policy) > result.final_actual(1, policy)
+    result = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1)
+    print("\n" + format_result(result))
+    for policy in ("Algorithm2", "LLR"):
+        final = {y: result.series[f"actual[{policy}][y={y}]"][-1] for y in (1, 5)}
+        assert final[5] > final[1]
 
 
 def test_fig8_periodic_round(benchmark, bench_network):

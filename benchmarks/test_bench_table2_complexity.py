@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.complexity import format_complexity, run_complexity
-from repro.experiments.config import ComplexityConfig
-from repro.experiments.table2 import format_table2, table2_report
+from repro.sim.timing import format_table2, table2_report
+from repro.spec import format_result, get_scenario, run_scenario
 
 
 def test_table2_report(benchmark):
@@ -20,8 +19,8 @@ def test_table2_report(benchmark):
 def test_complexity_measurements(benchmark):
     """Measure messages / storage / local-instance sizes per round (E6)."""
     result = benchmark.pedantic(
-        run_complexity, args=(ComplexityConfig.from_scenario("complexity-quick"),), rounds=1, iterations=1
+        run_scenario, args=(get_scenario("complexity-quick"),), rounds=1, iterations=1
     )
-    print("\n" + format_complexity(result))
+    print("\n" + format_result(result))
     for record in result.records.values():
         assert record["max_messages_per_vertex"] <= record["message_bound"]

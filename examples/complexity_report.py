@@ -8,28 +8,30 @@ next to the paper's theoretical bounds (O(r^2 + D) messages, O(m) space,
 local instances bounded by the (2r+1)-hop neighbourhood).
 
 Run:  python examples/complexity_report.py
+
+The networks are the ``complexity-paper`` preset (``repro run
+complexity-paper`` prints the same envelope); the round structure is the
+``repro table2`` report.
 """
 
 from __future__ import annotations
 
-from repro.experiments import ComplexityConfig, format_complexity, run_complexity
-from repro.experiments.table2 import format_table2
+from repro.sim.timing import format_table2
+from repro.spec import format_result, get_scenario, run_scenario
 
 
 def main() -> None:
     print("Round structure derived from Table II:")
     print(format_table2())
     print()
-    config = ComplexityConfig(
-        network_sizes=((20, 3), (40, 3), (80, 3), (40, 5), (80, 5)), r=2
-    )
+    spec = get_scenario("complexity-paper")
     print(
         "Measuring per-round communication / space / computation costs "
-        f"on {len(config.network_sizes)} random networks (r = {config.r}) ..."
+        f"on {len(spec.network_sweep)} random networks (r = {spec.policies[0].r}) ..."
     )
-    result = run_complexity(config)
+    result = run_scenario(spec)
     print()
-    print(format_complexity(result))
+    print(format_result(result))
     print()
     print(
         "Note how the per-vertex message count and storage stay flat as the\n"

@@ -7,6 +7,9 @@ plus the Fig. 5 linear worst case where only one LocalLeader can be elected
 per mini-round.
 
 Run:  python examples/convergence_study.py [--paper]
+
+The networks are the ``fig6-quick`` preset (``fig6-paper`` with ``--paper``);
+``repro run fig6-quick`` prints the same envelope.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import argparse
 import numpy as np
 
 from repro.distributed import DistributedRobustPTAS
-from repro.experiments import Fig6Config, format_fig6, run_fig6
 from repro.graph import ExtendedConflictGraph, linear_network
+from repro.spec import format_result, get_scenario, run_scenario
 
 
 def linear_worst_case(num_nodes: int = 20) -> None:
@@ -42,13 +45,11 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    config = Fig6Config.from_scenario("fig6-paper") if args.paper else Fig6Config(
-        network_sizes=((30, 5), (60, 5), (30, 10)), r=2, max_mini_rounds=10
-    )
-    print("Running the Fig. 6 convergence study ...")
-    result = run_fig6(config)
+    spec = get_scenario("fig6-paper" if args.paper else "fig6-quick")
+    print(f"Running the Fig. 6 convergence study ({spec.name}) ...")
+    result = run_scenario(spec)
     print()
-    print(format_fig6(result))
+    print(format_result(result))
     print()
     linear_worst_case()
 

@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.core.nonstationary import DynamicOraclePolicy, SlidingWindowUCBPolicy
 from repro.core.policies import CombinatorialUCBPolicy
-from repro.experiments.reporting import render_table
 from repro.graph.extended import ExtendedConflictGraph
 from repro.graph.topology import connected_random_network
 from repro.mwis.exact import ExactMWISSolver
+from repro.reporting import render_table
 
 NUM_USERS = 8
 NUM_CHANNELS = 3

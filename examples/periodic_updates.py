@@ -10,7 +10,8 @@ period length.
 
 Run:  python examples/periodic_updates.py [--paper]
 
-``--paper`` uses the full Section V-C parameters (100 users, 10 channels,
+Without flags this runs the ``fig8-quick`` preset (``repro run fig8-quick``);
+``--paper`` runs ``fig8-paper`` (100 users, 10 channels, periods 1/5/10/20,
 1000 updates per period length) and takes correspondingly longer.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import Fig8Config, format_fig8, run_fig8
+from repro.spec import format_result, get_scenario, run_scenario
 
 
 def main() -> None:
@@ -30,31 +31,35 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    if args.paper:
-        config = Fig8Config.from_scenario("fig8-paper")
-    else:
-        config = Fig8Config(
-            num_nodes=20, num_channels=4, periods=(1, 5, 10, 20), num_periods=100, r=1
-        )
+    spec = get_scenario("fig8-paper" if args.paper else "fig8-quick")
+    periods = spec.schedule.periods
 
     print(
-        f"Running the Fig. 8 periodic-update study: {config.num_nodes} users, "
-        f"{config.num_channels} channels, periods {config.periods}, "
-        f"{config.num_periods} updates each ..."
+        f"Running the Fig. 8 periodic-update study: {spec.topology.num_nodes} "
+        f"users, {spec.topology.num_channels} channels, periods {periods}, "
+        f"{spec.schedule.num_periods} updates each ..."
     )
-    result = run_fig8(config)
+    result = run_scenario(spec)
     print()
-    print(format_fig8(result))
+    print(format_result(result))
     print()
+
+    def final(metric, policy, period):
+        return result.series[f"{metric}[{policy}][y={period}]"][-1]
+
+    def gap(policy, period):
+        actual = final("actual", policy, period)
+        return abs(final("estimated", policy, period) - actual) / actual
+
     print("Observations to compare with the paper:")
-    for period in config.periods:
-        efficiency = result.period_efficiency[period]
-        actual = result.final_actual(period, "Algorithm2")
+    for period in periods:
+        efficiency = result.records[f"y={period}"]["efficiency"]
         print(
             f"  y = {period:>2}: efficiency {efficiency:.3f}, "
-            f"Algorithm2 actual throughput {actual:.1f} kbps, "
-            f"estimation gap {result.estimation_gap(period, 'Algorithm2'):.2%} "
-            f"(LLR gap {result.estimation_gap(period, 'LLR'):.2%})"
+            f"Algorithm2 actual throughput "
+            f"{final('actual', 'Algorithm2', period):.1f} kbps, "
+            f"estimation gap {gap('Algorithm2', period):.2%} "
+            f"(LLR gap {gap('LLR', period):.2%})"
         )
 
 

@@ -7,16 +7,18 @@ brute force, and the per-round practical regret / beta-regret are reported.
 
 Run:  python examples/regret_comparison.py [--paper]
 
-With ``--paper`` the exact Section V-B parameters are used (15 users, 3
-channels, 1000 slots); without it a faster scaled-down configuration runs in
-a few seconds.
+With ``--paper`` the exact Section V-B parameters are used (the
+``fig7-paper`` preset: 15 users, 3 channels, 1000 slots); without it the
+scaled-down ``fig7-quick`` preset runs in a few seconds (the CLI equivalent
+is ``repro run fig7-quick``).
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.experiments import Fig7Config, format_fig7, run_fig7
+from repro.sim.metrics import tail_mean
+from repro.spec import apply_overrides, format_result, get_scenario, run_scenario
 
 
 def main() -> None:
@@ -31,33 +33,24 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    if args.paper:
-        config = Fig7Config.from_scenario("fig7-paper")
-    else:
-        config = Fig7Config(num_nodes=10, num_channels=3, num_rounds=300, r=2)
-    if args.rounds is not None:
-        config = Fig7Config(
-            num_nodes=config.num_nodes,
-            num_channels=config.num_channels,
-            num_rounds=args.rounds,
-            r=config.r,
-            alpha=config.alpha,
-            average_degree=config.average_degree,
-            seed=config.seed,
-        )
+    spec = get_scenario("fig7-paper" if args.paper else "fig7-quick")
+    spec = apply_overrides(spec, {"schedule.num_rounds": args.rounds})
 
     print(
-        f"Running the Fig. 7 regret study: {config.num_nodes} users, "
-        f"{config.num_channels} channels, {config.num_rounds} slots ..."
+        f"Running the Fig. 7 regret study: {spec.topology.num_nodes} users, "
+        f"{spec.topology.num_channels} channels, {spec.schedule.num_rounds} slots ..."
     )
-    result = run_fig7(config)
+    result = run_scenario(spec)
     print()
-    print(format_fig7(result))
+    print(format_result(result))
     print()
-    better = min(
-        result.policies(), key=lambda name: result.converged_practical_regret(name)
-    )
-    print(f"Lower converged practical regret: {better}")
+    converged = {
+        policy.display_label: tail_mean(
+            result.series[f"practical_regret[{policy.display_label}]"]
+        )
+        for policy in spec.policies
+    }
+    print(f"Lower converged practical regret: {min(converged, key=converged.get)}")
 
 
 if __name__ == "__main__":

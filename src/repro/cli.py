@@ -39,19 +39,14 @@ identical submissions, and enforces per-client quotas; ``submit`` is the
 matching client; ``store verify`` re-hashes and validates every stored
 object, pruning damage with ``--heal``.
 
-The legacy sub-commands remain as aliases that build specs internally::
+Table II has no scenario behind it (it is four constants and what Fig. 2
+derives from them), so it keeps a command of its own::
 
-    python -m repro fig6 [--paper]
-    python -m repro fig7 [--paper] [--rounds N] [--replications R] [--jobs J]
-    python -m repro fig8 [--paper] [--periods 1,5,10,20] [--updates N] \
-                         [--replications R] [--jobs J]
     python -m repro table2
-    python -m repro complexity [--paper]
 
-Every legacy sub-command prints the same text tables/series as the
-corresponding ``examples/`` script; ``--paper`` switches from the fast
-scaled-down configuration to the exact Section V parameters (``complexity``
-now follows the same convention — it used to run paper scale only).
+Every other table and figure of Section V is a registered preset (``fig6-*``,
+``fig7-*``, ``fig8-*``, ``complexity-*``; see ``repro list``) run through
+``repro run``.
 """
 
 from __future__ import annotations
@@ -63,21 +58,6 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from repro.experiments import (
-    ComplexityConfig,
-    Fig6Config,
-    Fig7Config,
-    Fig8Config,
-    format_complexity,
-    format_fig6,
-    format_fig7,
-    format_fig8,
-    format_table2,
-    run_complexity,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-)
 from repro.obs import (
     TraceError,
     TracingObserver,
@@ -86,6 +66,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.sim.backends import BACKEND_NAMES
+from repro.sim.timing import format_table2
 from repro.spec import (
     ScenarioSpec,
     SpecError,
@@ -285,48 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     show.add_argument("scenario", help="registered scenario name")
 
-    fig6 = subparsers.add_parser(
-        "fig6",
-        parents=[logging_parent],
-        help="Fig. 6: strategy-decision convergence",
-    )
-    fig6.add_argument("--paper", action="store_true", help="use the paper-scale networks")
-    fig6.add_argument("--seed", type=int, default=None, help="override the random seed")
-
-    fig7 = subparsers.add_parser(
-        "fig7", parents=[logging_parent], help="Fig. 7: practical regret vs. LLR"
-    )
-    fig7.add_argument("--paper", action="store_true", help="use the paper-scale network")
-    fig7.add_argument("--rounds", type=int, default=None, help="number of time slots")
-    fig7.add_argument("--seed", type=int, default=None, help="override the random seed")
-    _add_replication_arguments(fig7)
-
-    fig8 = subparsers.add_parser(
-        "fig8", parents=[logging_parent], help="Fig. 8: periodic-update throughput"
-    )
-    fig8.add_argument("--paper", action="store_true", help="use the paper-scale network")
-    fig8.add_argument(
-        "--periods", type=str, default=None, help="comma-separated update periods"
-    )
-    fig8.add_argument("--updates", type=int, default=None, help="updates per period length")
-    fig8.add_argument("--seed", type=int, default=None, help="override the random seed")
-    _add_replication_arguments(fig8)
-
     subparsers.add_parser(
         "table2",
         parents=[logging_parent],
         help="Table II: round timing parameters",
     )
-
-    complexity = subparsers.add_parser(
-        "complexity",
-        parents=[logging_parent],
-        help="Section IV-C complexity measurements",
-    )
-    complexity.add_argument(
-        "--paper", action="store_true", help="use the paper-scale networks"
-    )
-    complexity.add_argument("--seed", type=int, default=None, help="override the random seed")
 
     serve = subparsers.add_parser(
         "serve",
@@ -459,37 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the repro.store-audit/v1 report to PATH ('-' prints it)",
     )
     return parser
-
-
-def _add_replication_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the batch-simulation flags shared by fig7 and fig8."""
-    parser.add_argument(
-        "--replications",
-        type=int,
-        default=None,
-        help="average the curves over this many seed-streamed replications",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker threads used to run replications concurrently",
-    )
-
-
-def _override(config, **overrides):
-    """Apply flat field overrides to a config/spec, skipping ``None`` values.
-
-    Shared by the legacy flag handlers and (through dotted paths) the
-    ``run --set`` machinery — both funnel into
-    :func:`repro.spec.apply_overrides`.
-    """
-    return apply_overrides(config, overrides)
-
-
-def _preset(args) -> str:
-    """Legacy preset selection: ``--paper`` switches quick -> paper scale."""
-    return "paper" if args.paper else "quick"
 
 
 def _load_spec(reference: str) -> ScenarioSpec:
@@ -718,48 +631,6 @@ def _trace_command(args) -> str:
         raise SpecError(f"trace: {err}") from None
 
 
-def _run_fig6(args) -> str:
-    config = Fig6Config.from_scenario(f"fig6-{_preset(args)}")
-    config = _override(config, seed=args.seed)
-    return format_fig6(run_fig6(config))
-
-
-def _run_fig7(args) -> str:
-    config = Fig7Config.from_scenario(f"fig7-{_preset(args)}")
-    config = _override(
-        config,
-        seed=args.seed,
-        num_rounds=args.rounds,
-        replications=args.replications,
-        jobs=args.jobs,
-    )
-    return format_fig7(run_fig7(config))
-
-
-def _run_fig8(args) -> str:
-    config = Fig8Config.from_scenario(f"fig8-{_preset(args)}")
-    periods = None
-    if args.periods is not None:
-        periods = tuple(int(part) for part in args.periods.split(",") if part.strip())
-        if not periods:
-            raise SystemExit("--periods must list at least one integer")
-    config = _override(
-        config,
-        seed=args.seed,
-        num_periods=args.updates,
-        periods=periods,
-        replications=args.replications,
-        jobs=args.jobs,
-    )
-    return format_fig8(run_fig8(config))
-
-
-def _run_complexity(args) -> str:
-    config = ComplexityConfig.from_scenario(f"complexity-{_preset(args)}")
-    config = _override(config, seed=args.seed)
-    return format_complexity(run_complexity(config))
-
-
 def _serve_command(args) -> str:
     import asyncio
     import signal
@@ -982,11 +853,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": _trace_command,
         "list": _list_scenarios_command,
         "show": _show_scenario_command,
-        "fig6": _run_fig6,
-        "fig7": _run_fig7,
-        "fig8": _run_fig8,
         "table2": lambda _args: format_table2(),
-        "complexity": _run_complexity,
         "serve": _serve_command,
         "submit": _submit_command,
         "store": _store_command,

@@ -116,10 +116,17 @@ def connected_random_network(
     """Random network resampled until it is connected.
 
     The regret experiment of the paper (Fig. 7) uses a *connected* random
-    network of 15 users; this helper reproduces that construction.  Raises
-    ``RuntimeError`` when no connected sample is found within
-    ``max_attempts`` draws (which indicates the requested density is too low).
+    network of 15 users; this helper reproduces that construction.  When
+    none of ``max_attempts`` draws is connected (the requested density is
+    low for the network size), the last draw is repaired: every smaller
+    component, largest first, is translated rigidly until its node closest
+    to the components joined so far sits ``0.9 * radius`` from them.  Edges
+    are recomputed from the final positions, so the result is always
+    connected, is still exactly the unit-disk graph of its positions, and
+    is a deterministic function of the seeded draws.
     """
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be positive, got {max_attempts}")
     rng = rng if rng is not None else np.random.default_rng()
     for _ in range(max_attempts):
         graph = random_network(
@@ -131,10 +138,29 @@ def connected_random_network(
         )
         if graph.is_connected():
             return graph
-    raise RuntimeError(
-        f"could not sample a connected network of {num_nodes} nodes with "
-        f"average degree {average_degree} in {max_attempts} attempts"
+    return _join_components(graph, radius)
+
+
+def _join_components(graph: ConflictGraph, radius: float) -> ConflictGraph:
+    """Translate every smaller component to within ``0.9 * radius`` of the
+    nodes joined so far (see :func:`connected_random_network`)."""
+    coords = np.array([(p.x, p.y) for p in graph.positions], dtype=float)
+    components = sorted(
+        (sorted(c) for c in graph.connected_components()),
+        key=lambda c: (-len(c), c[0]),
     )
+    joined = list(components[0])
+    for component in components[1:]:
+        gaps = coords[component, None, :] - coords[None, joined, :]
+        distances = np.hypot(gaps[..., 0], gaps[..., 1])
+        row, col = np.unravel_index(np.argmin(distances), distances.shape)
+        distance = distances[row, col]
+        if distance > 0.9 * radius:
+            # A rigid translation keeps the component's own edges and moves
+            # its closest node straight towards the closest joined node.
+            coords[component] -= gaps[row, col] * (1.0 - 0.9 * radius / distance)
+        joined.extend(component)
+    return _geometric_network(coords, graph.num_channels, radius)
 
 
 def linear_network(

@@ -1,13 +1,8 @@
-"""Plain-text table rendering shared by the experiment and spec layers.
+"""Plain-text table rendering shared by the spec, sweep and CLI layers.
 
 The paper reports its results as figures; since this library is plotting-free
-(offline environment), every experiment renders the same series as aligned
+(offline environment), every scenario renders the same series as aligned
 text tables that can be diffed, logged or piped into any plotting tool.
-
-Historically this lived at :mod:`repro.experiments.reporting`; it moved here
-so that :mod:`repro.spec` (which the experiment modules build on) can render
-results without importing the experiment package.  The old module remains as
-a re-export shim.
 """
 
 from __future__ import annotations

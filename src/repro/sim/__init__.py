@@ -1,7 +1,7 @@
 """Simulation engine: round-by-round execution of channel-access policies.
 
-* :mod:`repro.sim.timing` -- the round structure of Fig. 2 / Table II and the
-  effective-throughput factor ``theta = t_d / t_a``.
+* :mod:`repro.sim.timing` -- the round structure of Fig. 2 / Table II, the
+  effective-throughput factor ``theta = t_d / t_a`` and the Table II report.
 * :mod:`repro.sim.engine` -- the per-round simulator (Algorithm 2's outer loop).
 * :mod:`repro.sim.batch` -- seed-streamed batch runner for ``R`` independent
   replications of one policy.

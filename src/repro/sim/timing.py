@@ -19,8 +19,11 @@ effective throughput factor ``theta = t_d / t_a = 0.5``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Optional
 
-__all__ = ["TimingConfig"]
+from repro.reporting import render_table
+
+__all__ = ["TimingConfig", "table2_report", "format_table2"]
 
 
 @dataclass(frozen=True)
@@ -104,3 +107,34 @@ class TimingConfig:
             data_transmission_ms=1000.0,
             decision_mini_rounds=0,
         )
+
+
+def table2_report(timing: Optional[TimingConfig] = None) -> Dict[str, float]:
+    """Return the Table II constants plus the derived round structure.
+
+    Table II only lists the four timing constants; the evaluation depends on
+    what Fig. 2 derives from them: ``t_m``, ``t_s``, ``t_a``, the
+    effective-throughput factor ``theta`` that scales every throughput number
+    in Figs. 7-8, and the Fig. 8 period efficiencies.
+    """
+    timing = timing if timing is not None else TimingConfig.paper_defaults()
+    return {
+        "local_broadcast_tb_ms": timing.local_broadcast_ms,
+        "local_computation_tl_ms": timing.local_computation_ms,
+        "data_transmission_td_ms": timing.data_transmission_ms,
+        "mini_round_tm_ms": timing.mini_round_ms,
+        "strategy_decision_ts_ms": timing.strategy_decision_ms,
+        "round_ta_ms": timing.round_ms,
+        "theta": timing.theta,
+        "period_efficiency_y1": timing.period_efficiency(1),
+        "period_efficiency_y5": timing.period_efficiency(5),
+        "period_efficiency_y10": timing.period_efficiency(10),
+        "period_efficiency_y20": timing.period_efficiency(20),
+    }
+
+
+def format_table2(timing: Optional[TimingConfig] = None) -> str:
+    """Render the Table II report as a text table."""
+    report = table2_report(timing)
+    rows = [[key, value] for key, value in report.items()]
+    return render_table(["parameter", "value"], rows)

@@ -1,8 +1,8 @@
-"""Dotted-path overrides for frozen spec (and config) dataclasses.
+"""Dotted-path overrides for frozen spec dataclasses.
 
-One helper serves both CLI surfaces: the redesigned ``repro run <scenario>
---set key=value`` flags and the legacy subcommands' ``--seed``/``--rounds``
-style options.  Paths walk nested dataclasses and tuples::
+One helper serves ``repro run <scenario> --set key=value``, ``repro sweep``
+and ``repro submit``, and library code that derives a variant of a
+registered preset.  Paths walk nested dataclasses and tuples::
 
     apply_overrides(spec, {"seed": 9,
                            "schedule.num_rounds": 200,

@@ -59,7 +59,7 @@ __all__ = [
 
 #: Extended graphs above this many vertices switch the protocol's local MWIS
 #: from exact enumeration to the greedy constant-approximation (the same
-#: threshold the legacy fig6/fig8/complexity experiments used).
+#: threshold the fig6/fig8/complexity presets have always used).
 AUTO_GREEDY_VERTEX_THRESHOLD = 400
 
 
@@ -1634,7 +1634,7 @@ class ScenarioSpec:
         """Materialize the scenario's environment.
 
         Draws the topology and channel state from one ``default_rng(seed)``
-        stream (the same draw order the legacy experiments used, so presets
+        stream (the draw order the presets have always used, so they
         reproduce the historical environments bit for bit) and wires them
         into a :class:`~repro.api.ChannelAccessSystem` rooted at the same
         seed.  Returns ``(system, policies)`` where ``policies`` maps each

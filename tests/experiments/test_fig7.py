@@ -1,46 +1,54 @@
-"""Tests for the Fig. 7 regret experiment."""
+"""Tests for the Fig. 7 regret presets (``fig7-*``)."""
 
 import pytest
 
-from repro.experiments.config import Fig7Config
-from repro.experiments.fig7_regret import format_fig7, run_fig7
+from repro.sim.metrics import tail_mean
+from repro.spec import format_result, get_scenario, run_scenario
+
+POLICIES = ("Algorithm2", "LLR")
 
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return run_fig7(Fig7Config.from_scenario("fig7-quick"))
+    return run_scenario(get_scenario("fig7-quick"))
+
+
+def converged(result, metric, policy):
+    """Tail mean of a per-round regret trace (the plateau value)."""
+    return tail_mean(result.series[f"{metric}[{policy}]"])
 
 
 class TestFig7:
     def test_both_policies_present(self, quick_result):
-        assert set(quick_result.policies()) == {"Algorithm2", "LLR"}
+        for name in POLICIES:
+            assert f"practical_regret[{name}]" in quick_result.series
+        assert set(quick_result.artifacts["batches"]) == set(POLICIES)
 
     def test_trace_lengths_match_horizon(self, quick_result):
-        horizon = quick_result.config.num_rounds
-        for name in quick_result.policies():
-            assert quick_result.practical_regret[name].shape == (horizon,)
-            assert quick_result.beta_regret[name].shape == (horizon,)
-            assert quick_result.cumulative_practical_regret[name].shape == (horizon,)
+        horizon = quick_result.spec_object().schedule.num_rounds
+        for name in POLICIES:
+            for metric in ("practical_regret", "beta_regret", "cumulative_practical_regret"):
+                assert len(quick_result.series[f"{metric}[{name}]"]) == horizon
 
     def test_optimum_is_positive_and_dominates_effective_throughput(self, quick_result):
-        assert quick_result.optimal_value > 0
-        for name in quick_result.policies():
-            effective = (
-                quick_result.theta
-                * quick_result.simulations[name].expected_rewards()
-            )
-            assert (effective <= quick_result.optimal_value + 1e-6).all()
+        optimal = quick_result.summary["optimal_value"]
+        theta = quick_result.summary["theta"]
+        assert optimal > 0
+        for name in POLICIES:
+            first = quick_result.artifacts["batches"][name].results[0]
+            effective = theta * first.expected_rewards()
+            assert (effective <= optimal + 1e-6).all()
 
     def test_practical_regret_is_positive_and_far_from_zero(self, quick_result):
         # Paper observation (Fig. 7a): because theta = 0.5, the practical
         # regret stays well above zero even after learning.
-        for name in quick_result.policies():
-            assert quick_result.converged_practical_regret(name) > 0
+        for name in POLICIES:
+            assert converged(quick_result, "practical_regret", name) > 0
 
     def test_beta_regret_converges_to_negative_values(self, quick_result):
         # Paper observation (Fig. 7b): both policies beat the 1/beta benchmark.
-        for name in quick_result.policies():
-            assert quick_result.converged_beta_regret(name) < 0
+        for name in POLICIES:
+            assert converged(quick_result, "beta_regret", name) < 0
 
     def test_cumulative_regret_is_below_theorem1_bound(self, quick_result):
         # The Theorem-1 guarantee assumes rewards in [0, 1]; the experiment
@@ -49,21 +57,21 @@ class TestFig7:
         from repro.channels.catalog import PAPER_RATES_KBPS
 
         scale = max(PAPER_RATES_KBPS)
-        for name in quick_result.policies():
-            normalized = quick_result.cumulative_practical_regret[name][-1] / scale
-            assert normalized <= quick_result.theorem1_bound
+        for name in POLICIES:
+            cumulative = quick_result.series[f"cumulative_practical_regret[{name}]"]
+            assert cumulative[-1] / scale <= quick_result.summary["theorem1_bound"]
 
     def test_algorithm2_is_competitive_with_llr(self, quick_result):
         # The paper reports Algorithm 2 outperforming LLR; at quick-config
         # scale we require it to be at least competitive (within 10%).
-        alg2 = quick_result.converged_practical_regret("Algorithm2")
-        llr = quick_result.converged_practical_regret("LLR")
+        alg2 = converged(quick_result, "practical_regret", "Algorithm2")
+        llr = converged(quick_result, "practical_regret", "LLR")
         assert alg2 <= llr * 1.10
 
     def test_theta_matches_table2(self, quick_result):
-        assert quick_result.theta == pytest.approx(0.5)
+        assert quick_result.summary["theta"] == pytest.approx(0.5)
 
     def test_format_output_mentions_policies_and_optimum(self, quick_result):
-        text = format_fig7(quick_result)
+        text = format_result(quick_result)
         assert "Algorithm2" in text and "LLR" in text
-        assert "optimal throughput" in text
+        assert "optimal_value" in text

@@ -1,9 +1,11 @@
-"""Tests for repro.experiments.reporting and the experiment configs."""
+"""Tests for repro.reporting and the paper-scale vs. quick presets."""
+
+import dataclasses
 
 import pytest
 
-from repro.experiments.config import ComplexityConfig, Fig6Config, Fig7Config, Fig8Config
-from repro.experiments.reporting import render_series, render_table
+from repro.reporting import render_series, render_table
+from repro.spec import get_scenario
 
 
 class TestRenderTable:
@@ -42,41 +44,29 @@ class TestRenderSeries:
 
 class TestConfigs:
     def test_quick_configs_are_smaller_than_paper(self):
-        assert len(Fig6Config.from_scenario("fig6-quick").network_sizes) < len(
-            Fig6Config.from_scenario("fig6-paper").network_sizes
+        assert len(get_scenario("fig6-quick").network_sweep) < len(
+            get_scenario("fig6-paper").network_sweep
         )
         assert (
-            Fig7Config.from_scenario("fig7-quick").num_rounds
-            < Fig7Config.from_scenario("fig7-paper").num_rounds
+            get_scenario("fig7-quick").schedule.num_rounds
+            < get_scenario("fig7-paper").schedule.num_rounds
         )
         assert (
-            Fig8Config.from_scenario("fig8-quick").num_periods
-            < Fig8Config.from_scenario("fig8-paper").num_periods
+            get_scenario("fig8-quick").schedule.num_periods
+            < get_scenario("fig8-paper").schedule.num_periods
         )
-        assert len(
-            ComplexityConfig.from_scenario("complexity-quick").network_sizes
-        ) < len(ComplexityConfig.from_scenario("complexity-paper").network_sizes)
+        assert len(get_scenario("complexity-quick").network_sweep) < len(
+            get_scenario("complexity-paper").network_sweep
+        )
 
     def test_paper_fig7_matches_section_vb(self):
-        config = Fig7Config.from_scenario("fig7-paper")
-        assert config.num_nodes == 15
-        assert config.num_channels == 3
-        assert config.num_rounds == 1000
-        assert config.r == 2
+        spec = get_scenario("fig7-paper")
+        assert spec.topology.num_nodes == 15
+        assert spec.topology.num_channels == 3
+        assert spec.schedule.num_rounds == 1000
+        assert spec.policies[0].r == 2
 
     def test_configs_are_frozen(self):
-        config = Fig6Config.from_scenario("fig6-paper")
-        with pytest.raises(Exception):
-            config.r = 5
-
-    def test_deprecated_shims_warn_and_delegate_to_the_registry(self):
-        for cls, scenario in (
-            (Fig6Config, "fig6"),
-            (Fig7Config, "fig7"),
-            (Fig8Config, "fig8"),
-            (ComplexityConfig, "complexity"),
-        ):
-            for preset in ("paper", "quick"):
-                with pytest.warns(DeprecationWarning, match=f"{scenario}-{preset}"):
-                    shimmed = getattr(cls, preset)()
-                assert shimmed == cls.from_scenario(f"{scenario}-{preset}")
+        spec = get_scenario("fig6-paper")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = 5

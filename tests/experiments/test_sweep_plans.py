@@ -1,19 +1,20 @@
-"""The paper figure grids re-expressed as sweep plans."""
+"""The paper figure grids as built-in sweep plans (``figN-paper-sweep``)."""
 
 import pytest
 
-from repro.experiments import paper_sweep_plan, paper_sweep_plans
 from repro.spec import SpecError, get_scenario
 from repro.sweep import get_plan, list_plans
+
+FIGURES = ("fig6", "fig7", "fig8")
 
 
 class TestBuiltinPlans:
     def test_every_figure_has_a_plan(self):
-        plans = paper_sweep_plans()
-        assert set(plans) == {"fig6", "fig7", "fig8"}
+        for figure in FIGURES:
+            assert f"{figure}-paper-sweep" in list_plans()
 
     def test_fig6_plan_reproduces_the_paper_size_grid(self):
-        plan = paper_sweep_plan("fig6")
+        plan = get_plan("fig6-paper-sweep")
         cells = {
             (
                 dict(p.overrides)["topology.num_nodes"],
@@ -29,19 +30,19 @@ class TestBuiltinPlans:
             assert point.spec.network_sweep == ()
 
     def test_fig7_plan_varies_channel_dynamics(self):
-        plan = paper_sweep_plan("fig7")
+        plan = get_plan("fig7-paper-sweep")
         stds = [p.spec.channels.relative_std for p in plan.points()]
         assert stds == sorted(stds)
         assert len(set(stds)) == len(stds) == plan.num_points
 
     def test_fig8_plan_has_one_update_period_per_point(self):
-        plan = paper_sweep_plan("fig8")
+        plan = get_plan("fig8-paper-sweep")
         periods = [p.spec.schedule.periods for p in plan.points()]
         assert periods == [(1,), (5,), (10,), (20,)]
 
     def test_unknown_figure_lists_the_known_ones(self):
-        with pytest.raises(SpecError, match="fig6.*fig7.*fig8"):
-            paper_sweep_plan("fig9")
+        with pytest.raises(SpecError, match="fig6-paper-sweep.*fig7-paper-sweep.*fig8"):
+            get_plan("fig9-paper-sweep")
 
     def test_registry_round_trip(self):
         for name in list_plans():
@@ -52,6 +53,6 @@ class TestBuiltinPlans:
             get_plan("nope")
 
     def test_plans_are_deterministic_across_calls(self):
-        first = paper_sweep_plan("fig6")
-        second = paper_sweep_plan("fig6")
+        first = get_plan("fig6-paper-sweep")
+        second = get_plan("fig6-paper-sweep")
         assert [p.hash for p in first.points()] == [p.hash for p in second.points()]

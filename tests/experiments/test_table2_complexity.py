@@ -1,11 +1,9 @@
-"""Tests for the Table II report and the complexity experiment."""
+"""Tests for the Table II report and the complexity presets."""
 
 import pytest
 
-from repro.experiments.complexity import format_complexity, run_complexity
-from repro.experiments.config import ComplexityConfig
-from repro.experiments.table2 import format_table2, table2_report
-from repro.sim.timing import TimingConfig
+from repro.sim.timing import TimingConfig, format_table2, table2_report
+from repro.spec import format_result, get_scenario, run_scenario
 
 
 class TestTable2:
@@ -42,10 +40,10 @@ class TestTable2:
 class TestComplexityExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_complexity(ComplexityConfig.from_scenario("complexity-quick"))
+        return run_scenario(get_scenario("complexity-quick"))
 
     def test_one_record_per_network(self, result):
-        assert len(result.records) == len(result.config.network_sizes)
+        assert len(result.records) == len(result.spec_object().network_sweep)
 
     def test_measured_messages_respect_paper_bound(self, result):
         # Communication claim: messages per vertex are O(r^2 + D), never
@@ -68,6 +66,6 @@ class TestComplexityExperiment:
             assert record["winner_weight"] > 0
 
     def test_format_lists_networks(self, result):
-        text = format_complexity(result)
-        for label in result.labels():
-            assert label in text
+        text = format_result(result)
+        for num_nodes, num_channels in result.spec_object().network_sweep:
+            assert f"{num_nodes}x{num_channels}" in text

@@ -12,6 +12,7 @@ from repro.graph.topology import (
     ring_network,
     star_network,
 )
+from repro.graph.unit_disk import DEFAULT_CONFLICT_RADIUS, unit_disk_edges_naive
 
 
 class TestRandomNetwork:
@@ -61,11 +62,38 @@ class TestConnectedRandomNetwork:
         graph = connected_random_network(15, 3, average_degree=5.0, rng=rng)
         assert graph.is_connected()
 
-    def test_impossible_density_raises(self, rng):
-        with pytest.raises(RuntimeError):
-            connected_random_network(
-                200, 2, average_degree=0.05, rng=rng, max_attempts=3
+    def test_sparse_density_is_repaired_and_connected(self):
+        def draw(seed):
+            return connected_random_network(
+                60, 2, average_degree=0.5, rng=np.random.default_rng(seed),
+                max_attempts=3,
             )
+
+        graph = draw(7)
+        assert graph.is_connected()
+        # The repair moves nodes, never edges: the edge set is still exactly
+        # the unit-disk graph of the (moved) positions.
+        coords = np.array([(p.x, p.y) for p in graph.positions])
+        assert np.array_equal(
+            graph.edge_array(), unit_disk_edges_naive(coords, DEFAULT_CONFLICT_RADIUS)
+        )
+        again = draw(7)
+        assert again.positions == graph.positions
+        assert np.array_equal(again.edge_array(), graph.edge_array())
+        assert draw(8).positions != graph.positions
+
+    def test_connected_draws_are_not_repaired(self):
+        # A density that connects on the first draw returns that draw as is.
+        first = random_network(15, 3, average_degree=8.0, rng=np.random.default_rng(3))
+        assert first.is_connected()
+        graph = connected_random_network(
+            15, 3, average_degree=8.0, rng=np.random.default_rng(3)
+        )
+        assert graph.positions == first.positions
+
+    def test_max_attempts_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="max_attempts"):
+            connected_random_network(10, 2, rng=rng, max_attempts=0)
 
 
 class TestDeterministicTopologies:

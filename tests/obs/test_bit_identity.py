@@ -61,13 +61,7 @@ def comparable_envelope(result):
 
 
 def traced_and_untraced(spec):
-    try:
-        untraced = comparable_envelope(run_scenario(spec))
-    except RuntimeError as err:
-        # A preset whose *untraced* baseline cannot run (e.g. churn-paper's
-        # topology sampler finds no connected 50-node graph under its seed)
-        # has nothing to compare against; that defect predates tracing.
-        pytest.skip(f"baseline run fails without tracing: {err}")
+    untraced = comparable_envelope(run_scenario(spec))
     observer = TracingObserver()
     with use_observer(observer):
         traced_result = run_scenario(spec)

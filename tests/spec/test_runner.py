@@ -1,6 +1,5 @@
 """Tests for run_scenario and the ExperimentResult envelope."""
 
-import numpy as np
 import pytest
 
 from repro.spec import (
@@ -51,35 +50,6 @@ class TestPerRoundScenario:
         batches = smoke_result.artifacts["batches"]
         assert set(batches) == {"Algorithm2", "LLR"}
         assert batches["Algorithm2"].num_rounds == 40
-
-
-class TestEquivalenceWithLegacyExperiments:
-    def test_fig7_quick_series_match_legacy_run_fig7(self):
-        from repro.experiments.config import Fig7Config
-        from repro.experiments.fig7_regret import run_fig7
-
-        envelope = run_scenario(get_scenario("fig7-quick"))
-        legacy = run_fig7(Fig7Config.from_scenario("fig7-quick"))
-        for name in ("Algorithm2", "LLR"):
-            assert np.array_equal(
-                np.asarray(envelope.series[f"practical_regret[{name}]"]),
-                legacy.practical_regret[name],
-            )
-            assert np.array_equal(
-                np.asarray(envelope.series[f"beta_regret[{name}]"]),
-                legacy.beta_regret[name],
-            )
-        assert envelope.summary["optimal_value"] == legacy.optimal_value
-        assert envelope.summary["theorem1_bound"] == legacy.theorem1_bound
-
-    def test_fig6_quick_series_match_legacy_run_fig6(self):
-        from repro.experiments.config import Fig6Config
-        from repro.experiments.fig6_convergence import run_fig6
-
-        envelope = run_scenario(get_scenario("fig6-quick"))
-        legacy = run_fig6(Fig6Config.from_scenario("fig6-quick"))
-        for label, trajectory in legacy.trajectories.items():
-            assert envelope.series[f"weight[{label}]"] == list(trajectory)
 
 
 class TestPeriodicScenario:

@@ -44,7 +44,6 @@ class TestWorkflow:
             "tests",
             "benchmark-smoke",
             "benchmark-trend",
-            "cli-smoke",
             "sweep-smoke",
             "dynamics-smoke",
             "transport-smoke",
@@ -253,16 +252,6 @@ class TestWorkflow:
             "transport.drop" in command and "transport.kind=asyncio" in command
             for command in commands
         ), "transport-smoke must run a seeded lossy asyncio scenario"
-
-    def test_cli_smoke_runs_a_registered_scenario_and_validates_json(self):
-        smoke = _load_workflow()["jobs"]["cli-smoke"]
-        commands = [step.get("run", "") for step in smoke["steps"]]
-        assert any(
-            "repro run" in command and "--json" in command for command in commands
-        ), "cli-smoke must run a registered scenario end-to-end"
-        assert any(
-            "ExperimentResult.from_json" in command for command in commands
-        ), "cli-smoke must validate the emitted JSON against the result schema"
 
     def test_dynamics_smoke_runs_churn_and_dedups_the_sweep(self):
         smoke = _load_workflow()["jobs"]["dynamics-smoke"]

@@ -2,10 +2,10 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.spec import apply_overrides, get_scenario, parse_set_items
 
 
 class TestParser:
@@ -15,18 +15,35 @@ class TestParser:
             parser.parse_args([])
 
     def test_fig7_options(self):
-        args = build_parser().parse_args(["fig7", "--paper", "--rounds", "50"])
-        assert args.command == "fig7"
-        assert args.paper is True
-        assert args.rounds == 50
+        # Fig. 7 knobs are dotted-path overrides on a registered preset.
+        args = build_parser().parse_args(
+            ["run", "fig7-paper", "--set", "schedule.num_rounds=50"]
+        )
+        assert args.command == "run"
+        assert args.scenario == "fig7-paper"
+        assert args.overrides == ["schedule.num_rounds=50"]
 
     def test_fig8_periods_option(self):
-        args = build_parser().parse_args(["fig8", "--periods", "1,5"])
-        assert args.periods == "1,5"
+        args = build_parser().parse_args(
+            ["run", "fig8-quick", "--set", "schedule.periods=[1,5]"]
+        )
+        spec = apply_overrides(
+            get_scenario(args.scenario), parse_set_items(args.overrides)
+        )
+        assert spec.schedule.periods == (1, 5)
 
     def test_complexity_has_the_paper_toggle(self):
-        args = build_parser().parse_args(["complexity", "--paper"])
-        assert args.paper is True
+        # Paper scale is the -paper preset, not a flag.
+        args = build_parser().parse_args(["run", "complexity-paper"])
+        paper = get_scenario(args.scenario)
+        assert len(paper.network_sweep) > len(
+            get_scenario("complexity-quick").network_sweep
+        )
+
+    @pytest.mark.parametrize("command", ["fig6", "fig7", "fig8", "complexity"])
+    def test_legacy_figure_commands_are_rejected(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
 
     def test_run_collects_set_overrides(self):
         args = build_parser().parse_args(
@@ -47,31 +64,55 @@ class TestMain:
         assert "theta" in output
         assert "round_ta_ms" in output
 
+    def test_table2_output_is_pinned(self, capsys):
+        assert main(["table2"]) == 0
+        assert capsys.readouterr().out == (
+            "parameter                value\n"
+            "-----------------------  -----\n"
+            "  local_broadcast_tb_ms    100\n"
+            "local_computation_tl_ms     50\n"
+            "data_transmission_td_ms   1000\n"
+            "       mini_round_tm_ms    250\n"
+            "strategy_decision_ts_ms   1000\n"
+            "            round_ta_ms   2000\n"
+            "                  theta    0.5\n"
+            "   period_efficiency_y1    0.5\n"
+            "   period_efficiency_y5    0.9\n"
+            "  period_efficiency_y10   0.95\n"
+            "  period_efficiency_y20  0.975\n"
+        )
+
     def test_fig6_quick_command(self, capsys):
-        assert main(["fig6"]) == 0
+        assert main(["run", "fig6-quick"]) == 0
         output = capsys.readouterr().out
-        assert "mini-round" in output
-        assert "Convergence points" in output
+        assert "weight[20x3]" in output
+        assert "convergence_round" in output
 
     def test_fig7_quick_command_with_overrides(self, capsys):
-        assert main(["fig7", "--rounds", "30", "--seed", "9"]) == 0
+        argv = ["run", "fig7-quick", "--set", "schedule.num_rounds=30", "--seed", "9"]
+        assert main(argv) == 0
         output = capsys.readouterr().out
         assert "Algorithm2" in output and "LLR" in output
 
     def test_fig8_quick_command_with_periods(self, capsys):
-        assert main(["fig8", "--periods", "1,2", "--updates", "10"]) == 0
+        argv = [
+            "run", "fig8-quick",
+            "--set", "schedule.periods=[1,2]",
+            "--set", "schedule.num_periods=10",
+        ]
+        assert main(argv) == 0
         output = capsys.readouterr().out
-        assert "period y" in output
+        assert "actual[Algorithm2][y=2]" in output
 
     def test_fig8_invalid_periods(self):
-        with pytest.raises(SystemExit):
-            main(["fig8", "--periods", ","])
+        with pytest.raises(SystemExit, match="periods"):
+            main(["run", "fig8-quick", "--set", "schedule.periods=[]"])
 
     def test_complexity_command_defaults_to_quick(self, capsys):
-        assert main(["complexity", "--seed", "4"]) == 0
+        assert main(["run", "complexity-quick", "--seed", "4"]) == 0
         output = capsys.readouterr().out
-        assert "max msgs/vertex" in output
-        # Quick preset: small sweep, like every other legacy default.
+        assert "max_messages_per_vertex" in output
+        # Quick preset: small sweep.
         assert "10x3" in output and "60x3" not in output
 
 
@@ -165,24 +206,22 @@ class TestScenarioCommands:
         with pytest.raises(SystemExit, match="does not exist"):
             main(["run", "no-such-spec.json"])
 
-    def test_run_json_export_parses_and_matches_legacy_fig7(self, tmp_path, capsys):
-        """Acceptance: `repro run fig7-quick --json` output parses and matches
-        the legacy `repro fig7` pipeline."""
-        from repro.experiments.config import Fig7Config
-        from repro.experiments.fig7_regret import run_fig7
-        from repro.spec import ExperimentResult
+    def test_run_json_export_parses_and_matches_run_scenario(self, tmp_path, capsys):
+        """`repro run fig7-smoke --json` writes an envelope that passes strict
+        validation, carries series, echoes its spec and matches the library."""
+        from repro.spec import ExperimentResult, run_scenario
 
         out_path = tmp_path / "result.json"
-        assert main(["run", "fig7-quick", "--json", str(out_path)]) == 0
+        assert main(["run", "fig7-smoke", "--json", str(out_path)]) == 0
         capsys.readouterr()
         envelope = ExperimentResult.from_json(out_path.read_text())
-        assert envelope.scenario == "fig7-quick"
-        legacy = run_fig7(Fig7Config.from_scenario("fig7-quick"))
+        assert envelope.scenario == "fig7-smoke"
+        assert envelope.series
+        assert envelope.spec_object().name == "fig7-smoke"
+        direct = run_scenario(get_scenario("fig7-smoke"))
         for name in ("Algorithm2", "LLR"):
-            assert np.array_equal(
-                np.asarray(envelope.series[f"practical_regret[{name}]"]),
-                legacy.practical_regret[name],
-            )
+            key = f"practical_regret[{name}]"
+            assert envelope.series[key] == direct.series[key]
 
     def test_run_json_dash_prints_envelope(self, capsys):
         assert main(["run", "fig7-smoke", "--json", "-"]) == 0
