@@ -5,8 +5,8 @@ tens of users.  This group locks in the large-``n`` path instead — the
 cell-bucket unit-disk builder, the CSR constructions of ``G`` and ``H`` and
 the frontier-BFS r-hop sweep — at the sizes the scaling work targets
 (``docs/scaling.md``).  The committed baseline in ``benchmarks/baseline.json``
-carries entries for this ``macro`` group, and the ``scale-smoke`` CI job
-gates the n=10k subset at the same 2x median ratio as the micro groups.
+carries entries for this ``macro`` group, and the ``benchmark-trend`` CI
+job gates both scales at the same 2x median ratio as the micro groups.
 
 ``test_grid_builder_beats_naive_at_10k`` is the acceptance bound of the
 scaling issue: the cell-bucket builder must produce the *identical* edge

@@ -1,7 +1,7 @@
 """Static checker for the repository's markdown documentation.
 
-Docs rot in three ways this module catches mechanically, so the ``docs`` CI
-job can gate on them:
+Docs rot in three ways this module catches mechanically, so
+``tests/test_docscheck.py`` can gate on them:
 
 * **Dead internal links** — ``[text](path)`` targets that do not exist on
   disk (relative to the linking file), and ``#fragment`` anchors that match

@@ -17,8 +17,8 @@ GET    ``/v1/health``               Liveness probe
 ====== ============================ ==========================================
 
 :class:`ServerThread` runs the whole stack on a background thread with an
-ephemeral port — the harness used by tests, benchmarks, and the CI smoke
-job to exercise the real socket path in-process.
+ephemeral port — the harness tests and benchmarks use to exercise the
+real socket path in-process.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from repro.graph.neighborhoods import r_hop_neighborhood
 from repro.mwis.greedy import GreedyMWISSolver
 from repro.obs import current_observer
 from repro.reporting import render_series, render_table
+from repro.sim.backends import ThreadBackend
 from repro.sim.batch import child_seed_sequences
 from repro.sim.timing import TimingConfig
 from repro.spec.scenario import ScenarioSpec, SpecError
@@ -465,15 +466,9 @@ def _run_periodic(spec: ScenarioSpec) -> ExperimentResult:
                 )
             return runs
 
-        jobs = spec.replication.jobs
-        if jobs == 1 or spec.replication.replications == 1:
-            replication_runs = [run_replication(seed) for seed in rep_seeds]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            workers = min(jobs, spec.replication.replications)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                replication_runs = list(pool.map(run_replication, rep_seeds))
+        replication_runs = ThreadBackend().map(
+            run_replication, rep_seeds, spec.replication.jobs
+        )
 
         for policy_spec in spec.policies:
             label = policy_spec.display_label

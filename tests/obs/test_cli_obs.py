@@ -38,9 +38,11 @@ class TestParser:
 
 
 class TestRunTrace:
-    def test_run_writes_a_valid_trace(self, tmp_path, capsys):
+    @pytest.mark.parametrize("transport", ["simulated", "asyncio"])
+    def test_run_writes_a_valid_trace(self, tmp_path, capsys, transport):
         trace_path = tmp_path / "run.jsonl"
-        assert main(["run", "fig6-smoke", "--trace", str(trace_path)]) == 0
+        argv = ["run", "fig6-smoke", "--set", f"transport.kind={transport}"]
+        assert main([*argv, "--trace", str(trace_path)]) == 0
         trace = read_trace(trace_path)
         assert trace.header["scenario"] == "fig6-smoke"
         names = {span.name for span in trace.spans}

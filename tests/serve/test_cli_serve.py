@@ -1,11 +1,22 @@
-"""CLI verbs riding on the serve subsystem: ``submit`` and ``store verify``."""
+"""CLI verbs of the serve subsystem: ``serve``, ``submit``, ``store verify``."""
 
 import json
+import os
+import pathlib
+import re
+import select
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
-from repro.serve import ServerThread, ServiceConfig
+from repro.obs import read_trace
+from repro.serve import ServeClient, ServerThread, ServiceConfig
+from repro.spec import get_scenario, run_scenario
 from repro.sweep import ResultStore, run_sweep
 from repro.sweep.plan import SweepPlan
 
@@ -90,6 +101,75 @@ class TestSubmit:
         argv = ["submit", "fig7-smoke", *SHRINK, "--port", "1"]
         with pytest.raises(SystemExit, match="is `repro serve` running"):
             main(argv)
+
+
+def _await_listening_port(proc, timeout=60.0):
+    """Read the child's stderr up to the ``listening on`` line; return the port."""
+    deadline = time.monotonic() + timeout
+    fd = proc.stderr.fileno()
+    seen = b""
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([fd], [], [], 0.5)
+        if not ready:
+            continue
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            break
+        seen += chunk
+        match = re.search(rb"listening on http://[^:]+:(\d+)", seen)
+        if match:
+            return int(match.group(1))
+    raise AssertionError(f"server never reported its port: {seen!r}")
+
+
+class TestServeProcess:
+    def test_serve_submit_replay_and_sigint_drain(self, tmp_path):
+        """A real ``repro serve`` process serves, replays, drains and reports."""
+        stats_path = tmp_path / "serve-stats.json"
+        trace_path = tmp_path / "serve-trace.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--store", str(tmp_path / "store"),
+                "--backend", "process", "--jobs", "2",
+                "--stats-json", str(stats_path), "--trace", str(trace_path),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            port = _await_listening_port(proc)
+            served_path = tmp_path / "served.json"
+            argv = ["submit", "fig6-smoke", "--port", str(port)]
+            assert main([*argv, "--json", str(served_path)]) == 0
+            served = json.loads(served_path.read_text())
+            direct = json.loads(run_scenario(get_scenario("fig6-smoke")).to_json())
+            for envelope in (served, direct):
+                envelope.pop("wall_clock_s")
+            assert served == direct
+
+            assert main([*argv, "--wait"]) == 0
+            counters = ServeClient(port=port).stats()["counters"]
+            assert counters["serve.units.computed"] == 1
+            assert counters["serve.jobs.replayed"] >= 1
+
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+            assert proc.returncode == 0, stderr
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+        stats = json.loads(stats_path.read_text())
+        assert stats["schema"] == "repro.serve-stats/v1"
+        assert stats["counters"]["serve.units.computed"] == 1
+        names = {span.name for span in read_trace(trace_path).spans}
+        assert {"serve.request", "serve.job"} <= names
 
 
 class TestStoreVerify:

@@ -21,7 +21,7 @@ from repro.spec import (
     spec_hash,
 )
 from repro.spec.overrides import apply_overrides
-from repro.sweep import ResultStore, SweepPlan, plan_units, run_sweep
+from repro.sweep import ResultStore, SweepPlan, get_plan, plan_units, run_sweep
 
 
 def tiny_churn_spec(**overrides):
@@ -308,6 +308,16 @@ class TestDynamicSweep:
         assert grown.computed_units == 1
         assert grown.cached_units == 2
 
+    def test_registered_churn_rate_sweep_dedups_on_the_process_backend(self, tmp_path):
+        plan = get_plan("churn-rate-sweep")
+        store = ResultStore(tmp_path / "store")
+        first = run_sweep(plan, store=store, backend="process", jobs=2)
+        assert first.computed_units > 0
+        assert first.cached_units == 0
+        again = run_sweep(plan, store=store, backend="process", jobs=2)
+        assert again.computed_units == 0
+        assert again.cached_units == first.computed_units
+
     def test_sweep_results_match_direct_runs(self, tmp_path):
         plan = SweepPlan.from_grid(
             "churn-test", tiny_churn_spec(), {"dynamics.rate": [0.15]}
@@ -341,6 +351,18 @@ class TestDynamicsCLI:
         assert result.mode == "dynamic"
         assert result.summary["num_events"] >= 0
         assert "active_nodes" in result.series
+        capsys.readouterr()
+
+    def test_run_registered_churn_quick_json(self, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["run", "churn-quick", "--json", str(out)]) == 0
+        result = ExperimentResult.from_json(out.read_text())
+        assert result.mode == "dynamic"
+        assert result.summary["num_events"] > 0
+        assert "avg_reconvergence_mini_rounds[Algorithm2]" in result.summary
+        assert "active_nodes" in result.series
+        assert "dynamic_regret[Algorithm2]" in result.series
+        assert any(key.startswith("event@r") for key in result.records)
         capsys.readouterr()
 
     def test_list_shows_dynamic_mode(self, capsys):

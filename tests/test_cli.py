@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.spec import apply_overrides, get_scenario, parse_set_items
+from repro.sweep import ResultStore, SweepPlan, parse_grid_items, plan_units
 
 
 class TestParser:
@@ -273,8 +274,23 @@ class TestSweepCommand:
         assert len(payload["points"]) == 2
 
     def test_process_backend_through_the_cli(self, tmp_path, capsys):
-        output = self._run(tmp_path, capsys, "--backend", "process", "--jobs", "2")
+        stats_path = tmp_path / "stats.json"
+        process = ["--backend", "process", "--jobs", "2", "--stats-json", str(stats_path)]
+        output = self._run(tmp_path, capsys, *process)
         assert "backend=process" in output
+        plan = SweepPlan.from_grid(
+            "fig7-smoke-sweep",
+            apply_overrides(get_scenario("fig7-smoke"), {"schedule.num_rounds": 8}),
+            parse_grid_items(["replication.replications=1,2"]),
+        )
+        expected = {unit.hash for point in plan.points() for unit in plan_units(point)}
+        assert set(ResultStore(tmp_path / "store").hashes()) == expected
+        stats = json.loads(stats_path.read_text())
+        assert stats["computed"] == stats["unique_units"] == len(expected)
+        self._run(tmp_path, capsys, *process)
+        stats = json.loads(stats_path.read_text())
+        assert stats["computed"] == 0
+        assert stats["cached"] == stats["unique_units"] == len(expected)
 
     def test_summarize_store_without_target(self, tmp_path, capsys):
         self._run(tmp_path, capsys)

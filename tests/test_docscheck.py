@@ -1,8 +1,9 @@
-"""Tests for repro.docscheck (the `docs` CI job's checker)."""
+"""Tests for repro.docscheck, the checker that gates README.md + docs/*.md."""
 
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
@@ -145,6 +146,19 @@ class TestCheckPathsAndMain:
     def test_main_exit_code_on_problems(self, tmp_path, capsys):
         doc = write(tmp_path / "bad.md", "[x](gone.md)\n")
         assert main([str(doc)]) == 1
+
+    def test_architecture_names_only_existing_tests(self):
+        """The contract-to-test map in docs/architecture.md stays honest."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        text = (root / "docs" / "architecture.md").read_text(encoding="utf-8")
+        quoted = re.findall(r"`(tests/[^`\s]*)`", text)
+        assert quoted, "docs/architecture.md names no tests"
+        for reference in quoted:
+            path, *names = reference.split("::")
+            assert (root / path).exists(), reference
+            for name in names:
+                source = (root / path).read_text(encoding="utf-8")
+                assert re.search(rf"(class|def) {name}\b", source), reference
 
 
 @pytest.mark.parametrize(
