@@ -26,6 +26,21 @@ def _load_workflow():
     return yaml.safe_load(WORKFLOW.read_text())
 
 
+def _load_baseline():
+    return json.loads((REPO_ROOT / "benchmarks" / "baseline.json").read_text())
+
+
+def _trend_commands():
+    trend = _load_workflow()["jobs"]["benchmark-trend"]
+    return [step.get("run", "") for step in trend["steps"]]
+
+
+def _gated_groups(commands):
+    (gate,) = [command for command in commands if "repro.benchtrend check" in command]
+    tokens = gate.split()
+    return {tokens[i + 1] for i, token in enumerate(tokens) if token == "--group"}
+
+
 GATED_GROUPS = {"solvers", "policies", "obs", "serve", "macro"}
 
 
@@ -75,7 +90,7 @@ class TestWorkflow:
 
     def test_benchmark_trend_records_and_gates_the_trajectory(self):
         trend = _load_workflow()["jobs"]["benchmark-trend"]
-        commands = [step.get("run", "") for step in trend["steps"]]
+        commands = _trend_commands()
         assert any(
             "pytest benchmarks" in command and "--benchmark-json" in command
             for command in commands
@@ -91,22 +106,44 @@ class TestWorkflow:
         (gate,) = [command for command in commands if "repro.benchtrend check" in command]
         assert "--baseline benchmarks/baseline.json" in gate
         assert "--max-ratio 2.0" in gate
-        tokens = gate.split()
-        gated = {tokens[i + 1] for i, token in enumerate(tokens) if token == "--group"}
-        assert gated == GATED_GROUPS
-        baseline = json.loads(
-            (REPO_ROOT / "benchmarks" / "baseline.json").read_text()
-        )
+        assert _gated_groups(commands) == GATED_GROUPS
+
+    def test_benchmark_trend_baseline_is_committed(self):
+        baseline = _load_baseline()
         assert baseline["schema"] == "repro.bench-trend/v1"
         groups = {record["group"] for record in baseline["benchmarks"]}
+        # The gated benchmark groups must exist in the baseline.
         assert GATED_GROUPS <= groups
-        macro = [
+
+    def test_macro_baseline_covers_both_scales(self):
+        names = {
             record["name"]
-            for record in baseline["benchmarks"]
+            for record in _load_baseline()["benchmarks"]
             if record["group"] == "macro"
-        ]
-        assert any("10k" in name for name in macro), macro
-        assert any("100k" in name for name in macro), macro
+        }
+        assert any("10k" in name for name in names), names
+        assert any("100k" in name for name in names), names
+
+    def test_scale_smoke_gates_the_macro_group(self):
+        # The macro benchmarks are recorded and gated by benchmark-trend.
+        commands = _trend_commands()
+        assert any(
+            "pytest benchmarks" in command and "--benchmark-json" in command
+            for command in commands
+        ), "benchmark-trend must record the macro benchmark timings"
+        assert "macro" in _gated_groups(commands), (
+            "benchmark-trend must gate the macro group against the baseline"
+        )
+
+    def test_benchmark_trend_gates_the_obs_group(self):
+        assert "obs" in _gated_groups(_trend_commands()), (
+            "benchmark-trend must gate the observability microbenchmarks"
+        )
+
+    def test_benchmark_trend_gates_the_serve_group(self):
+        assert "serve" in _gated_groups(_trend_commands()), (
+            "benchmark-trend must gate the serving-layer benchmarks"
+        )
 
     def test_jobs_cache_pip_against_pyproject(self):
         jobs = _load_workflow()["jobs"]
