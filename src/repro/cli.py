@@ -405,10 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(reference: str) -> ScenarioSpec:
-    """Resolve a ``run`` target: registry name or JSON spec file."""
-    looks_like_file = reference.endswith(".json") or "/" in reference
-    if looks_like_file:
+def _load_spec(reference: str, args) -> ScenarioSpec:
+    """Resolve a scenario target and apply its ``--set`` / ``--seed`` flags.
+
+    ``reference`` is a registry name or a JSON spec file; shared by ``run``,
+    ``sweep`` and ``submit``.  A ``--seed`` that contradicts ``--set seed``
+    is rejected rather than silently winning.
+    """
+    if reference.endswith(".json") or "/" in reference:
         path = pathlib.Path(reference)
         if not path.is_file():
             raise SpecError(
@@ -419,8 +423,18 @@ def _load_spec(reference: str) -> ScenarioSpec:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise SpecError(f"spec file {reference!r} is not valid JSON: {err}") from None
-        return ScenarioSpec.from_dict(data, path=reference)
-    return get_scenario(reference)
+        spec = ScenarioSpec.from_dict(data, path=reference)
+    else:
+        spec = get_scenario(reference)
+    overrides = parse_set_items(args.overrides)
+    if args.seed is not None:
+        if "seed" in overrides and overrides["seed"] != args.seed:
+            raise SpecError(
+                f"conflicting seeds: --seed {args.seed} vs "
+                f"--set seed={overrides['seed']}; give only one"
+            )
+        overrides["seed"] = args.seed
+    return apply_overrides(spec, overrides)
 
 
 def _traced(callable_, trace_path, scenario):
@@ -443,16 +457,7 @@ def _traced(callable_, trace_path, scenario):
 
 
 def _run_scenario_command(args) -> str:
-    spec = _load_spec(args.scenario)
-    overrides = parse_set_items(args.overrides)
-    if args.seed is not None:
-        if "seed" in overrides and overrides["seed"] != args.seed:
-            raise SpecError(
-                f"conflicting seeds: --seed {args.seed} vs "
-                f"--set seed={overrides['seed']}; give only one"
-            )
-        overrides["seed"] = args.seed
-    spec = apply_overrides(spec, overrides)
+    spec = _load_spec(args.scenario, args)
     _LOG.info("running scenario %s", spec.name)
     result = _traced(lambda: run_scenario(spec), args.trace_path, spec.name)
     _LOG.info(
@@ -477,11 +482,7 @@ def _resolve_sweep_plan(args):
                 "--grid/--set/--seed only apply when sweeping a scenario"
             )
         return get_plan(args.target)
-    base = _load_spec(args.target)
-    overrides = parse_set_items(args.overrides)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    base = apply_overrides(base, overrides)
+    base = _load_spec(args.target, args)
     return SweepPlan.from_grid(
         f"{base.name}-sweep", base, parse_grid_items(args.grid)
     )
@@ -705,11 +706,7 @@ def _submit_payload(args):
                 "--grid/--set/--seed only apply when submitting a scenario"
             )
         return "sweep", {"plan": args.target}
-    spec = _load_spec(args.target)
-    overrides = parse_set_items(args.overrides)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    spec = apply_overrides(spec, overrides)
+    spec = _load_spec(args.target, args)
     if args.grid:
         grid = {
             path: list(values)

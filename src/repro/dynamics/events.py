@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
@@ -108,10 +109,8 @@ class NodeArrival(TopologyEvent):
         if (self.x is None) != (self.y is None):
             raise ValueError(f"{path}: give both x and y or neither, got x={self.x}, y={self.y}")
         for name, value in (("x", self.x), ("y", self.y)):
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ValueError(f"{path}.{name}: expected a number, got {value!r}")
+            if value is not None:
+                _check_coordinate(value, f"{path}.{name}")
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,17 @@ class MobilityStep(TopologyEvent):
     def validate(self, path: str = "event") -> None:
         self._validate_common(path)
         _check_node_field(self.node, f"{path}.node")
-        for name, value in (("x", self.x), ("y", self.y)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{path}.{name}: expected a number, got {value!r}")
+        _check_coordinate(self.x, f"{path}.x")
+        _check_coordinate(self.y, f"{path}.y")
+
+
+def _check_coordinate(value, path: str) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _check_node_field(value, path: str) -> None:
@@ -171,7 +178,7 @@ def event_from_dict(data, path: str = "event") -> TopologyEvent:
     if not isinstance(data, Mapping):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     type_name = data.get("type")
-    if type_name not in EVENT_TYPES:
+    if not isinstance(type_name, str) or type_name not in EVENT_TYPES:
         raise ValueError(
             f"{path}.type: unknown event type {type_name!r}; "
             f"choose one of {sorted(EVENT_TYPES)}"

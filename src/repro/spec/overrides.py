@@ -1,27 +1,31 @@
 """Dotted-path overrides for frozen spec dataclasses.
 
 One helper serves ``repro run <scenario> --set key=value``, ``repro sweep``
-and ``repro submit``, and library code that derives a variant of a
-registered preset.  Paths walk nested dataclasses and tuples::
+(``--set`` and every ``--grid`` point), ``repro submit`` and the serve API's
+sweep grids, and library code that derives a variant of a registered
+preset.  Paths walk nested dataclasses and tuples::
 
     apply_overrides(spec, {"seed": 9,
                            "schedule.num_rounds": 200,
                            "policies.0.r": 1,
                            "schedule.periods": [1, 5]})
 
-Values are coerced to the replaced field's shape: lists become tuples
-(recursively) when they land on a tuple field, ints widen to floats on
-float fields, and JSON objects landing on a nested spec are deserialized
-through that spec's ``from_dict``.
+Values are checked against the replaced field's *declared* type with the
+same decoder ``ScenarioSpec.from_dict`` uses, so an override is accepted
+exactly when the equivalent JSON spec would be: lists become tuples
+(checked entry by entry), ints widen to floats on float fields, and a JSON
+object landing on a nested spec is decoded as that spec.  A dotted path
+into an unset optional node (``faults.byzantine`` while ``faults`` is
+``null``) starts from that node's defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Sequence, Union, get_args, get_origin
 
-from repro.spec.scenario import SpecError
+from repro.spec.scenario import SpecError, _decoder, _schema
 
 __all__ = ["apply_overrides", "parse_set_items"]
 
@@ -53,19 +57,25 @@ def parse_set_items(items: Sequence[str]) -> Dict[str, object]:
 def apply_overrides(obj, overrides: Mapping[str, object]):
     """Return a copy of ``obj`` with every dotted-path override applied.
 
-    ``obj`` may be any (frozen) dataclass; ``None`` values are skipped so
+    ``obj`` is a spec dataclass; ``None`` values are skipped so
     unset CLI flags pass through untouched.  Raises :class:`SpecError`
-    naming the offending path on unknown fields or bad indices.
+    naming the offending path on unknown fields, bad indices or values that
+    do not match the field's declared type.
     """
     for path, value in overrides.items():
         if value is None:
             continue
-        obj = _apply_one(obj, path.split("."), value, path)
+        obj = _apply_one(obj, type(obj), path.split("."), value, path)
     return obj
 
 
-def _apply_one(obj, parts, value, full_path: str):
+def _apply_one(obj, hint, parts, value, full_path: str):
     head, rest = parts[0], parts[1:]
+    if get_origin(hint) is Union:  # Optional[X]
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if obj is None and dataclasses.is_dataclass(hint):
+        # A dotted path into an unset optional node starts from its defaults.
+        obj = hint()
     if isinstance(obj, tuple):
         try:
             index = int(head)
@@ -79,25 +89,26 @@ def _apply_one(obj, parts, value, full_path: str):
                 f"--set {full_path}: index {index} out of range "
                 f"(0..{len(obj) - 1})"
             )
-        item = obj[index]
+        args = get_args(hint)
+        item_hint = args[0] if args[-1] is Ellipsis else args[index]
         new_item = (
-            _apply_one(item, rest, value, full_path)
+            _apply_one(obj[index], item_hint, rest, value, full_path)
             if rest
-            else _coerce(item, value, full_path)
+            else _decoder(item_hint)(value, f"--set {full_path}")
         )
         return obj[:index] + (new_item,) + obj[index + 1:]
     if dataclasses.is_dataclass(obj):
-        names = {f.name for f in dataclasses.fields(obj)}
-        if head not in names:
+        schema = _schema(type(obj))
+        if head not in schema:
             raise SpecError(
                 f"--set {full_path}: {type(obj).__name__} has no field "
-                f"{head!r}; available fields: {sorted(names)}"
+                f"{head!r}; available fields: {sorted(schema)}"
             )
-        current = getattr(obj, head)
+        field_hint = schema[head].hint
         new_value = (
-            _apply_one(current, rest, value, full_path)
+            _apply_one(getattr(obj, head), field_hint, rest, value, full_path)
             if rest
-            else _coerce(current, value, full_path)
+            else schema[head].decode(value, f"--set {full_path}")
         )
         try:
             return dataclasses.replace(obj, **{head: new_value})
@@ -108,58 +119,3 @@ def _apply_one(obj, parts, value, full_path: str):
         f"with {head!r}"
     )
 
-
-def _tupleize(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_tupleize(item) for item in value)
-    return value
-
-
-def _coerce(current, value, full_path: str):
-    """Shape ``value`` like the field it replaces, or fail with the path.
-
-    Scalar overrides are type-checked against the current field value so a
-    bad ``--set`` fails here with an actionable message instead of crashing
-    later inside validation or the simulator.
-    """
-    if dataclasses.is_dataclass(current) and isinstance(value, Mapping):
-        from_dict = getattr(type(current), "from_dict", None)
-        if callable(from_dict):
-            return from_dict(value, full_path)
-        raise SpecError(
-            f"--set {full_path}: cannot build a {type(current).__name__} "
-            "from a JSON object"
-        )
-    if isinstance(current, tuple):
-        if isinstance(value, (list, tuple)):
-            return _tupleize(value)
-        raise SpecError(
-            f"--set {full_path}: expected a list (e.g. [1,5]), got {value!r}"
-        )
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise SpecError(
-                f"--set {full_path}: expected true or false, got {value!r}"
-            )
-        return value
-    if isinstance(current, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError(
-                f"--set {full_path}: expected an integer, got {value!r}"
-            )
-        return value
-    if isinstance(current, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(
-                f"--set {full_path}: expected a number, got {value!r}"
-            )
-        return float(value)
-    if isinstance(current, str):
-        if not isinstance(value, str):
-            raise SpecError(
-                f"--set {full_path}: expected a string, got {value!r}"
-            )
-        return value
-    # Optional fields currently holding None carry no type information;
-    # lists still become tuples so specs keep round-tripping.
-    return _tupleize(value)

@@ -5,7 +5,9 @@ experiment: the topology, the channel environment, the policies under test,
 the schedule (per-round bandit run, periodic stale-weight run, or a pure
 strategy-decision protocol run) and the replication plan.  Specs round-trip
 losslessly through ``to_dict()``/``from_dict()`` (and therefore through
-JSON), validate themselves with actionable error messages, and know how to
+JSON) — both derived from the dataclass field types by one private codec,
+which ``apply_overrides`` shares — validate themselves with actionable
+error messages, and know how to
 materialize the runtime objects (:class:`~repro.api.ChannelAccessSystem`,
 policies) they describe.
 
@@ -27,8 +29,23 @@ specs is :mod:`repro.spec.registry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -43,6 +60,9 @@ from repro.graph.topology import (
     ring_network,
     star_network,
 )
+
+if TYPE_CHECKING:
+    from repro.dynamics.events import TopologyEvent
 
 __all__ = [
     "SpecError",
@@ -68,25 +88,9 @@ class SpecError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# (De)serialization helpers shared by every spec class
+# The spec codec: to_dict, from_dict and --set coercion, all derived from
+# each class's declared field types
 # ----------------------------------------------------------------------
-def _require_mapping(data, path: str) -> Mapping:
-    if not isinstance(data, Mapping):
-        raise SpecError(
-            f"{path}: expected a JSON object, got {type(data).__name__}"
-        )
-    return data
-
-
-def _check_keys(data: Mapping, cls, path: str) -> None:
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise SpecError(
-            f"{path}: unknown field(s) {unknown}; allowed fields are {sorted(allowed)}"
-        )
-
-
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{path}: expected an integer, got {value!r}")
@@ -96,7 +100,13 @@ def _as_int(value, path: str) -> int:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SpecError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_str(value, path: str) -> str:
@@ -107,17 +117,159 @@ def _as_str(value, path: str) -> str:
 
 def _as_bool(value, path: str) -> bool:
     if not isinstance(value, bool):
-        raise SpecError(f"{path}: expected true/false, got {value!r}")
+        raise SpecError(f"{path}: expected true or false, got {value!r}")
     return value
 
 
-def _choice(value, options: Sequence[str], path: str) -> str:
-    value = _as_str(value, path)
-    if value not in options:
-        raise SpecError(
-            f"{path}: unknown value {value!r}; choose one of {sorted(options)}"
+def _as_list(value, path: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
+def _as_event(value, path: str):
+    from repro.dynamics.events import TopologyEvent, event_from_dict
+
+    if isinstance(value, TopologyEvent):
+        return value
+    try:
+        return event_from_dict(value, path)
+    except ValueError as err:
+        raise SpecError(str(err)) from None
+
+
+_SCALAR_DECODERS = {int: _as_int, float: _as_float, str: _as_str, bool: _as_bool}
+
+
+@lru_cache(maxsize=None)
+def _decoder(hint) -> Callable[[object, str], object]:
+    """Compile a declared field type into a ``(value, path) -> value`` check."""
+    from repro.dynamics.events import TopologyEvent
+
+    if hint in _SCALAR_DECODERS:
+        return _SCALAR_DECODERS[hint]
+    args = get_args(hint)
+    if get_origin(hint) is Union:  # Optional[X]
+        inner = _decoder(next(arg for arg in args if arg is not type(None)))
+        return lambda value, path: None if value is None else inner(value, path)
+    if get_origin(hint) is tuple and args[-1] is Ellipsis:  # Tuple[X, ...]
+        item = _decoder(args[0])
+        return lambda value, path: tuple(
+            item(entry, f"{path}[{i}]") for i, entry in enumerate(_as_list(value, path))
         )
-    return value
+    if get_origin(hint) is tuple:  # Tuple[X, Y]
+        items = tuple(_decoder(arg) for arg in args)
+
+        def fixed(value, path):
+            value = _as_list(value, path)
+            if len(value) != len(items):
+                raise SpecError(
+                    f"{path}: expected a list of {len(items)} items, got {value!r}"
+                )
+            return tuple(
+                item(entry, f"{path}[{i}]")
+                for i, (item, entry) in enumerate(zip(items, value))
+            )
+
+        return fixed
+    if isinstance(hint, type) and issubclass(hint, _Spec):
+        return lambda value, path: (
+            value if isinstance(value, hint) else hint.from_dict(value, path)
+        )
+    if hint is TopologyEvent:
+        return _as_event
+    raise TypeError(f"no spec codec for field type {hint!r}")  # pragma: no cover
+
+
+class _Field(NamedTuple):
+    hint: object
+    decode: Callable[[object, str], object]
+    required: bool
+
+
+@lru_cache(maxsize=None)
+def _schema(cls) -> Dict[str, _Field]:
+    """``cls``'s fields in declaration order, resolved once per class."""
+    from repro.dynamics.events import TopologyEvent
+
+    hints = get_type_hints(cls, localns={"TopologyEvent": TopologyEvent})
+    return {
+        f.name: _Field(
+            hints[f.name],
+            _decoder(hints[f.name]),
+            f.default is MISSING and f.default_factory is MISSING,
+        )
+        for f in fields(cls)
+    }
+
+
+@lru_cache(maxsize=None)
+def _nested_fields(cls) -> Tuple[str, ...]:
+    """The fields of ``cls`` whose declared type is not a plain scalar."""
+    scalar = tuple(_SCALAR_DECODERS.values())
+    return tuple(
+        name for name, spec_field in _schema(cls).items()
+        if spec_field.decode not in scalar
+    )
+
+
+def _encode(value):
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    to_dict = getattr(value, "to_dict", None)  # a nested spec or topology event
+    return value if to_dict is None else to_dict()
+
+
+class _Spec:
+    """Base of every spec dataclass: the JSON codec, derived from field types.
+
+    ``to_dict`` writes fields in declaration order (tuples as lists, nested
+    specs and topology events through their own ``to_dict``); ``from_dict``
+    checks every value against its field's declared type and names the
+    offending path.  :func:`repro.spec.overrides.apply_overrides` decodes
+    ``--set``/``--grid`` values through the same per-field checks.
+    """
+
+    #: Root path of the node in error messages (``validate``'s default).
+    _path = ""
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-ready representation (inverse of :meth:`from_dict`)."""
+        # A dataclass instance's __dict__ holds exactly its fields, in
+        # declaration order; only the non-scalar ones need encoding.
+        data = dict(self.__dict__)
+        for name in _nested_fields(type(self)):
+            data[name] = _encode(data[name])
+        return data
+
+    @classmethod
+    def from_dict(cls, data, path: Optional[str] = None):
+        """Deserialize, raising :class:`SpecError` with the offending path."""
+        path = cls._path if path is None else path
+        if not isinstance(data, Mapping):
+            raise SpecError(
+                f"{path}: expected a JSON object, got {type(data).__name__}"
+            )
+        schema = _schema(cls)
+        unknown = sorted((key for key in data if key not in schema), key=str)
+        if unknown:
+            raise SpecError(
+                f"{path}: unknown field(s) {unknown}; allowed fields are {sorted(schema)}"
+            )
+        kwargs: Dict[str, object] = {}
+        for name, spec_field in schema.items():
+            if name in data:
+                kwargs[name] = spec_field.decode(data[name], f"{path}.{name}")
+            elif spec_field.required:
+                raise SpecError(f"{path}.{name}: missing required field")
+        try:
+            return cls(**kwargs)
+        except SpecError as err:
+            # Validation runs at the class's own root path; report the caller's.
+            message = str(err)
+            if message.startswith(cls._path):
+                message = path + message[len(cls._path):]
+            raise SpecError(message) from None
 
 
 def _reject_foreign_fields(spec, owner_kinds: Mapping[str, Sequence[str]], path: str) -> None:
@@ -145,7 +297,7 @@ TOPOLOGY_KINDS = ("random", "connected-random", "linear", "grid", "ring", "star"
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_Spec):
     """Which conflict graph to build.
 
     ``random`` / ``connected-random`` are the paper's unit-disk deployments
@@ -154,6 +306,7 @@ class TopologySpec:
     ``ring`` and ``star`` are the combinatorial test topologies.
     """
 
+    _path = "topology"
     kind: str = "random"
     num_nodes: int = 20
     num_channels: int = 3
@@ -233,34 +386,6 @@ class TopologySpec:
             return star_network(self.num_nodes - 1, self.num_channels)
         raise SpecError(f"unhandled topology kind {self.kind!r}")  # pragma: no cover
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "kind": self.kind,
-            "num_nodes": self.num_nodes,
-            "num_channels": self.num_channels,
-            "average_degree": self.average_degree,
-            "rows": self.rows,
-            "cols": self.cols,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str = "topology") -> "TopologySpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: Dict[str, object] = {}
-        if "kind" in data:
-            kwargs["kind"] = _choice(data["kind"], TOPOLOGY_KINDS, f"{path}.kind")
-        for name in ("num_nodes", "num_channels", "rows", "cols"):
-            if name in data:
-                kwargs[name] = _as_int(data[name], f"{path}.{name}")
-        if "average_degree" in data:
-            kwargs["average_degree"] = _as_float(
-                data["average_degree"], f"{path}.average_degree"
-            )
-        return cls(**kwargs)
-
 
 # ----------------------------------------------------------------------
 # ChannelSpec
@@ -273,7 +398,7 @@ STATEFUL_CHANNEL_KINDS = ("gilbert-elliott", "adversarial")
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(_Spec):
     """Which ground-truth channel environment to attach.
 
     ``paper-rates`` draws each (node, channel) mean uniformly from the
@@ -292,6 +417,7 @@ class ChannelSpec:
     restricted to one replication.
     """
 
+    _path = "channels"
     kind: str = "paper-rates"
     relative_std: float = DEFAULT_RELATIVE_STD
     #: Custom rate pool (``None`` = the paper catalogue); used by every kind
@@ -458,59 +584,6 @@ class ChannelSpec:
         means = self.build_means(num_nodes, num_channels, rng)
         return ChannelState.from_mean_matrix(means, relative_std=self.relative_std)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "kind": self.kind,
-            "relative_std": self.relative_std,
-            "rates": list(self.rates) if self.rates is not None else None,
-            "means": [list(row) for row in self.means] if self.means is not None else None,
-            "ge_bad_fraction": self.ge_bad_fraction,
-            "ge_p_good_to_bad": self.ge_p_good_to_bad,
-            "ge_p_bad_to_good": self.ge_p_bad_to_good,
-            "adversarial_period": self.adversarial_period,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str = "channels") -> "ChannelSpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: Dict[str, object] = {}
-        if "kind" in data:
-            kwargs["kind"] = _choice(data["kind"], CHANNEL_KINDS, f"{path}.kind")
-        for name in ("relative_std", "ge_bad_fraction", "ge_p_good_to_bad", "ge_p_bad_to_good"):
-            if name in data:
-                kwargs[name] = _as_float(data[name], f"{path}.{name}")
-        if "adversarial_period" in data:
-            kwargs["adversarial_period"] = _as_int(
-                data["adversarial_period"], f"{path}.adversarial_period"
-            )
-        if data.get("rates") is not None:
-            raw = data["rates"]
-            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-                raise SpecError(f"{path}.rates: expected a list of numbers, got {raw!r}")
-            kwargs["rates"] = tuple(
-                _as_float(rate, f"{path}.rates[{i}]") for i, rate in enumerate(raw)
-            )
-        if data.get("means") is not None:
-            raw = data["means"]
-            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-                raise SpecError(
-                    f"{path}.means: expected a list of per-node rows, got {raw!r}"
-                )
-            rows = []
-            for i, row in enumerate(raw):
-                if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
-                    raise SpecError(
-                        f"{path}.means[{i}]: expected a list of numbers, got {row!r}"
-                    )
-                rows.append(
-                    tuple(_as_float(v, f"{path}.means[{i}][{j}]") for j, v in enumerate(row))
-                )
-            kwargs["means"] = tuple(rows)
-        return cls(**kwargs)
-
 
 # ----------------------------------------------------------------------
 # PolicySpec
@@ -522,7 +595,7 @@ _DEFAULT_LABELS = {"algorithm2": "Algorithm2", "llr": "LLR", "oracle": "Oracle"}
 
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(_Spec):
     """One policy under test.
 
     ``algorithm2`` is the paper's combinatorial-UCB learner, ``llr`` the LLR
@@ -534,6 +607,7 @@ class PolicySpec:
     the paper experiments used); ``exact``/``greedy`` force one.
     """
 
+    _path = "policies[?]"
     kind: str = "algorithm2"
     #: Display label; defaults to the conventional name for the kind.
     label: Optional[str] = None
@@ -627,26 +701,6 @@ class PolicySpec:
             f"policy kind {self.kind!r} is not supported under dynamics"
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {"kind": self.kind, "label": self.label, "r": self.r, "solver": self.solver}
-
-    @classmethod
-    def from_dict(cls, data, path: str = "policies[?]") -> "PolicySpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: Dict[str, object] = {}
-        if "kind" in data:
-            kwargs["kind"] = _choice(data["kind"], POLICY_KINDS, f"{path}.kind")
-        if data.get("label") is not None:
-            kwargs["label"] = _as_str(data["label"], f"{path}.label")
-        if "r" in data:
-            kwargs["r"] = _as_int(data["r"], f"{path}.r")
-        if "solver" in data:
-            kwargs["solver"] = _choice(data["solver"], SOLVER_CHOICES, f"{path}.solver")
-        return cls(**kwargs)
-
 
 # ----------------------------------------------------------------------
 # ScheduleSpec
@@ -655,7 +709,7 @@ SCHEDULE_MODES = ("per-round", "periodic", "protocol")
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(_Spec):
     """When strategy decisions happen.
 
     * ``per-round`` — the Fig. 7 regime: one strategy decision per time slot
@@ -669,6 +723,7 @@ class ScheduleSpec:
       ``max_mini_rounds`` pads/truncates the reported trajectory (0 = raw).
     """
 
+    _path = "schedule"
     mode: str = "per-round"
     num_rounds: int = 1000
     periods: Tuple[int, ...] = (1, 5, 10, 20)
@@ -710,38 +765,6 @@ class ScheduleSpec:
                 f"unpadded), got {self.max_mini_rounds}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "mode": self.mode,
-            "num_rounds": self.num_rounds,
-            "periods": list(self.periods),
-            "num_periods": self.num_periods,
-            "max_mini_rounds": self.max_mini_rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str = "schedule") -> "ScheduleSpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: Dict[str, object] = {}
-        if "mode" in data:
-            kwargs["mode"] = _choice(data["mode"], SCHEDULE_MODES, f"{path}.mode")
-        for name in ("num_rounds", "num_periods", "max_mini_rounds"):
-            if name in data:
-                kwargs[name] = _as_int(data[name], f"{path}.{name}")
-        if "periods" in data:
-            raw = data["periods"]
-            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-                raise SpecError(
-                    f"{path}.periods: expected a list of integers, got {raw!r}"
-                )
-            kwargs["periods"] = tuple(
-                _as_int(p, f"{path}.periods[{i}]") for i, p in enumerate(raw)
-            )
-        return cls(**kwargs)
-
 
 # ----------------------------------------------------------------------
 # DynamicsSpec
@@ -758,7 +781,7 @@ _DYNAMICS_STREAM_TAG = 0xD1CE
 
 
 @dataclass(frozen=True)
-class DynamicsSpec:
+class DynamicsSpec(_Spec):
     """Topology dynamics threaded between learning rounds.
 
     When present on a :class:`ScenarioSpec` (per-round schedules only), a
@@ -777,6 +800,7 @@ class DynamicsSpec:
     * ``trace`` — the scripted ``trace`` events are replayed verbatim.
     """
 
+    _path = "dynamics"
     kind: str = "poisson-churn"
     #: Poisson churn: expected topology events per learning round.
     rate: float = 0.02
@@ -789,26 +813,19 @@ class DynamicsSpec:
     speed: float = 0.5
     step_every: int = 10
     #: Scripted events for ``kind='trace'``.
-    trace: Tuple[object, ...] = ()
+    trace: Tuple[TopologyEvent, ...] = ()
 
     def __post_init__(self) -> None:
         # Normalize trace entries to event objects so specs built from
         # Python literals and specs deserialized from JSON compare equal.
-        if self.trace:
-            from repro.dynamics.events import TopologyEvent, event_from_dict
-
-            normalized = []
-            for index, entry in enumerate(self.trace):
-                if isinstance(entry, TopologyEvent):
-                    normalized.append(entry)
-                else:
-                    try:
-                        normalized.append(
-                            event_from_dict(entry, f"dynamics.trace[{index}]")
-                        )
-                    except ValueError as err:
-                        raise SpecError(str(err)) from None
-            object.__setattr__(self, "trace", tuple(normalized))
+        object.__setattr__(
+            self,
+            "trace",
+            tuple(
+                _as_event(entry, f"dynamics.trace[{index}]")
+                for index, entry in enumerate(self.trace)
+            ),
+        )
         self.validate()
 
     def validate(self, path: str = "dynamics") -> None:
@@ -917,57 +934,12 @@ class DynamicsSpec:
             )
         raise SpecError(f"unhandled dynamics kind {self.kind!r}")  # pragma: no cover
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "arrival_bias": self.arrival_bias,
-            "min_active": self.min_active,
-            "period": self.period,
-            "flap_fraction": self.flap_fraction,
-            "speed": self.speed,
-            "step_every": self.step_every,
-            "trace": [event.to_dict() for event in self.trace],
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str = "dynamics") -> "DynamicsSpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: Dict[str, object] = {}
-        if "kind" in data:
-            kwargs["kind"] = _choice(data["kind"], DYNAMICS_KINDS, f"{path}.kind")
-        for name in ("rate", "arrival_bias", "flap_fraction", "speed"):
-            if name in data:
-                kwargs[name] = _as_float(data[name], f"{path}.{name}")
-        for name in ("min_active", "period", "step_every"):
-            if name in data:
-                kwargs[name] = _as_int(data[name], f"{path}.{name}")
-        if "trace" in data:
-            raw = data["trace"]
-            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-                raise SpecError(
-                    f"{path}.trace: expected a list of event objects, got {raw!r}"
-                )
-            from repro.dynamics.events import event_from_dict
-
-            events = []
-            for index, entry in enumerate(raw):
-                try:
-                    events.append(event_from_dict(entry, f"{path}.trace[{index}]"))
-                except ValueError as err:
-                    raise SpecError(str(err)) from None
-            kwargs["trace"] = tuple(events)
-        return cls(**kwargs)
-
 
 # ----------------------------------------------------------------------
 # ReplicationSpec
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ReplicationSpec:
+class ReplicationSpec(_Spec):
     """How many independent replications, on how many worker threads.
 
     Replication randomness is streamed with ``SeedSequence.spawn`` from the
@@ -975,6 +947,7 @@ class ReplicationSpec:
     the total count or the thread schedule.
     """
 
+    _path = "replication"
     replications: int = 1
     jobs: int = 1
 
@@ -990,21 +963,6 @@ class ReplicationSpec:
         if self.jobs <= 0:
             raise SpecError(f"{path}.jobs: must be positive, got {self.jobs}")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {"replications": self.replications, "jobs": self.jobs}
-
-    @classmethod
-    def from_dict(cls, data, path: str = "replication") -> "ReplicationSpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: Dict[str, object] = {}
-        for name in ("replications", "jobs"):
-            if name in data:
-                kwargs[name] = _as_int(data[name], f"{path}.{name}")
-        return cls(**kwargs)
-
 
 # ----------------------------------------------------------------------
 # TransportSpec
@@ -1019,7 +977,7 @@ _TRANSPORT_STREAM_TAG = 0x7A57
 
 
 @dataclass(frozen=True)
-class TransportSpec:
+class TransportSpec(_Spec):
     """Which message transport runs the distributed protocol.
 
     ``simulated`` (the default) is the in-process oracle network: instant,
@@ -1036,6 +994,7 @@ class TransportSpec:
     times and stay on the oracle).
     """
 
+    _path = "transport"
     kind: str = "simulated"
     #: Delivery latency distribution (asyncio only): ``none`` keeps arrivals
     #: in send order, ``uniform``/``exponential`` draw virtual delays.
@@ -1127,41 +1086,6 @@ class TransportSpec:
             seed=[run_seed, _TRANSPORT_STREAM_TAG, self.seed],
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "kind": self.kind,
-            "latency": self.latency,
-            "latency_scale": self.latency_scale,
-            "reorder": self.reorder,
-            "drop": self.drop,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str = "transport") -> "TransportSpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: Dict[str, object] = {}
-        if "kind" in data:
-            kwargs["kind"] = _choice(data["kind"], TRANSPORT_KINDS, f"{path}.kind")
-        if "latency" in data:
-            kwargs["latency"] = _choice(
-                data["latency"], TRANSPORT_LATENCY_KINDS, f"{path}.latency"
-            )
-        if "latency_scale" in data:
-            kwargs["latency_scale"] = _as_float(
-                data["latency_scale"], f"{path}.latency_scale"
-            )
-        if "reorder" in data:
-            kwargs["reorder"] = _as_bool(data["reorder"], f"{path}.reorder")
-        if "drop" in data:
-            kwargs["drop"] = _as_float(data["drop"], f"{path}.drop")
-        if "seed" in data:
-            kwargs["seed"] = _as_int(data["seed"], f"{path}.seed")
-        return cls(**kwargs)
-
 
 # ----------------------------------------------------------------------
 # FaultSpec
@@ -1183,7 +1107,7 @@ _FAULTS_STREAM_TAG = 0xFA17
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Spec):
     """Node faults injected into the distributed strategy decision.
 
     ``crash`` and ``byzantine`` are vertex fractions of the extended
@@ -1201,6 +1125,7 @@ class FaultSpec:
     bit-identical to runs without a ``faults`` node.
     """
 
+    _path = "faults"
     #: Fraction of vertices that crash-stop mid-protocol.
     crash: float = 0.0
     #: Fraction of vertices that lie (disjoint from the crashed set).
@@ -1329,50 +1254,12 @@ class FaultSpec:
             return None
         return QuorumConfig(threshold=self.quorum_threshold, eps=self.eps)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "crash": self.crash,
-            "byzantine": self.byzantine,
-            "behavior": self.behavior,
-            "max_crash_round": self.max_crash_round,
-            "quorum": self.quorum,
-            "quorum_threshold": self.quorum_threshold,
-            "eps": self.eps,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str = "faults") -> "FaultSpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: Dict[str, object] = {}
-        for name in ("crash", "byzantine", "eps"):
-            if name in data:
-                kwargs[name] = _as_float(data[name], f"{path}.{name}")
-        if "behavior" in data:
-            kwargs["behavior"] = _choice(
-                data["behavior"], FAULT_BEHAVIORS, f"{path}.behavior"
-            )
-        for name in ("max_crash_round", "quorum_threshold", "seed"):
-            if name in data:
-                kwargs[name] = _as_int(data[name], f"{path}.{name}")
-        if "quorum" in data:
-            kwargs["quorum"] = _as_bool(data["quorum"], f"{path}.quorum")
-        try:
-            return cls(**kwargs)
-        except SpecError as err:
-            # Re-prefix validation errors (all start with "faults." or
-            # "faults:") with the caller's path.
-            raise SpecError(str(err).replace("faults", path, 1)) from None
-
 
 # ----------------------------------------------------------------------
 # ScenarioSpec
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """One fully-described experiment scenario.
 
     ``network_sweep`` (protocol mode only) re-runs the scenario once per
@@ -1383,6 +1270,7 @@ class ScenarioSpec:
     forced before a per-round run (only feasible for small networks).
     """
 
+    _path = "scenario"
     name: str
     seed: int = 2014
     description: str = ""
@@ -1525,107 +1413,6 @@ class ScenarioSpec:
                     f"strategy decision and needs schedule.mode='protocol' "
                     f"(got {self.schedule.mode!r})"
                 )
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "description": self.description,
-            "topology": self.topology.to_dict(),
-            "channels": self.channels.to_dict(),
-            "policies": [policy.to_dict() for policy in self.policies],
-            "schedule": self.schedule.to_dict(),
-            "dynamics": self.dynamics.to_dict() if self.dynamics is not None else None,
-            "transport": self.transport.to_dict(),
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-            "replication": self.replication.to_dict(),
-            "network_sweep": [list(cell) for cell in self.network_sweep],
-            "alpha": self.alpha,
-            "compute_optimal": self.compute_optimal,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str = "scenario") -> "ScenarioSpec":
-        """Deserialize, raising :class:`SpecError` with the offending path."""
-        data = _require_mapping(data, path)
-        _check_keys(data, cls, path)
-        if "name" not in data:
-            raise SpecError(f"{path}.name: every scenario needs a name")
-        kwargs: Dict[str, object] = {"name": _as_str(data["name"], f"{path}.name")}
-        if "seed" in data:
-            kwargs["seed"] = _as_int(data["seed"], f"{path}.seed")
-        if "description" in data:
-            kwargs["description"] = _as_str(data["description"], f"{path}.description")
-        if "topology" in data:
-            kwargs["topology"] = TopologySpec.from_dict(
-                data["topology"], f"{path}.topology"
-            )
-        if "channels" in data:
-            kwargs["channels"] = ChannelSpec.from_dict(
-                data["channels"], f"{path}.channels"
-            )
-        if "policies" in data:
-            raw = data["policies"]
-            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-                raise SpecError(
-                    f"{path}.policies: expected a list of policy objects, got {raw!r}"
-                )
-            kwargs["policies"] = tuple(
-                PolicySpec.from_dict(entry, f"{path}.policies[{i}]")
-                for i, entry in enumerate(raw)
-            )
-        if "schedule" in data:
-            kwargs["schedule"] = ScheduleSpec.from_dict(
-                data["schedule"], f"{path}.schedule"
-            )
-        if data.get("dynamics") is not None:
-            kwargs["dynamics"] = DynamicsSpec.from_dict(
-                data["dynamics"], f"{path}.dynamics"
-            )
-        if "transport" in data:
-            kwargs["transport"] = TransportSpec.from_dict(
-                data["transport"], f"{path}.transport"
-            )
-        if data.get("faults") is not None:
-            kwargs["faults"] = FaultSpec.from_dict(data["faults"], f"{path}.faults")
-        if "replication" in data:
-            kwargs["replication"] = ReplicationSpec.from_dict(
-                data["replication"], f"{path}.replication"
-            )
-        if "network_sweep" in data:
-            raw = data["network_sweep"]
-            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-                raise SpecError(
-                    f"{path}.network_sweep: expected a list of [N, M] pairs, got {raw!r}"
-                )
-            sweep = []
-            for i, cell in enumerate(raw):
-                if not isinstance(cell, Sequence) or isinstance(cell, (str, bytes)):
-                    raise SpecError(
-                        f"{path}.network_sweep[{i}]: expected an [N, M] pair, got {cell!r}"
-                    )
-                sweep.append(
-                    tuple(
-                        _as_int(v, f"{path}.network_sweep[{i}][{j}]")
-                        for j, v in enumerate(cell)
-                    )
-                )
-            kwargs["network_sweep"] = tuple(sweep)
-        if "alpha" in data:
-            kwargs["alpha"] = _as_float(data["alpha"], f"{path}.alpha")
-        if "compute_optimal" in data:
-            kwargs["compute_optimal"] = _as_bool(
-                data["compute_optimal"], f"{path}.compute_optimal"
-            )
-        try:
-            return cls(**kwargs)
-        except SpecError as err:
-            # Re-prefix cross-field validation errors with the caller's path.
-            raise SpecError(str(err).replace("scenario.", f"{path}.", 1)) from None
 
     # ------------------------------------------------------------------
     # Materialization

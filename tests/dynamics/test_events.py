@@ -46,6 +46,17 @@ class TestEventModel:
         with pytest.raises(ValueError, match="unknown event type"):
             event_from_dict({"type": "meteor-strike", "round_index": 1})
 
+    def test_non_string_event_type_is_named(self):
+        with pytest.raises(ValueError, match="unknown event type"):
+            event_from_dict({"type": ["node-departure"], "round_index": 1})
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_non_finite_coordinates_rejected(self, x):
+        with pytest.raises(ValueError, match="x: expected a finite number"):
+            MobilityStep(round_index=1, node=0, x=x, y=0.0).validate()
+        with pytest.raises(ValueError, match="x: expected a finite number"):
+            NodeArrival(round_index=1, node=0, x=x, y=0.0).validate()
+
     def test_unknown_field_is_named(self):
         with pytest.raises(ValueError, match="unknown field"):
             event_from_dict(

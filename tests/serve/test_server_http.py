@@ -12,7 +12,7 @@ from repro.serve import (
     ServerThread,
     ServiceConfig,
 )
-from repro.spec import apply_overrides, run_scenario
+from repro.spec import apply_overrides, get_scenario, run_scenario
 from serve_helpers import CountingRunner, GatedRunner
 
 
@@ -114,6 +114,21 @@ class TestSubmission:
         envelope = client.result(descriptor["id"])
         assert envelope["schema"] == "repro.sweep-result/v1"
         assert len(envelope["points"]) == 2
+
+    def test_sweep_grid_value_of_the_wrong_shape_is_400(self, client):
+        # A faults grid on a per-round base fails validation (faults need
+        # protocol mode): a 400 naming the point, never a 500.
+        grid = {"faults": [{"crash": 0.1}]}
+        with pytest.raises(ServeError) as excinfo:
+            client.submit_sweep({"base": get_scenario("fig7-smoke").to_dict(), "grid": grid})
+        assert excinfo.value.status == 400
+        assert "faults" in excinfo.value.message
+        # The same grid on a protocol-mode base plans one point.
+        response = client.submit_sweep(
+            {"base": get_scenario("fig6-smoke").to_dict(), "grid": grid}
+        )
+        assert response["job"]["points"] == 1
+        client.wait(response["job"]["id"])
 
 
 class TestConcurrencyOverHttp:

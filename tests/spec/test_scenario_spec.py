@@ -6,6 +6,8 @@ import pytest
 
 from repro.spec import (
     ChannelSpec,
+    DynamicsSpec,
+    FaultSpec,
     PolicySpec,
     ScenarioSpec,
     ScheduleSpec,
@@ -16,6 +18,7 @@ from repro.spec import (
     get_scenario,
     list_scenarios,
     parse_set_items,
+    spec_hash,
 )
 
 
@@ -109,6 +112,37 @@ class TestValidationMessages:
         with pytest.raises(SpecError, match="expected a JSON object"):
             ScenarioSpec.from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "cls, data, message",
+        [
+            (TopologySpec, {"kind": "grid"}, "^cfg: grid topologies"),
+            (PolicySpec, {"r": 0}, "^cfg.r: the PTAS radius"),
+            (ScheduleSpec, {"num_rounds": 0}, "^cfg.num_rounds: must be positive"),
+            (FaultSpec, {"crash": 0.4, "byzantine": 0.4}, "^cfg: crash \\+ byzantine"),
+        ],
+    )
+    def test_validation_errors_carry_the_callers_path(self, cls, data, message):
+        with pytest.raises(SpecError, match=message):
+            cls.from_dict(data, "cfg")
+
+    def test_nested_validation_error_names_the_tuple_index(self):
+        data = get_scenario("fig7-quick").to_dict()
+        data["policies"][1]["r"] = 0
+        with pytest.raises(SpecError, match="^scenario.policies\\[1\\].r: the PTAS"):
+            ScenarioSpec.from_dict(data)
+
+    def test_list_entries_are_type_checked_with_indexed_paths(self):
+        data = get_scenario("fig8-quick").to_dict()
+        data["schedule"]["periods"] = [1, "5"]
+        with pytest.raises(SpecError, match="schedule.periods\\[1\\]: expected an integer"):
+            ScenarioSpec.from_dict(data)
+
+    def test_non_finite_numbers_rejected(self):
+        data = get_scenario("fig7-quick").to_dict()
+        data["alpha"] = float("inf")
+        with pytest.raises(SpecError, match="alpha: expected a finite number"):
+            ScenarioSpec.from_dict(data)
+
 
 class TestOverrides:
     def test_dotted_paths_reach_nested_specs(self):
@@ -153,6 +187,50 @@ class TestOverrides:
             apply_overrides(spec, {"compute_optimal": 1})
         with pytest.raises(SpecError, match="expected a list"):
             apply_overrides(spec, {"schedule.periods": 5})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"faults.byzantine": 0.2, "faults.behavior": "weight-inflation"},
+            {"faults": {"byzantine": 0.2, "behavior": "weight-inflation"}},
+        ],
+    )
+    def test_override_into_an_unset_faults_node(self, overrides):
+        spec = apply_overrides(get_scenario("fig6-quick"), overrides)
+        assert spec.faults == FaultSpec(byzantine=0.2, behavior="weight-inflation")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"dynamics.rate": 0.05}, {"dynamics": {"kind": "poisson-churn", "rate": 0.05}}],
+    )
+    def test_override_into_an_unset_dynamics_node(self, overrides):
+        spec = apply_overrides(get_scenario("fig7-quick"), overrides)
+        assert spec.dynamics == DynamicsSpec(rate=0.05)
+
+    def test_object_override_that_fails_cross_validation_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="dynamics.*per-round"):
+            apply_overrides(get_scenario("fig6-quick"), {"dynamics": {"kind": "poisson-churn"}})
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            (["schedule.periods=[1.5,2]"], "schedule.periods\\[0\\]: expected an integer"),
+            (["policies.0.label=5"], "policies.0.label: expected a string"),
+            (["network_sweep=[[10,2,3]]"], "network_sweep\\[0\\]: expected a list of 2"),
+        ],
+    )
+    def test_overrides_that_could_not_round_trip_are_rejected(self, items, message):
+        with pytest.raises(SpecError, match=message):
+            apply_overrides(get_scenario("fig8-quick"), parse_set_items(items))
+
+    def test_int_list_on_a_float_field_hashes_like_its_json(self):
+        spec = apply_overrides(
+            get_scenario("fig7-quick"), parse_set_items(["channels.rates=[1,2,3]"])
+        )
+        assert spec.channels.rates == (1.0, 2.0, 3.0)
+        restored = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert restored == spec
+        assert spec_hash(restored) == spec_hash(spec)
 
     def test_parse_set_items_json_and_strings(self):
         parsed = parse_set_items(

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
-from repro.spec import apply_overrides, get_scenario, parse_set_items
+from repro.cli import _submit_payload, build_parser, main
+from repro.spec import SpecError, apply_overrides, get_scenario, parse_set_items
 from repro.sweep import ResultStore, SweepPlan, parse_grid_items, plan_units
 
 
@@ -183,9 +183,32 @@ class TestScenarioCommands:
         with pytest.raises(SystemExit, match="expected an integer.*'abc'"):
             main(["run", "fig7-smoke", "--set", "schedule.num_rounds=abc"])
 
-    def test_run_conflicting_seeds_rejected(self):
+    @pytest.mark.parametrize("command", ["run", "sweep", "submit"])
+    def test_run_conflicting_seeds_rejected(self, command):
+        argv = [command, "fig7-smoke", "--seed", "5", "--set", "seed=9"]
+        if command == "submit":
+            # Building the payload is enough: no server is needed.
+            with pytest.raises(SpecError, match="conflicting seeds"):
+                _submit_payload(build_parser().parse_args(argv))
+            return
+        if command == "sweep":
+            argv.append("--no-store")
         with pytest.raises(SystemExit, match="conflicting seeds"):
-            main(["run", "fig7-smoke", "--seed", "5", "--set", "seed=9"])
+            main(argv)
+
+    def test_run_faults_on_a_protocol_preset_without_a_faults_node(self, capsys):
+        # The docs' faults example: dotted paths into the unset `faults`
+        # node start from its defaults.
+        argv = [
+            "run", "fig6-smoke",
+            "--set", "faults.byzantine=0.2",
+            "--set", "faults.behavior=weight-inflation",
+            "--json", "-",
+        ]
+        assert main(argv) == 0
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["spec"]["faults"]["byzantine"] == 0.2
+        assert envelope["spec"]["faults"]["behavior"] == "weight-inflation"
 
     def test_run_negative_seed_exits_cleanly(self):
         with pytest.raises(SystemExit, match="non-negative"):
