@@ -41,7 +41,25 @@ from repro.distributed.transport import SimulatedTransport, Transport
 from repro.graph.neighborhoods import r_hop_neighborhood
 from repro.mwis.base import Adjacency, MWISSolver
 
-__all__ = ["MiniRoundRecord", "ProtocolResult", "DistributedRobustPTAS"]
+__all__ = [
+    "MiniRoundRecord",
+    "ProtocolResult",
+    "DistributedRobustPTAS",
+    "protocol_neighborhoods",
+]
+
+
+def protocol_neighborhoods(adjacency: Adjacency, r: int) -> Dict[int, List[Set[int]]]:
+    """Per-vertex neighbourhood tables for every radius the protocol uses.
+
+    Maps each of ``r`` (the local MWIS), ``r + 1`` (the Loser ball),
+    ``2r + 1`` (knowledge and elections) and ``3r + 2`` (the determination
+    broadcast) to the list of every vertex's neighbourhood at that radius.
+    """
+    return {
+        hops: [r_hop_neighborhood(adjacency, vertex, hops) for vertex in range(len(adjacency))]
+        for hops in (r, r + 1, 2 * r + 1, 3 * r + 2)
+    }
 
 
 class DistributedRobustPTAS:
@@ -136,15 +154,13 @@ class DistributedRobustPTAS:
                     f"precomputed_neighborhoods is missing radii {missing}; "
                     f"the protocol needs {list(required)}"
                 )
-            self._hood_r = precomputed_neighborhoods[r]
-            self._hood_r1 = precomputed_neighborhoods[r + 1]
-            self._hood_2r1 = precomputed_neighborhoods[2 * r + 1]
-            self._hood_lb = precomputed_neighborhoods[3 * r + 2]
+            hoods = precomputed_neighborhoods
         else:
-            self._hood_r = self._all_neighborhoods(r)
-            self._hood_r1 = self._all_neighborhoods(r + 1)
-            self._hood_2r1 = self._all_neighborhoods(2 * r + 1)
-            self._hood_lb = self._all_neighborhoods(3 * r + 2)
+            hoods = protocol_neighborhoods(adjacency, r)
+        self._hood_r = hoods[r]
+        self._hood_r1 = hoods[r + 1]
+        self._hood_2r1 = hoods[2 * r + 1]
+        self._hood_lb = hoods[3 * r + 2]
         self._engine = ProtocolEngine(
             self._adjacency,
             r=self._r,
@@ -153,15 +169,6 @@ class DistributedRobustPTAS:
             hood_2r1=self._hood_2r1,
             local_solver=self._local_solver,
         )
-
-    # ------------------------------------------------------------------
-    # Precomputation helpers
-    # ------------------------------------------------------------------
-    def _all_neighborhoods(self, hops: int) -> List[Set[int]]:
-        return [
-            r_hop_neighborhood(self._adjacency, vertex, hops)
-            for vertex in range(self._num_vertices)
-        ]
 
     @property
     def r(self) -> int:

@@ -177,9 +177,10 @@ class VertexProtocol:
         The paper's invariant is that every vertex "has collected newest
         weights of all (2r+1)-hop neighbours" before a strategy decision;
         the WB phase then re-announces (and charges for) refreshed entries.
+        ``weights`` maps vertex ids to floats, and its keys must lie in the
+        (2r+1)-hop horizon, as :class:`ProtocolEngine` guarantees.
         """
-        for neighbor, weight in weights.items():
-            self.agent.observe_weight(neighbor, float(weight))
+        self.agent.known_weights.update(weights)
 
     def announce_weight(self) -> WeightBroadcast:
         """WB phase: broadcast this vertex's current weight within 2r+1 hops."""
@@ -233,14 +234,7 @@ class VertexProtocol:
         winner_neighbors: Set[int] = set()
         for winner in winners:
             winner_neighbors |= self._adjacency[winner]
-        removal = candidate_set | {
-            vertex
-            for vertex in winner_neighbors
-            if vertex in self._hood_r1
-            and not agent.known_statuses.get(
-                vertex, VertexStatus.CANDIDATE
-            ).is_decided
-        }
+        removal = candidate_set | (winner_neighbors & self._hood_r1 & agent.undecided)
         losers = removal - winners
         self.last_candidate_set_size = len(candidate_set)
         decisions: Dict[int, bool] = {vertex: True for vertex in winners}
@@ -252,11 +246,10 @@ class VertexProtocol:
             mini_round=mini_round,
         )
         self._transport.broadcast(message, phase="LB")
-        for vertex, is_winner in decisions.items():
-            status = VertexStatus.WINNER if is_winner else VertexStatus.LOSER
-            if vertex == self.vertex:
-                agent.mark(status)
-            agent.observe_status(vertex, status)
+        agent.mark(
+            VertexStatus.WINNER if decisions[self.vertex] else VertexStatus.LOSER
+        )
+        agent.undecided.difference_update(decisions)
         return message
 
     def _election_exclusions(self) -> Optional[Set[int]]:
@@ -290,18 +283,21 @@ class VertexProtocol:
 
         Status determinations naming this vertex also mark it (unless it is
         already decided — possible only when a lossy transport let a leader
-        act on stale knowledge; terminal statuses are never overwritten).
+        act on stale knowledge; terminal statuses are never overwritten), and
+        every vertex they name leaves :attr:`VertexAgent.undecided`.
         Leader declarations need no handler: elections are decided from the
         weight knowledge, the declaration itself is informational.
         """
         agent = self.agent
         if isinstance(message, StatusDetermination):
-            for vertex, is_winner in message.decisions.items():
-                status = VertexStatus.WINNER if is_winner else VertexStatus.LOSER
-                if vertex == agent.vertex and not agent.status.is_decided:
-                    agent.mark(status)
-                else:
-                    agent.observe_status(vertex, status)
+            decisions = message.decisions
+            if agent.vertex in decisions and not agent.status.is_decided:
+                agent.mark(
+                    VertexStatus.WINNER
+                    if decisions[agent.vertex]
+                    else VertexStatus.LOSER
+                )
+            agent.undecided.difference_update(decisions)
         elif isinstance(message, WeightBroadcast):
             agent.observe_weight(message.sender, message.weight)
 
@@ -428,13 +424,10 @@ class ProtocolEngine:
             )
             for vertex in range(self._num_vertices)
         ]
+        values = [float(weight) for weight in weights]
         for vertex in vertices:
-            vertex.prime(
-                {
-                    neighbor: float(weights[neighbor])
-                    for neighbor in self._hood_2r1[vertex.vertex]
-                }
-            )
+            hood = self._hood_2r1[vertex.vertex]
+            vertex.prime(dict(zip(hood, map(values.__getitem__, hood))))
 
         def deliver() -> None:
             self._deliver(transport, vertices)

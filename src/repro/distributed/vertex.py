@@ -8,11 +8,11 @@ Algorithm 3 of the paper gives every virtual vertex one of four statuses:
 * ``WINNER`` -- included in the final independent set (will access a channel);
 * ``LOSER`` -- permanently excluded.
 
-Every vertex also maintains *local knowledge*: the estimated weights and last
-known statuses of the vertices in its (2r+1)-hop neighbourhood, updated only
-through received control messages.  Keeping the knowledge local (instead of
-reading global state) is what makes the simulation faithful to a distributed
-implementation.
+Every vertex also maintains *local knowledge* of its (2r+1)-hop
+neighbourhood -- the estimated weights, and the set of vertices not yet known
+to be a Winner or Loser -- updated only through received control messages.
+Keeping the knowledge local (instead of reading global state) is what makes
+the simulation faithful to a distributed implementation.
 """
 
 from __future__ import annotations
@@ -66,10 +66,9 @@ class VertexAgent:
         self.status = VertexStatus.CANDIDATE
         #: Last known weights of the (2r+1)-hop neighbourhood (self included).
         self.known_weights: Dict[int, float] = {}
-        #: Last known statuses of the (2r+1)-hop neighbourhood (self included).
-        self.known_statuses: Dict[int, VertexStatus] = {
-            u: VertexStatus.CANDIDATE for u in self.neighborhood_2r1
-        }
+        #: The (2r+1)-hop neighbourhood minus self, minus every vertex known
+        #: to be a Winner or Loser.  Terminal statuses are never re-added.
+        self.undecided: Set[int] = self.neighborhood_2r1 - {vertex}
 
     # ------------------------------------------------------------------
     # Knowledge updates (driven by received messages)
@@ -87,25 +86,21 @@ class VertexAgent:
     def observe_status(self, vertex: int, status: VertexStatus) -> None:
         """Record a status determination for a vertex in the knowledge horizon.
 
-        Terminal statuses are never downgraded: once a vertex is known to be
-        a Winner or Loser it stays that way.
+        A terminal status drops the vertex from :attr:`undecided` for good,
+        so a Winner or Loser is never downgraded; other statuses (and
+        vertices outside the horizon) change nothing.
         """
-        if vertex not in self.neighborhood_2r1:
-            return
-        current = self.known_statuses.get(vertex, VertexStatus.CANDIDATE)
-        if current.is_decided:
-            return
-        self.known_statuses[vertex] = status
+        if status.is_decided:
+            self.undecided.discard(vertex)
 
     def mark(self, status: VertexStatus) -> None:
-        """Set this vertex's own status (and mirror it into local knowledge)."""
+        """Set this vertex's own status."""
         if self.status.is_decided and status != self.status:
             raise ValueError(
                 f"vertex {self.vertex} already decided as {self.status.value}; "
                 f"cannot re-mark as {status.value}"
             )
         self.status = status
-        self.known_statuses[self.vertex] = status
 
     # ------------------------------------------------------------------
     # Queries used by Algorithm 3
@@ -114,30 +109,6 @@ class VertexAgent:
         """The weight this vertex currently announces for itself."""
         return self.known_weights.get(self.vertex, 0.0)
 
-    def candidate_neighbors(
-        self,
-        hop_set: Optional[Set[int]] = None,
-        exclude: Optional[Set[int]] = None,
-    ) -> Set[int]:
-        """Vertices of ``hop_set`` (default: the (2r+1)-hop neighbourhood)
-        still believed to be Candidates, *excluding* this vertex.
-
-        ``exclude`` drops additional vertices from the result; fault-mitigation
-        runs pass the set of suspected-crashed / evidence-excluded vertices so
-        the election stops waiting on them.  ``None`` (the default) keeps the
-        honest-path behaviour bit for bit.
-        """
-        horizon = hop_set if hop_set is not None else self.neighborhood_2r1
-        candidates = {
-            u
-            for u in horizon
-            if u != self.vertex
-            and not self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
-        }
-        if exclude:
-            candidates -= exclude
-        return candidates
-
     def candidate_set_r(self, exclude: Optional[Set[int]] = None) -> Set[int]:
         """``A_r(v)``: Candidate vertices (including self) in the r-hop
         neighbourhood, according to local knowledge.
@@ -145,11 +116,7 @@ class VertexAgent:
         ``exclude`` removes vertices (other than self) from the set, used by
         fault-mitigation runs so excluded senders never receive Winner slots.
         """
-        candidates = {
-            u
-            for u in self.neighborhood_r
-            if not self.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
-        }
+        candidates = self.neighborhood_r & self.undecided
         if exclude:
             candidates -= exclude
         candidates.add(self.vertex)
@@ -166,14 +133,18 @@ class VertexAgent:
         Ties are broken by vertex id (smaller id wins) so that the election is
         a strict total order even with equal weights — without this, two
         adjacent equal-weight vertices could both become leaders and the
-        output could lose independence.
+        output could lose independence.  ``exclude`` names vertices the
+        election ignores (fault-mitigation runs pass the suspected and
+        evidence-excluded ones).  Stops at the first heavier Candidate.
         """
         if self.status != VertexStatus.CANDIDATE:
             return False
         own = (weights.get(self.vertex, self.own_weight()), -self.vertex)
-        for other in self.candidate_neighbors(exclude=exclude):
-            other_key = (weights.get(other, self.known_weights.get(other, 0.0)), -other)
-            if other_key > own:
+        known = self.known_weights
+        for other in self.undecided:
+            if (weights.get(other, known.get(other, 0.0)), -other) > own and (
+                not exclude or other not in exclude
+            ):
                 return False
         return True
 

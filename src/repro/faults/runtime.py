@@ -247,7 +247,7 @@ class FaultyVertexProtocol(VertexProtocol):
             partner = None
             partner_key = None
             for u in self._adjacency[self.vertex]:
-                if agent.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided:
+                if u not in agent.undecided:
                     continue
                 key = (agent.known_weights.get(u, 0.0), -u)
                 if partner_key is None or key > partner_key:
@@ -295,15 +295,7 @@ class FaultyVertexProtocol(VertexProtocol):
         if self.agent.status.is_decided:
             state.heard.clear()
             return
-        agent = self.agent
-        tracked = {
-            u
-            for u in agent.neighborhood_2r1
-            if u != self.vertex
-            and not agent.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided
-            and u not in state.excluded
-        }
-        state.end_mini_round(tracked)
+        state.end_mini_round(self.agent.undecided - state.excluded)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -367,11 +359,8 @@ class FaultyVertexProtocol(VertexProtocol):
         sender_weight = agent.known_weights.get(sender)
         if sender_weight is not None:
             sender_key = (sender_weight, -sender)
-            shared = self._controller.hood_2r1[sender] & agent.neighborhood_2r1
-            for u in shared:
-                if u == sender or u == self.vertex or state.ignores(u):
-                    continue
-                if agent.known_statuses.get(u, VertexStatus.CANDIDATE).is_decided:
+            for u in self._controller.hood_2r1[sender] & agent.undecided:
+                if u == sender or state.ignores(u):
                     continue
                 weight = agent.known_weights.get(u)
                 if weight is not None and (weight, -u) > sender_key:

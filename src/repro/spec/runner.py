@@ -20,9 +20,8 @@ import numpy as np
 
 from repro.core.bounds import theorem1_regret_bound
 from repro.distributed.costs import theoretical_message_bound, theoretical_space_bound
-from repro.distributed.ptas import DistributedRobustPTAS
+from repro.distributed.ptas import DistributedRobustPTAS, protocol_neighborhoods
 from repro.graph.extended import ExtendedConflictGraph
-from repro.graph.neighborhoods import r_hop_neighborhood
 from repro.mwis.greedy import GreedyMWISSolver
 from repro.obs import current_observer
 from repro.reporting import render_series, render_table
@@ -647,18 +646,6 @@ def _pad_trajectory(values: List[float], length: int) -> List[float]:
     return padded
 
 
-def _protocol_neighborhoods(adjacency, r: int):
-    """Per-vertex neighbourhood tables for every radius the protocol uses."""
-    radii = (r, r + 1, 2 * r + 1, 3 * r + 2)
-    return {
-        hops: [
-            r_hop_neighborhood(adjacency, vertex, hops)
-            for vertex in range(len(adjacency))
-        ]
-        for hops in radii
-    }
-
-
 def _transport_telemetry(spec: ScenarioSpec, transport) -> Dict[str, float]:
     """Delivery telemetry of one protocol cell, or ``{}``.
 
@@ -721,7 +708,7 @@ def _run_protocol(spec: ScenarioSpec) -> ExperimentResult:
             else:
                 # Non-simulated transports share the protocol's neighbourhood
                 # tables so k-hop routing is computed once per cell.
-                hoods = _protocol_neighborhoods(adjacency, decision.r)
+                hoods = protocol_neighborhoods(adjacency, decision.r)
                 transport = spec.transport.build(
                     adjacency, run_seed=spec.seed, precomputed_neighborhoods=hoods
                 )
@@ -813,7 +800,7 @@ def _run_faulty_cell(
     """
     from repro.faults.runtime import FaultInjectionEngine
 
-    hoods = _protocol_neighborhoods(adjacency, decision.r)
+    hoods = protocol_neighborhoods(adjacency, decision.r)
     plan = spec.faults.build_plan(
         len(adjacency), run_seed=spec.seed, cell=cell
     )

@@ -22,7 +22,7 @@ class TestVertexStatus:
 class TestVertexAgentKnowledge:
     def test_initial_state(self, agent):
         assert agent.status == VertexStatus.CANDIDATE
-        assert agent.known_statuses[0] == VertexStatus.CANDIDATE
+        assert agent.undecided == {0, 1, 3, 4}
         assert agent.known_weights == {}
 
     def test_neighbourhoods_must_contain_self(self):
@@ -39,23 +39,23 @@ class TestVertexAgentKnowledge:
 
     def test_observe_status_updates_candidates(self, agent):
         agent.observe_status(1, VertexStatus.WINNER)
-        assert agent.known_statuses[1] == VertexStatus.WINNER
+        assert 1 not in agent.undecided
 
     def test_observe_status_never_downgrades_terminal(self, agent):
         agent.observe_status(1, VertexStatus.WINNER)
         agent.observe_status(1, VertexStatus.CANDIDATE)
-        assert agent.known_statuses[1] == VertexStatus.WINNER
+        assert 1 not in agent.undecided
 
     def test_observe_status_outside_horizon_ignored(self, agent):
         agent.observe_status(99, VertexStatus.WINNER)
-        assert 99 not in agent.known_statuses
+        assert 99 not in agent.undecided
 
 
 class TestVertexAgentMarking:
     def test_mark_updates_own_status_and_knowledge(self, agent):
         agent.mark(VertexStatus.WINNER)
         assert agent.status == VertexStatus.WINNER
-        assert agent.known_statuses[2] == VertexStatus.WINNER
+        assert 2 not in agent.undecided
 
     def test_conflicting_remark_rejected(self, agent):
         agent.mark(VertexStatus.LOSER)
@@ -114,6 +114,6 @@ class TestCandidateSets:
         agent.observe_status(3, VertexStatus.LOSER)
         assert agent.candidate_set_r() == {2}
 
-    def test_candidate_neighbors_excludes_self_and_decided(self, agent):
+    def test_undecided_excludes_self_and_decided(self, agent):
         agent.observe_status(4, VertexStatus.LOSER)
-        assert agent.candidate_neighbors() == {0, 1, 3}
+        assert agent.undecided == {0, 1, 3}
