@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -171,16 +171,17 @@ class VertexProtocol:
     # ------------------------------------------------------------------
     # Knowledge seeding and WB phase
     # ------------------------------------------------------------------
-    def prime(self, weights: Mapping[int, float]) -> None:
+    def prime(self, weights: Sequence[float]) -> None:
         """Seed the (2r+1)-hop weight knowledge Algorithm 3 starts from.
 
         The paper's invariant is that every vertex "has collected newest
         weights of all (2r+1)-hop neighbours" before a strategy decision;
         the WB phase then re-announces (and charges for) refreshed entries.
-        ``weights`` maps vertex ids to floats, and its keys must lie in the
-        (2r+1)-hop horizon, as :class:`ProtocolEngine` guarantees.
+        ``weights`` is the decision's weight vector, indexed by vertex id;
+        every vertex keeps a reference to the same vector (it reads only its
+        horizon's entries), so the caller must not mutate it.
         """
-        self.agent.known_weights.update(weights)
+        self.agent.prime(weights)
 
     def announce_weight(self) -> WeightBroadcast:
         """WB phase: broadcast this vertex's current weight within 2r+1 hops."""
@@ -200,9 +201,7 @@ class VertexProtocol:
         agent = self.agent
         if agent.status != VertexStatus.CANDIDATE:
             return None
-        if not agent.is_local_maximum(
-            agent.known_weights, exclude=self._election_exclusions()
-        ):
+        if not agent.is_local_maximum(exclude=self._election_exclusions()):
             return None
         agent.mark(VertexStatus.LOCAL_LEADER)
         message = LeaderDeclaration(
@@ -260,7 +259,7 @@ class VertexProtocol:
         """LMWIS: the Winners this LocalLeader picks from ``A_r(v)``."""
         agent = self.agent
         local_weights = {
-            vertex: agent.known_weights.get(vertex, 0.0) for vertex in candidate_set
+            vertex: agent.known_weight(vertex, 0.0) for vertex in candidate_set
         }
         solution = solve_local_mwis(
             self._adjacency,
@@ -426,8 +425,7 @@ class ProtocolEngine:
         ]
         values = [float(weight) for weight in weights]
         for vertex in vertices:
-            hood = self._hood_2r1[vertex.vertex]
-            vertex.prime(dict(zip(hood, map(values.__getitem__, hood))))
+            vertex.prime(values)
 
         def deliver() -> None:
             self._deliver(transport, vertices)
@@ -534,7 +532,7 @@ class ProtocolEngine:
             ),
             computation=computation,
             stored_weights_per_vertex=[
-                len(vertex.agent.known_weights) for vertex in vertices
+                len(vertex.agent.neighborhood_2r1) for vertex in vertices
             ],
         )
         independent_set = IndependentSet.from_iterable(winners, weights)

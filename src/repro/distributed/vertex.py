@@ -10,7 +10,8 @@ Algorithm 3 of the paper gives every virtual vertex one of four statuses:
 
 Every vertex also maintains *local knowledge* of its (2r+1)-hop
 neighbourhood -- the estimated weights, and the set of vertices not yet known
-to be a Winner or Loser -- updated only through received control messages.
+to be a Winner or Loser -- primed with the newest weights when a strategy
+decision starts, then updated only through received control messages.
 Keeping the knowledge local (instead of reading global state) is what makes
 the simulation faithful to a distributed implementation.
 """
@@ -18,7 +19,7 @@ the simulation faithful to a distributed implementation.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Optional, Sequence, Set
 
 __all__ = ["VertexStatus", "VertexAgent"]
 
@@ -37,6 +38,13 @@ class VertexStatus(enum.Enum):
         return self in (VertexStatus.WINNER, VertexStatus.LOSER)
 
 
+class _Unprimed:
+    """The weights of an agent that was never primed: 0.0 for every vertex."""
+
+    def __getitem__(self, vertex: int) -> float:
+        return 0.0
+
+
 class VertexAgent:
     """Protocol state machine of a single virtual vertex.
 
@@ -49,30 +57,36 @@ class VertexAgent:
         LocalLeader election).
     neighborhood_r:
         The r-hop neighbourhood (the set a LocalLeader computes its local
-        MWIS over).
+        MWIS over).  Both sets are kept by reference and never mutated.
     """
 
     def __init__(
         self,
         vertex: int,
-        neighborhood_2r1: Iterable[int],
-        neighborhood_r: Iterable[int],
+        neighborhood_2r1: Set[int],
+        neighborhood_r: Set[int],
     ) -> None:
         self.vertex = vertex
-        self.neighborhood_2r1: Set[int] = set(neighborhood_2r1)
-        self.neighborhood_r: Set[int] = set(neighborhood_r)
-        if vertex not in self.neighborhood_2r1 or vertex not in self.neighborhood_r:
+        self.neighborhood_2r1 = neighborhood_2r1
+        self.neighborhood_r = neighborhood_r
+        if vertex not in neighborhood_2r1 or vertex not in neighborhood_r:
             raise ValueError("neighbourhoods must contain the vertex itself")
         self.status = VertexStatus.CANDIDATE
-        #: Last known weights of the (2r+1)-hop neighbourhood (self included).
-        self.known_weights: Dict[int, float] = {}
+        #: The decision's weights by vertex id, shared by all vertices, never mutated.
+        self.primed: Sequence[float] = _Unprimed()
+        #: Horizon announcements heard since :meth:`prime` that differ from it.
+        self.heard: Dict[int, float] = {}
         #: The (2r+1)-hop neighbourhood minus self, minus every vertex known
         #: to be a Winner or Loser.  Terminal statuses are never re-added.
-        self.undecided: Set[int] = self.neighborhood_2r1 - {vertex}
+        self.undecided: Set[int] = neighborhood_2r1 - {vertex}
 
     # ------------------------------------------------------------------
-    # Knowledge updates (driven by received messages)
+    # Knowledge updates (primed, then driven by received messages)
     # ------------------------------------------------------------------
+    def prime(self, weights: Sequence[float]) -> None:
+        """Know ``weights`` (by vertex id, kept by reference) before any announcement."""
+        self.primed = weights
+
     def observe_weight(self, vertex: int, weight: float) -> None:
         """Record a weight announcement for a vertex in the knowledge horizon.
 
@@ -81,7 +95,11 @@ class VertexAgent:
         in the real protocol.
         """
         if vertex in self.neighborhood_2r1:
-            self.known_weights[vertex] = float(weight)
+            weight = float(weight)
+            if weight == self.primed[vertex]:
+                self.heard.pop(vertex, None)
+            else:
+                self.heard[vertex] = weight
 
     def observe_status(self, vertex: int, status: VertexStatus) -> None:
         """Record a status determination for a vertex in the knowledge horizon.
@@ -105,9 +123,15 @@ class VertexAgent:
     # ------------------------------------------------------------------
     # Queries used by Algorithm 3
     # ------------------------------------------------------------------
+    def known_weight(self, vertex: int, default: Optional[float] = None) -> Optional[float]:
+        """The last weight known for ``vertex``; ``default`` outside the horizon."""
+        if vertex not in self.neighborhood_2r1:
+            return default
+        return self.heard.get(vertex, self.primed[vertex])
+
     def own_weight(self) -> float:
         """The weight this vertex currently announces for itself."""
-        return self.known_weights.get(self.vertex, 0.0)
+        return self.heard.get(self.vertex, self.primed[self.vertex])
 
     def candidate_set_r(self, exclude: Optional[Set[int]] = None) -> Set[int]:
         """``A_r(v)``: Candidate vertices (including self) in the r-hop
@@ -122,11 +146,7 @@ class VertexAgent:
         candidates.add(self.vertex)
         return candidates
 
-    def is_local_maximum(
-        self,
-        weights: Mapping[int, float],
-        exclude: Optional[Set[int]] = None,
-    ) -> bool:
+    def is_local_maximum(self, exclude: Optional[Set[int]] = None) -> bool:
         """Line 3 of Algorithm 3: is this vertex the maximum-weight Candidate
         of its (2r+1)-hop neighbourhood?
 
@@ -139,10 +159,11 @@ class VertexAgent:
         """
         if self.status != VertexStatus.CANDIDATE:
             return False
-        own = (weights.get(self.vertex, self.own_weight()), -self.vertex)
-        known = self.known_weights
+        heard = self.heard
+        primed = self.primed
+        own = (self.own_weight(), -self.vertex)
         for other in self.undecided:
-            if (weights.get(other, known.get(other, 0.0)), -other) > own and (
+            if (heard.get(other, primed[other]), -other) > own and (
                 not exclude or other not in exclude
             ):
                 return False

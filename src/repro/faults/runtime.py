@@ -36,7 +36,7 @@ in-order asyncio run is bit-identical to the simulated oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.distributed.messages import (
     Accusation,
@@ -47,7 +47,7 @@ from repro.distributed.messages import (
 )
 from repro.distributed.runtime import ProtocolEngine, ProtocolResult, VertexProtocol
 from repro.distributed.transport import Transport
-from repro.distributed.vertex import VertexStatus
+from repro.distributed.vertex import VertexAgent, VertexStatus
 from repro.faults.plan import CRASH_PHASES, FaultPlan
 from repro.faults.quorum import QuorumConfig, QuorumState, termination_bound
 from repro.mwis.base import Adjacency, IndependentSet, MWISSolver, is_independent
@@ -161,8 +161,8 @@ class FaultController:
         fault = self.crashes.get(vertex)
         return fault is not None and self.clock >= fault.crash_time()
 
-    def fake_weight(self, vertex: int, known_weights: Mapping[int, float]) -> float:
-        """The inflated weight Byzantine ``vertex`` announces (memoized).
+    def fake_weight(self, agent: VertexAgent) -> float:
+        """The inflated weight Byzantine ``agent`` announces (memoized).
 
         The claim exceeds the *sum* of all true weights in the vertex's
         (2r+1)-hop horizon, so it wins every election it enters and — the
@@ -171,11 +171,10 @@ class FaultController:
         the primed truth: no runtime randomness, so fault runs stay
         transport-deterministic.
         """
+        vertex = agent.vertex
         cached = self._fake_weights.get(vertex)
         if cached is None:
-            horizon_total = sum(
-                known_weights.get(u, 0.0) for u in self.hood_2r1[vertex]
-            )
+            horizon_total = sum(agent.known_weight(u) for u in self.hood_2r1[vertex])
             cached = horizon_total * 1.5 + 1.0
             self._fake_weights[vertex] = cached
         return cached
@@ -206,7 +205,7 @@ class FaultyVertexProtocol(VertexProtocol):
         if self.behavior is not None:
             # Observe the lie into our own knowledge first, so the base
             # broadcast announces it and our own elections believe it.
-            fake = self._controller.fake_weight(self.vertex, self.agent.known_weights)
+            fake = self._controller.fake_weight(self.agent)
             self.agent.observe_weight(self.vertex, fake)
         return super().announce_weight()
 
@@ -249,7 +248,7 @@ class FaultyVertexProtocol(VertexProtocol):
             for u in self._adjacency[self.vertex]:
                 if u not in agent.undecided:
                     continue
-                key = (agent.known_weights.get(u, 0.0), -u)
+                key = (agent.known_weight(u, 0.0), -u)
                 if partner_key is None or key > partner_key:
                     partner, partner_key = u, key
             if partner is not None:
@@ -319,7 +318,7 @@ class FaultyVertexProtocol(VertexProtocol):
         if isinstance(message, (WeightBroadcast, LeaderDeclaration)):
             # An honest announcement repeats the primed truth bit for bit,
             # so *any* mismatch against current knowledge is hard evidence.
-            known = self.agent.known_weights.get(sender)
+            known = self.agent.known_weight(sender)
             if known is not None and float(message.weight) != known:
                 state.convict(sender, "weight-mismatch")
                 return
@@ -356,13 +355,13 @@ class FaultyVertexProtocol(VertexProtocol):
                     return "dependent-winners"
         agent = self.agent
         sender = message.sender
-        sender_weight = agent.known_weights.get(sender)
+        sender_weight = agent.known_weight(sender)
         if sender_weight is not None:
             sender_key = (sender_weight, -sender)
             for u in self._controller.hood_2r1[sender] & agent.undecided:
                 if u == sender or state.ignores(u):
                     continue
-                weight = agent.known_weights.get(u)
+                weight = agent.known_weight(u)
                 if weight is not None and (weight, -u) > sender_key:
                     return "not-leader"
         return None

@@ -1,9 +1,12 @@
-"""The incremental ``VertexAgent.undecided`` set against a slow oracle.
+"""The agent's incremental knowledge against a slow oracle.
 
-``ReferenceAgent`` keeps a full status map over the (2r+1)-hop horizon and
-re-scans it on every query.  Random horizons, tied weights, ``exclude``
-sets and random sequences of knowledge updates are applied to both; after
-every step the election, ``A_r(v)`` and decidedness must agree.
+``ReferenceAgent`` keeps a full status map and a full weight map over the
+(2r+1)-hop horizon and re-scans them on every query; the real agent keeps
+the ``undecided`` set and the ``heard`` overlay over a shared ``primed``
+vector.  Random horizons, tied weights, ``exclude`` sets and random
+sequences of knowledge updates (lies, re-announced truths and announcements
+from outside the horizon among them) are applied to both; after every step
+the election, ``A_r(v)``, decidedness and every known weight must agree.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distributed.messages import StatusDetermination
+from repro.distributed.messages import StatusDetermination, WeightBroadcast
 from repro.distributed.runtime import VertexProtocol
 from repro.distributed.vertex import VertexStatus
 
@@ -33,9 +36,15 @@ class ReferenceAgent:
         self.weights = {}
         self.statuses = {u: VertexStatus.CANDIDATE for u in self.horizon}
 
+    def prime(self, weights):
+        self.weights = {u: float(weights[u]) for u in self.horizon}
+
     def observe_weight(self, vertex, weight):
         if vertex in self.horizon:
             self.weights[vertex] = float(weight)
+
+    def known_weight(self, vertex):
+        return self.weights.get(vertex, 0.0) if vertex in self.horizon else None
 
     def observe_status(self, vertex, status):
         if vertex not in self.horizon or self.statuses[vertex].is_decided:
@@ -88,16 +97,24 @@ vertex_ids = st.integers(min_value=0, max_value=UNIVERSE - 1)
 
 @st.composite
 def scenarios(draw):
-    """A horizon, its r-hop part, an ``exclude`` set and an update sequence."""
+    """A horizon, its r-hop part, an ``exclude`` set, the primed weight
+    vector (``None``: never primed) and an update sequence."""
     vertex = draw(vertex_ids)
     horizon = draw(st.sets(vertex_ids, max_size=UNIVERSE)) | {vertex}
     hood_r = draw(st.sets(st.sampled_from(sorted(horizon)))) | {vertex}
     exclude = draw(st.one_of(st.none(), st.sets(vertex_ids, max_size=4)))
+    primed = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(LEVELS), min_size=UNIVERSE, max_size=UNIVERSE),
+        )
+    )
     steps = draw(
         st.lists(
             st.one_of(
                 st.tuples(st.just("status"), vertex_ids, statuses),
                 st.tuples(st.just("weight"), vertex_ids, st.sampled_from(LEVELS)),
+                st.tuples(st.just("truth"), vertex_ids),
                 st.tuples(st.just("mark"), statuses),
                 st.tuples(
                     st.just("receive"),
@@ -108,24 +125,25 @@ def scenarios(draw):
             max_size=30,
         )
     )
-    return vertex, horizon, hood_r, exclude, steps
+    return vertex, horizon, hood_r, exclude, primed, steps
 
 
 def assert_agrees(agent, reference, exclude):
     assert agent.status == reference.status
-    assert agent.is_local_maximum(agent.known_weights, exclude=exclude) == (
-        reference.is_local_maximum(exclude)
-    )
+    assert agent.is_local_maximum(exclude=exclude) == reference.is_local_maximum(exclude)
     assert agent.candidate_set_r(exclude=exclude) == reference.candidate_set_r(exclude)
     for u in reference.horizon - {reference.vertex}:
         assert (u not in agent.undecided) == reference.is_decided(u)
     assert agent.undecided <= reference.horizon - {reference.vertex}
+    for u in range(UNIVERSE):
+        assert agent.known_weight(u) == reference.known_weight(u)
+    assert agent.own_weight() == reference.known_weight(reference.vertex)
 
 
 @settings(max_examples=300, deadline=None)
 @given(scenario=scenarios())
 def test_undecided_set_matches_full_status_rescan(scenario):
-    vertex, horizon, hood_r, exclude, steps = scenario
+    vertex, horizon, hood_r, exclude, primed, steps = scenario
     protocol = VertexProtocol(
         vertex,
         transport=None,
@@ -138,6 +156,10 @@ def test_undecided_set_matches_full_status_rescan(scenario):
     agent = protocol.agent
     reference = ReferenceAgent(vertex, horizon, hood_r)
     assert_agrees(agent, reference, exclude)
+    if primed is not None:
+        protocol.prime(primed)
+        reference.prime(primed)
+        assert_agrees(agent, reference, exclude)
     for step in steps:
         kind = step[0]
         if kind == "status":
@@ -146,6 +168,11 @@ def test_undecided_set_matches_full_status_rescan(scenario):
         elif kind == "weight":
             agent.observe_weight(step[1], step[2])
             reference.observe_weight(step[1], step[2])
+        elif kind == "truth":
+            # Re-announce the primed value (after a lie, it must undo it).
+            truth = 0.0 if primed is None else primed[step[1]]
+            protocol.receive(WeightBroadcast(sender=step[1], hop_limit=3, weight=truth))
+            reference.observe_weight(step[1], truth)
         elif kind == "mark":
             try:
                 reference.mark(step[1])

@@ -23,7 +23,8 @@ class TestVertexAgentKnowledge:
     def test_initial_state(self, agent):
         assert agent.status == VertexStatus.CANDIDATE
         assert agent.undecided == {0, 1, 3, 4}
-        assert agent.known_weights == {}
+        assert agent.heard == {}
+        assert all(agent.known_weight(u) == 0.0 for u in range(5))
 
     def test_neighbourhoods_must_contain_self(self):
         with pytest.raises(ValueError):
@@ -31,11 +32,11 @@ class TestVertexAgentKnowledge:
 
     def test_observe_weight_inside_horizon(self, agent):
         agent.observe_weight(1, 3.5)
-        assert agent.known_weights[1] == 3.5
+        assert agent.known_weight(1) == 3.5
 
     def test_observe_weight_outside_horizon_is_ignored(self, agent):
         agent.observe_weight(99, 3.5)
-        assert 99 not in agent.known_weights
+        assert agent.known_weight(99) is None
 
     def test_observe_status_updates_candidates(self, agent):
         agent.observe_status(1, VertexStatus.WINNER)
@@ -76,13 +77,13 @@ class TestVertexAgentMarking:
 class TestLocalMaximum:
     def test_unique_max_weight_is_local_maximum(self, agent):
         weights = {0: 1.0, 1: 2.0, 2: 5.0, 3: 3.0, 4: 0.5}
-        agent.known_weights.update(weights)
-        assert agent.is_local_maximum(agent.known_weights)
+        agent.prime(weights)
+        assert agent.is_local_maximum()
 
     def test_not_local_maximum_when_neighbor_is_heavier(self, agent):
         weights = {0: 1.0, 1: 9.0, 2: 5.0, 3: 3.0, 4: 0.5}
-        agent.known_weights.update(weights)
-        assert not agent.is_local_maximum(agent.known_weights)
+        agent.prime(weights)
+        assert not agent.is_local_maximum()
 
     def test_ties_broken_by_vertex_id(self):
         low_id = VertexAgent(0, {0, 1}, {0, 1})
@@ -90,19 +91,19 @@ class TestLocalMaximum:
         for agent in (low_id, high_id):
             agent.observe_weight(0, 2.0)
             agent.observe_weight(1, 2.0)
-        assert low_id.is_local_maximum(low_id.known_weights)
-        assert not high_id.is_local_maximum(high_id.known_weights)
+        assert low_id.is_local_maximum()
+        assert not high_id.is_local_maximum()
 
     def test_decided_neighbors_are_ignored(self, agent):
         weights = {0: 1.0, 1: 9.0, 2: 5.0, 3: 3.0, 4: 0.5}
-        agent.known_weights.update(weights)
+        agent.prime(weights)
         agent.observe_status(1, VertexStatus.LOSER)
-        assert agent.is_local_maximum(agent.known_weights)
+        assert agent.is_local_maximum()
 
     def test_non_candidate_is_never_local_maximum(self, agent):
-        agent.known_weights.update({v: 1.0 for v in range(5)})
+        agent.prime({v: 1.0 for v in range(5)})
         agent.mark(VertexStatus.LOSER)
-        assert not agent.is_local_maximum(agent.known_weights)
+        assert not agent.is_local_maximum()
 
 
 class TestCandidateSets:
