@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.channels.state import ChannelState
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph
 from repro.graph.topology import connected_random_network, linear_network
+from repro.spec import apply_overrides, get_scenario
 
 
 @pytest.fixture
@@ -61,3 +64,38 @@ def small_channel_state(rng):
 def line_graph():
     """The Fig. 5 worst-case linear network (8 nodes, 2 channels)."""
     return linear_network(8, 2, spacing=1.0, radius=1.0)
+
+
+def _shrunk_spec(name):
+    """The registered spec, scaled down so every preset runs in well under
+    a second while still exercising its full code path."""
+    spec = get_scenario(name)
+    mode = spec.schedule.mode
+    overrides = {}
+    if mode == "per-round":
+        overrides["schedule.num_rounds"] = min(spec.schedule.num_rounds, 30)
+        overrides["replication.replications"] = min(
+            spec.replication.replications, 2
+        )
+    elif mode == "periodic":
+        overrides["schedule.num_periods"] = min(spec.schedule.num_periods, 3)
+        overrides["replication.replications"] = min(
+            spec.replication.replications, 2
+        )
+        spec = dataclasses.replace(
+            spec,
+            schedule=dataclasses.replace(
+                spec.schedule, periods=spec.schedule.periods[:2]
+            ),
+        )
+    elif mode == "protocol" and len(spec.network_sweep) > 1:
+        spec = dataclasses.replace(
+            spec, network_sweep=(min(spec.network_sweep),)
+        )
+    return apply_overrides(spec, overrides)
+
+
+@pytest.fixture
+def shrunk_spec():
+    """``shrunk_spec(name)``: a registered preset, shrunk for the suite."""
+    return _shrunk_spec

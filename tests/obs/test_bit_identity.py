@@ -8,8 +8,6 @@ the delivery path.  The preset list is discovered from the registry, so
 new presets are covered automatically.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.obs import NULL_OBSERVER, TracingObserver, current_observer, use_observer
@@ -20,35 +18,6 @@ ALL_PRESETS = default_registry().names()
 PROTOCOL_PRESETS = [
     name for name in ALL_PRESETS if get_scenario(name).schedule.mode == "protocol"
 ]
-
-
-def shrunk_spec(name):
-    """The registered spec, scaled down so every preset runs in well under
-    a second while still exercising its full code path."""
-    spec = get_scenario(name)
-    mode = spec.schedule.mode
-    overrides = {}
-    if mode == "per-round":
-        overrides["schedule.num_rounds"] = min(spec.schedule.num_rounds, 30)
-        overrides["replication.replications"] = min(
-            spec.replication.replications, 2
-        )
-    elif mode == "periodic":
-        overrides["schedule.num_periods"] = min(spec.schedule.num_periods, 3)
-        overrides["replication.replications"] = min(
-            spec.replication.replications, 2
-        )
-        spec = dataclasses.replace(
-            spec,
-            schedule=dataclasses.replace(
-                spec.schedule, periods=spec.schedule.periods[:2]
-            ),
-        )
-    elif mode == "protocol" and len(spec.network_sweep) > 1:
-        spec = dataclasses.replace(
-            spec, network_sweep=(min(spec.network_sweep),)
-        )
-    return apply_overrides(spec, overrides)
 
 
 def comparable_envelope(result):
@@ -76,7 +45,7 @@ def test_registry_is_not_empty():
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
-def test_traced_envelope_is_bit_identical(name):
+def test_traced_envelope_is_bit_identical(name, shrunk_spec):
     untraced, traced, observer = traced_and_untraced(shrunk_spec(name))
     assert traced == untraced
     # The trace actually recorded the run — tracing silently disabled
@@ -86,14 +55,14 @@ def test_traced_envelope_is_bit_identical(name):
 
 
 @pytest.mark.parametrize("name", PROTOCOL_PRESETS)
-def test_traced_asyncio_envelope_is_bit_identical(name):
+def test_traced_asyncio_envelope_is_bit_identical(name, shrunk_spec):
     spec = apply_overrides(shrunk_spec(name), {"transport.kind": "asyncio"})
     untraced, traced, observer = traced_and_untraced(spec)
     assert traced == untraced
     assert observer.metrics.counter_value("net.deliveries") > 0
 
 
-def test_traced_lossy_run_matches_its_untraced_twin():
+def test_traced_lossy_run_matches_its_untraced_twin(shrunk_spec):
     # Lossy runs diverge from the oracle but must still be deterministic
     # under tracing: same seed, same drops, same envelope.
     spec = apply_overrides(
@@ -105,7 +74,7 @@ def test_traced_lossy_run_matches_its_untraced_twin():
     assert observer.metrics.counter_value("net.dropped") > 0
 
 
-def test_observer_artifact_rides_along_when_tracing():
+def test_observer_artifact_rides_along_when_tracing(shrunk_spec):
     spec = shrunk_spec("fig6-smoke")
     observer = TracingObserver()
     with use_observer(observer):
@@ -115,7 +84,7 @@ def test_observer_artifact_rides_along_when_tracing():
     assert "artifacts" not in result.to_dict()
 
 
-def test_untraced_run_attaches_no_observer():
+def test_untraced_run_attaches_no_observer(shrunk_spec):
     result = run_scenario(shrunk_spec("fig6-smoke"))
     assert "observability" not in result.artifacts
     assert current_observer() is NULL_OBSERVER
