@@ -26,7 +26,7 @@ from repro.graph.extended import ExtendedConflictGraph
 from repro.mwis.base import MWISSolver
 from repro.mwis.exact import ExactMWISSolver
 from repro.sim.batch import BatchResult, BatchSimulator, child_seed_sequences
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, check_shape
 from repro.sim.periodic import PeriodicResult, PeriodicSimulator
 from repro.sim.results import SimulationResult
 from repro.sim.timing import TimingConfig
@@ -70,13 +70,7 @@ class ChannelAccessSystem:
         timing: Optional[TimingConfig] = None,
         seed: Optional[int] = None,
     ) -> None:
-        if (
-            channels.num_nodes != conflict_graph.num_nodes
-            or channels.num_channels != conflict_graph.num_channels
-        ):
-            raise ValueError(
-                "channel state shape does not match the conflict graph"
-            )
+        check_shape("channel state", channels, "the conflict graph", conflict_graph)
         self.conflict_graph = conflict_graph
         self.extended_graph = ExtendedConflictGraph(conflict_graph)
         self.channels = channels

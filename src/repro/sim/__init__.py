@@ -2,16 +2,19 @@
 
 * :mod:`repro.sim.timing` -- the round structure of Fig. 2 / Table II, the
   effective-throughput factor ``theta = t_d / t_a`` and the Table II report.
-* :mod:`repro.sim.engine` -- the per-round simulator (Algorithm 2's outer loop).
+* :mod:`repro.sim.engine` -- the per-round simulator and the one
+  decide → play → observe loop (Algorithm 2's outer loop) that every
+  simulator below runs.
 * :mod:`repro.sim.batch` -- seed-streamed batch runner for ``R`` independent
   replications of one policy.
 * :mod:`repro.sim.backends` -- pluggable serial / thread / process executors
-  shared by batches and parameter sweeps.
+  and the one traced replication fan-out shared by batches, the periodic
+  and dynamic scenario runners and parameter sweeps.
 * :mod:`repro.sim.periodic` -- periodic (stale-weight) update simulation of
-  Section V-C.
+  Section V-C: the same loop, each decision played for ``y`` slots.
 * :mod:`repro.sim.dynamic` -- simulation under topology dynamics (churn,
-  mobility, link flapping) threading :mod:`repro.dynamics` event schedules
-  between learning rounds.
+  mobility, link flapping): the same loop, applying :mod:`repro.dynamics`
+  event schedules before each decision.
 * :mod:`repro.sim.results` -- result containers.
 * :mod:`repro.sim.metrics` -- small numeric helpers shared by the experiments.
 """

@@ -1,9 +1,8 @@
 """Pluggable execution backends for embarrassingly parallel work units.
 
-One tiny abstraction serves both replication batches
-(:class:`repro.sim.batch.BatchSimulator`) and parameter sweeps
+One tiny abstraction serves every replication fan-out and parameter sweeps
 (:mod:`repro.sweep`): a backend maps a function over an ordered list of work
-items and returns the results in the same order.
+items and returns the results in the same order (through :func:`fan_out`).
 
 * ``serial`` — run in the calling thread; zero overhead, always available.
 * ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; cheap to
@@ -21,6 +20,8 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Sequence, Union
 
+from repro.obs import current_observer
+
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
@@ -28,6 +29,7 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "ensure_picklable",
+    "fan_out",
     "resolve_backend",
 ]
 
@@ -146,3 +148,24 @@ def resolve_backend(
     raise TypeError(
         f"backend must be a name or an ExecutionBackend, got {type(backend).__name__}"
     )
+
+
+def fan_out(
+    executor: ExecutionBackend, fn: Callable, items: Sequence, jobs: int
+) -> List:
+    """``executor.map(fn, items, jobs)`` with serial and thread workers traced.
+
+    Those re-enter the caller's observer and innermost open span (observers
+    are context-local); process workers run untraced, as observers do not
+    cross pickling boundaries.
+    """
+    if isinstance(executor, ProcessBackend):
+        return executor.map(fn, items, jobs)
+    obs = current_observer()
+    parent_span = obs.current_span_id()
+
+    def traced(item):
+        with obs.activate(parent_span):
+            return fn(item)
+
+    return executor.map(traced, items, jobs)

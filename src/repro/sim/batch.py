@@ -17,6 +17,7 @@ run bit for bit when the simulator is handed the matching spawned stream
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -29,9 +30,10 @@ from repro.sim.backends import (
     ExecutionBackend,
     ProcessBackend,
     ensure_picklable,
+    fan_out,
     resolve_backend,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, check_shape
 from repro.sim.results import SimulationResult
 from repro.sim.timing import TimingConfig
 
@@ -133,14 +135,6 @@ class BatchResult:
         """Replication-averaged per-round expected throughput."""
         return self.expected_reward_matrix().mean(axis=0)
 
-    def mean_observed_rewards(self) -> np.ndarray:
-        """Replication-averaged per-round observed throughput."""
-        return self.observed_reward_matrix().mean(axis=0)
-
-    def std_expected_rewards(self) -> np.ndarray:
-        """Across-replication standard deviation of the expected throughput."""
-        return self.expected_reward_matrix().std(axis=0)
-
     def mean_regret_trace(self) -> np.ndarray:
         """Replication-averaged cumulative (ideal) regret trace.
 
@@ -188,12 +182,7 @@ class BatchSimulator:
         optimal_value: Optional[float] = None,
         seed: Optional[int] = None,
     ) -> None:
-        if channels.num_nodes != graph.num_nodes or channels.num_channels != graph.num_channels:
-            raise ValueError(
-                "channel state shape "
-                f"({channels.num_nodes}x{channels.num_channels}) does not match "
-                f"the graph ({graph.num_nodes}x{graph.num_channels})"
-            )
+        check_shape("channel state", channels, "the graph", graph)
         self._graph = graph
         self._channels = channels
         self._timing = timing if timing is not None else TimingConfig.paper_defaults()
@@ -252,8 +241,6 @@ class BatchSimulator:
             raise ValueError(f"num_rounds must be positive, got {num_rounds}")
         if replications <= 0:
             raise ValueError(f"replications must be positive, got {replications}")
-        if jobs <= 0:
-            raise ValueError(f"jobs must be positive, got {jobs}")
         if first_replication < 0:
             raise ValueError(
                 f"first_replication must be non-negative, got {first_replication}"
@@ -267,81 +254,37 @@ class BatchSimulator:
         executor = resolve_backend(
             backend, default="thread" if jobs > 1 else "serial"
         )
+        if isinstance(executor, ProcessBackend):
+            ensure_picklable(policy_factory, f"the policy factory {policy_factory!r}")
+        run_one = partial(
+            _run_replication, self._graph, self._channels, self._timing,
+            self._optimal_value, policy_factory, num_rounds,
+        )
         children = child_seed_sequences(
             self._seed, replications, first=first_replication
         )
-        indices = range(first_replication, first_replication + replications)
-        obs = current_observer()
-        with obs.span(
+        with current_observer().span(
             "sim.batch", replications=replications, num_rounds=num_rounds
         ):
-            # Observers are context-local; thread-pool workers start from a
-            # fresh context, so capture the observer and the batch span here
-            # and re-enter both inside the worker.  The process backend runs
-            # its replications untraced (observers do not cross pickling
-            # boundaries).
-            parent_span = obs.current_span_id()
-            if isinstance(executor, ProcessBackend):
-                ensure_picklable(
-                    policy_factory, f"the policy factory {policy_factory!r}"
-                )
-                payloads = [
-                    (
-                        self._graph,
-                        self._channels,
-                        self._timing,
-                        self._optimal_value,
-                        child,
-                        policy_factory,
-                        index,
-                        num_rounds,
-                    )
-                    for child, index in zip(children, indices)
-                ]
-                results = executor.map(_run_replication_payload, payloads, jobs)
-            else:
-
-                def run_one(index: int) -> SimulationResult:
-                    with obs.activate(parent_span):
-                        with obs.span("sim.replication", replication=index):
-                            policy = policy_factory(index)
-                            simulator = Simulator(
-                                self._graph,
-                                self._channels,
-                                timing=self._timing,
-                                optimal_value=self._optimal_value,
-                                rng=np.random.default_rng(
-                                    children[index - first_replication]
-                                ),
-                            )
-                            return simulator.run(policy, num_rounds)
-
-                results = executor.map(run_one, list(indices), jobs)
+            results = fan_out(
+                executor, run_one, list(enumerate(children, first_replication)), jobs
+            )
         return BatchResult(policy_name=results[0].policy_name, results=results)
 
 
-def _run_replication_payload(payload) -> SimulationResult:
-    """Process-pool work unit: one replication, rebuilt from a pickled payload.
-
-    Module-level (not a closure) so it can cross process boundaries under
-    any multiprocessing start method.
-    """
-    (
-        graph,
-        channels,
-        timing,
-        optimal_value,
-        child,
-        policy_factory,
-        index,
-        num_rounds,
-    ) = payload
-    policy = policy_factory(index)
-    simulator = Simulator(
-        graph,
-        channels,
-        timing=timing,
-        optimal_value=optimal_value,
-        rng=np.random.default_rng(child),
-    )
-    return simulator.run(policy, num_rounds)
+def _run_replication(
+    graph, channels, timing, optimal_value, policy_factory, num_rounds, replication
+) -> SimulationResult:
+    """Replication ``(index, seed sequence)`` under a ``sim.replication`` span
+    (module-level, so it crosses process boundaries under any start method)."""
+    index, child = replication
+    with current_observer().span("sim.replication", replication=index):
+        policy = policy_factory(index)
+        simulator = Simulator(
+            graph,
+            channels,
+            timing=timing,
+            optimal_value=optimal_value,
+            rng=np.random.default_rng(child),
+        )
+        return simulator.run(policy, num_rounds)

@@ -37,6 +37,7 @@ from repro.dynamics.graph import index_frame
 from repro.mwis.base import MWISSolver
 from repro.mwis.local import solve_local_mwis
 from repro.obs import current_observer
+from repro.sim.engine import check_shape, learning_loop
 from repro.sim.timing import TimingConfig
 
 __all__ = ["DynamicRoundRecord", "EventBatchRecord", "DynamicRunResult", "DynamicSimulator"]
@@ -176,15 +177,7 @@ class DynamicSimulator:
         frame=None,
     ) -> None:
         topology = engine.topology
-        if (
-            channels.num_nodes != topology.num_nodes
-            or channels.num_channels != topology.num_channels
-        ):
-            raise ValueError(
-                "channel state shape "
-                f"({channels.num_nodes}x{channels.num_channels}) does not match "
-                f"the topology ({topology.num_nodes}x{topology.num_channels})"
-            )
+        check_shape("channel state", channels, "the topology", topology)
         if engine.num_event_batches:
             raise ValueError(
                 "the engine has already applied events; build a fresh engine "
@@ -199,20 +192,10 @@ class DynamicSimulator:
         self._optimal_solver = optimal_solver
         # Static index frame: vertex <-> (node, channel) never changes, only
         # edges do; feasibility is checked against the live graph instead.
-        if frame is not None and (
-            frame.num_nodes != topology.num_nodes
-            or frame.num_channels != topology.num_channels
-        ):
-            raise ValueError(
-                f"index frame shape ({frame.num_nodes}x{frame.num_channels}) "
-                f"does not match the topology "
-                f"({topology.num_nodes}x{topology.num_channels})"
-            )
-        self._index_graph = (
-            frame
-            if frame is not None
-            else index_frame(topology.num_nodes, topology.num_channels)
-        )
+        if frame is None:
+            frame = index_frame(topology.num_nodes, topology.num_channels)
+        check_shape("index frame", frame, "the topology", topology)
+        self._index_graph = frame
         self._consumed = False
 
     @property
@@ -268,74 +251,67 @@ class DynamicSimulator:
         result = DynamicRunResult(policy_name=policy.name)
         optimal_value = self._optimal_value()
         obs = current_observer()
-        with obs.span("sim.dynamic_run", policy=policy.name, num_rounds=num_rounds):
-            self._run_rounds(policy, num_rounds, result, optimal_value, obs)
-        return result
 
-    def _run_rounds(self, policy, num_rounds, result, optimal_value, obs) -> None:
-        for round_index in range(1, num_rounds + 1):
-            with obs.span("sim.round", round=round_index):
-                started_at = time.perf_counter()
-                events = self._schedule.events_for_round(round_index)
-                report = None
-                if events:
-                    with obs.span(
-                        "dynamics.apply_events",
-                        round=round_index,
-                        num_events=len(events),
-                    ):
-                        report = self._engine.apply_events(events)
-                        optimal_value = self._optimal_value()
-                    obs.count("dynamics.events_applied", len(events))
-                solves_before = self._total_solves()
-                decision_started = time.perf_counter()
-                strategy = policy.select_strategy(round_index)
-                obs.observe(
-                    "sim.select_strategy_s", time.perf_counter() - decision_started
-                )
-                self._validate_strategy(strategy)
+        def apply_events(round_index: int):
+            nonlocal optimal_value
+            events = self._schedule.events_for_round(round_index)
+            report = None
+            if events:
+                with obs.span(
+                    "dynamics.apply_events",
+                    round=round_index,
+                    num_events=len(events),
+                ):
+                    report = self._engine.apply_events(events)
+                    optimal_value = self._optimal_value()
+                obs.count("dynamics.events_applied", len(events))
+            return len(events), report, self._total_solves()
+
+        steps = learning_loop(
+            policy, num_rounds, self._index_graph, self._channels, self._rng,
+            check=self._validate_strategy, before_decision=apply_events,
+        )
+        with obs.span("sim.dynamic_run", policy=policy.name, num_rounds=num_rounds):
+            for step in steps:
+                num_events, report, solves_before = step.context
                 # The protocol builds a fresh message network per decision, so
                 # the communication counters are already per-round quantities.
                 # A round in which the policy decided without running the
                 # protocol (epoch-based policies) costs nothing.
                 if self._total_solves() > solves_before:
-                    mini_rounds, round_messages, round_deliveries = (
-                        self._decision_costs()
-                    )
+                    mini_rounds, messages, deliveries = self._decision_costs()
                 else:
-                    mini_rounds, round_messages, round_deliveries = 0, 0, 0
-                arms = strategy.arm_array(self._index_graph)
-                values = self._channels.sample_arm_array(arms, self._rng)
-                policy.observe_arms(round_index, strategy, arms, values)
-                expected_reward = self._channels.expected_reward_arms(arms)
-                record = DynamicRoundRecord(
-                    round_index=round_index,
-                    strategy=strategy,
-                    expected_reward=expected_reward,
-                    observed_reward=float(values.sum()),
-                    active_nodes=self._engine.topology.num_active,
-                    num_events=len(events),
-                    mini_rounds=mini_rounds,
-                    messages=round_messages,
-                    deliveries=round_deliveries,
-                    optimal_value=optimal_value,
-                    duration_s=time.perf_counter() - started_at,
+                    mini_rounds, messages, deliveries = 0, 0, 0
+                result.rounds.append(
+                    DynamicRoundRecord(
+                        round_index=step.index,
+                        strategy=step.strategy,
+                        expected_reward=step.expected_reward,
+                        observed_reward=step.rewards[0],
+                        active_nodes=self._engine.topology.num_active,
+                        num_events=num_events,
+                        mini_rounds=mini_rounds,
+                        messages=messages,
+                        deliveries=deliveries,
+                        optimal_value=optimal_value,
+                        duration_s=time.perf_counter() - step.started_at,
+                    )
                 )
-                result.rounds.append(record)
                 if report is not None:
                     result.event_batches.append(
                         EventBatchRecord(
-                            round_index=round_index,
+                            round_index=step.index,
                             num_events=report.num_events,
                             touched_vertices=report.touched_vertices,
                             recomputed_neighborhoods=report.recomputed_neighborhoods,
                             active_nodes=report.active_nodes,
                             num_edges=report.num_edges,
                             reconvergence_mini_rounds=mini_rounds,
-                            messages=round_messages,
-                            deliveries=round_deliveries,
+                            messages=messages,
+                            deliveries=deliveries,
                         )
                     )
+        return result
 
     # ------------------------------------------------------------------
     # Internals

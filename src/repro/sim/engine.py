@@ -12,12 +12,16 @@ and drives one policy through ``n`` rounds:
 Every produced strategy is checked to be an independent set of ``H`` — a
 conflicting assignment would invalidate the throughput accounting, so it is
 treated as a hard error rather than silently scored.
+
+:func:`learning_loop` is this loop for every simulator of :mod:`repro.sim`;
+the periodic one plays each decision for ``y`` slots, the dynamic one applies
+topology events in its ``before_decision`` hook.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +35,98 @@ from repro.sim.results import RoundRecord, SimulationResult
 from repro.sim.timing import TimingConfig
 
 __all__ = ["Simulator"]
+
+
+def check_shape(what: str, obj, against: str, target) -> None:
+    """Raise a :class:`ValueError` unless ``obj`` is ``target``'s ``N x M``."""
+    if obj.num_nodes != target.num_nodes or obj.num_channels != target.num_channels:
+        raise ValueError(
+            f"{what} shape ({obj.num_nodes}x{obj.num_channels}) does not match "
+            f"{against} ({target.num_nodes}x{target.num_channels})"
+        )
+
+
+class Step(NamedTuple):
+    """One decision of :func:`learning_loop`: its round (or period) index,
+    the strategy, the observed reward of each slot it played, its expected
+    reward, its index weight (``None`` unless requested and available), what
+    ``before_decision`` returned and ``perf_counter()`` at its start."""
+
+    index: int
+    strategy: Strategy
+    rewards: List[float]
+    expected_reward: float
+    estimated_weight: Optional[float]
+    context: object
+    started_at: float
+
+
+def learning_loop(
+    policy: Policy,
+    num_steps: int,
+    arm_graph: ExtendedConflictGraph,
+    channels: ChannelState,
+    rng: np.random.Generator,
+    *,
+    span: Tuple[str, str] = ("sim.round", "round"),
+    slots: int = 1,
+    estimate: bool = False,
+    check: Optional[Callable[[Strategy], None]] = None,
+    before_decision: Optional[Callable[[int], object]] = None,
+) -> Iterator[Step]:
+    """Yield ``num_steps`` decide → play → observe steps of ``policy``.
+
+    Step ``k`` runs ``before_decision(k)``, decides at slot
+    ``t = (k - 1) * slots + 1``, checks the strategy (by default: independent
+    on ``arm_graph``) and plays it for ``slots`` slots, all inside a span
+    ``span[0]`` with attribute ``span[1] = k``.  The step is yielded after
+    its span closes, before step ``k + 1`` starts.
+    """
+    obs = current_observer()
+    span_name, span_attr = span
+    for index in range(1, num_steps + 1):
+        with obs.span(span_name, **{span_attr: index}):
+            started_at = time.perf_counter()
+            context = before_decision(index) if before_decision is not None else None
+            slot = (index - 1) * slots + 1
+            decision_started = time.perf_counter()
+            strategy = policy.select_strategy(slot)
+            obs.observe("sim.select_strategy_s", time.perf_counter() - decision_started)
+            if check is not None:
+                check(strategy)
+            elif not strategy.is_feasible(arm_graph):
+                raise RuntimeError(
+                    f"policy produced an infeasible strategy: {strategy!r}"
+                )
+            arms = strategy.arm_array(arm_graph)
+            estimated_weight = (
+                _estimated_weight(policy, slot, arms) if estimate else None
+            )
+            rewards = []
+            for offset in range(slots):
+                values = channels.sample_arm_array(arms, rng)
+                rewards.append(float(values.sum()))
+                policy.observe_arms(slot + offset, strategy, arms, values)
+            expected_reward = channels.expected_reward_arms(arms)
+        yield Step(
+            index, strategy, rewards, expected_reward, estimated_weight, context, started_at
+        )
+
+
+def _estimated_weight(
+    policy: Policy, round_index: int, arms: np.ndarray
+) -> Optional[float]:
+    """Weight the policy's own index assigns to the played strategy.
+
+    Only available for index-based policies exposing ``estimated_weights``;
+    other policies simply record ``None``.  The sum is a single vectorized
+    gather over the arm-index array.
+    """
+    estimated_weights = getattr(policy, "estimated_weights", None)
+    if not callable(estimated_weights):
+        return None
+    weights = np.asarray(estimated_weights(round_index), dtype=float)
+    return float(weights[arms].sum())
 
 
 class Simulator:
@@ -59,12 +155,7 @@ class Simulator:
         optimal_value: Optional[float] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if channels.num_nodes != graph.num_nodes or channels.num_channels != graph.num_channels:
-            raise ValueError(
-                "channel state shape "
-                f"({channels.num_nodes}x{channels.num_channels}) does not match "
-                f"the graph ({graph.num_nodes}x{graph.num_channels})"
-            )
+        check_shape("channel state", channels, "the graph", graph)
         self._graph = graph
         self._channels = channels
         self._timing = timing if timing is not None else TimingConfig.paper_defaults()
@@ -94,63 +185,21 @@ class Simulator:
             optimal_value=self._optimal_value, theta=self._timing.theta
         )
         result = SimulationResult(policy_name=policy.name, tracker=tracker)
-        obs = current_observer()
-        with obs.span("sim.run", policy=policy.name, num_rounds=num_rounds):
-            for round_index in range(1, num_rounds + 1):
-                with obs.span("sim.round", round=round_index):
-                    started_at = time.perf_counter()
-                    strategy = policy.select_strategy(round_index)
-                    obs.observe(
-                        "sim.select_strategy_s", time.perf_counter() - started_at
-                    )
-                    self._validate_strategy(strategy)
-                    record = self._play_round(policy, round_index, strategy, started_at)
-                    result.rounds.append(record)
-                    tracker.record(record.expected_reward, record.observed_reward)
-        return result
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _validate_strategy(self, strategy: Strategy) -> None:
-        if not strategy.is_feasible(self._graph):
-            raise RuntimeError(
-                f"policy produced an infeasible strategy: {strategy!r}"
-            )
-
-    def _play_round(
-        self,
-        policy: Policy,
-        round_index: int,
-        strategy: Strategy,
-        started_at: float,
-    ) -> RoundRecord:
-        arms = strategy.arm_array(self._graph)
-        values = self._channels.sample_arm_array(arms, self._rng)
-        estimated_weight = self._estimated_strategy_weight(policy, round_index, arms)
-        policy.observe_arms(round_index, strategy, arms, values)
-        expected_reward = self._channels.expected_reward_arms(arms)
-        observed_reward = float(values.sum())
-        return RoundRecord(
-            round_index=round_index,
-            strategy=strategy,
-            expected_reward=expected_reward,
-            observed_reward=observed_reward,
-            estimated_weight=estimated_weight,
-            duration_s=time.perf_counter() - started_at,
+        steps = learning_loop(
+            policy, num_rounds, self._graph, self._channels, self._rng, estimate=True
         )
-
-    def _estimated_strategy_weight(
-        self, policy: Policy, round_index: int, arms: np.ndarray
-    ) -> Optional[float]:
-        """Weight the policy's own index assigns to the played strategy.
-
-        Only available for index-based policies exposing
-        ``estimated_weights``; other policies simply record ``None``.
-        The sum is a single vectorized gather over the arm-index array.
-        """
-        estimated_weights = getattr(policy, "estimated_weights", None)
-        if not callable(estimated_weights):
-            return None
-        weights = np.asarray(estimated_weights(round_index), dtype=float)
-        return float(weights[arms].sum())
+        with current_observer().span("sim.run", policy=policy.name, num_rounds=num_rounds):
+            for step in steps:
+                observed_reward = step.rewards[0]
+                result.rounds.append(
+                    RoundRecord(
+                        round_index=step.index,
+                        strategy=step.strategy,
+                        expected_reward=step.expected_reward,
+                        observed_reward=observed_reward,
+                        estimated_weight=step.estimated_weight,
+                        duration_s=time.perf_counter() - step.started_at,
+                    )
+                )
+                tracker.record(step.expected_reward, observed_reward)
+        return result

@@ -20,7 +20,6 @@ The experiment of Fig. 8 tracks the running averages of both quantities for
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -31,6 +30,7 @@ from repro.core.policies import Policy
 from repro.core.strategy import Strategy
 from repro.graph.extended import ExtendedConflictGraph
 from repro.obs import current_observer
+from repro.sim.engine import check_shape, learning_loop
 from repro.sim.metrics import running_average
 from repro.sim.timing import TimingConfig
 
@@ -77,10 +77,6 @@ class PeriodicResult:
         """Per-period estimated throughput W_P(z)."""
         return np.array([r.estimated_throughput for r in self.records], dtype=float)
 
-    def expected_throughputs(self) -> np.ndarray:
-        """Per-period expected (true-mean) throughput."""
-        return np.array([r.expected_throughput for r in self.records], dtype=float)
-
     def average_actual_trace(self) -> np.ndarray:
         """Running average of the actual throughput (the paper's R~_P(z))."""
         return running_average(self.actual_throughputs())
@@ -103,12 +99,7 @@ class PeriodicSimulator:
     ) -> None:
         if period_slots < 1:
             raise ValueError(f"period_slots must be >= 1, got {period_slots}")
-        if channels.num_nodes != graph.num_nodes or channels.num_channels != graph.num_channels:
-            raise ValueError(
-                "channel state shape "
-                f"({channels.num_nodes}x{channels.num_channels}) does not match "
-                f"the graph ({graph.num_nodes}x{graph.num_channels})"
-            )
+        check_shape("channel state", channels, "the graph", graph)
         self._graph = graph
         self._channels = channels
         self._period_slots = period_slots
@@ -138,63 +129,33 @@ class PeriodicSimulator:
         period_time = y * t_a
         estimation_scale = ((y - 1) * t_a + t_d) / period_time
 
-        obs = current_observer()
-        with obs.span(
+        steps = learning_loop(
+            policy, num_periods, self._graph, self._channels, self._rng,
+            span=("sim.period", "period"), slots=y, estimate=True,
+        )
+        with current_observer().span(
             "sim.periodic_run",
             policy=policy.name,
             period_slots=y,
             num_periods=num_periods,
         ):
-            for period in range(1, num_periods + 1):
-                with obs.span("sim.period", period=period):
-                    decision_slot = (period - 1) * y + 1
-                    decision_started = time.perf_counter()
-                    strategy = policy.select_strategy(decision_slot)
-                    obs.observe(
-                        "sim.select_strategy_s",
-                        time.perf_counter() - decision_started,
+            for step in steps:
+                weighted_observed = 0.0
+                for offset, slot_reward in enumerate(step.rewards):
+                    # First slot of the period loses t_s to the strategy decision.
+                    weighted_observed += slot_reward * (t_d if offset == 0 else t_a)
+                estimated_weight = step.estimated_weight
+                result.records.append(
+                    PeriodRecord(
+                        period_index=step.index,
+                        strategy=step.strategy,
+                        actual_throughput=weighted_observed / period_time,
+                        estimated_throughput=(
+                            estimated_weight * estimation_scale
+                            if estimated_weight is not None
+                            else float("nan")
+                        ),
+                        expected_throughput=step.expected_reward * estimation_scale,
                     )
-                    if not strategy.is_feasible(self._graph):
-                        raise RuntimeError(
-                            f"policy produced an infeasible strategy: {strategy!r}"
-                        )
-                    arms = strategy.arm_array(self._graph)
-                    estimated_weight = self._estimated_strategy_weight(
-                        policy, decision_slot, arms
-                    )
-                    weighted_observed = 0.0
-                    for slot_offset in range(y):
-                        slot_index = decision_slot + slot_offset
-                        values = self._channels.sample_arm_array(arms, self._rng)
-                        slot_reward = float(values.sum())
-                        # First slot of the period loses t_s to the strategy decision.
-                        slot_weight = t_d if slot_offset == 0 else t_a
-                        weighted_observed += slot_reward * slot_weight
-                        policy.observe_arms(slot_index, strategy, arms, values)
-                    actual_throughput = weighted_observed / period_time
-                    expected_reward = self._channels.expected_reward_arms(arms)
-                    expected_throughput = expected_reward * estimation_scale
-                    estimated_throughput = (
-                        estimated_weight * estimation_scale
-                        if estimated_weight is not None
-                        else float("nan")
-                    )
-                    result.records.append(
-                        PeriodRecord(
-                            period_index=period,
-                            strategy=strategy,
-                            actual_throughput=actual_throughput,
-                            estimated_throughput=estimated_throughput,
-                            expected_throughput=expected_throughput,
-                        )
-                    )
+                )
         return result
-
-    def _estimated_strategy_weight(
-        self, policy: Policy, round_index: int, arms: np.ndarray
-    ) -> Optional[float]:
-        estimated_weights = getattr(policy, "estimated_weights", None)
-        if not callable(estimated_weights):
-            return None
-        weights = np.asarray(estimated_weights(round_index), dtype=float)
-        return float(weights[arms].sum())

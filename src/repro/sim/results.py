@@ -43,8 +43,6 @@ class SimulationResult:
     policy_name: str
     rounds: List[RoundRecord] = field(default_factory=list)
     tracker: RegretTracker = field(default_factory=RegretTracker)
-    #: Optional extra information (communication costs, solver statistics...).
-    info: Dict[str, object] = field(default_factory=dict)
 
     @property
     def num_rounds(self) -> int:

@@ -25,7 +25,7 @@ from repro.graph.extended import ExtendedConflictGraph
 from repro.mwis.greedy import GreedyMWISSolver
 from repro.obs import current_observer
 from repro.reporting import render_series, render_table
-from repro.sim.backends import ThreadBackend
+from repro.sim.backends import ThreadBackend, fan_out
 from repro.sim.batch import child_seed_sequences
 from repro.sim.timing import TimingConfig
 from repro.spec.scenario import ScenarioSpec, SpecError
@@ -214,8 +214,9 @@ def _per_round_policy_series(
 ) -> None:
     """Fill one policy's per-round series from its ``(R, T)`` reward matrix.
 
-    Shared by the direct runner and the sweep layer's replication merge so a
-    merged envelope is bit-identical to a single-process run.
+    Shared by the direct and dynamic runners and the sweep layer's
+    replication merge so a merged envelope is bit-identical to a
+    single-process run.
     """
     result.replication_series[f"expected_reward[{label}]"] = [
         row.tolist() for row in expected_matrix
@@ -406,9 +407,7 @@ def _run_periodic(spec: ScenarioSpec) -> ExperimentResult:
     """Fig. 8 regime: one decision per ``y``-slot period."""
     from repro.api import ChannelAccessSystem
 
-    rng = np.random.default_rng(spec.seed)
-    graph = spec.topology.build(rng)
-    channels = spec.channels.build_state(graph.num_nodes, graph.num_channels, rng)
+    graph, channels = spec.materialize()
     if spec.replication.replications > 1 and channels.has_stateful_models:
         raise SpecError(
             f"{spec.name}: averaging over replications requires i.i.d. channel "
@@ -427,14 +426,6 @@ def _run_periodic(spec: ScenarioSpec) -> ExperimentResult:
             "period": float(period),
             "efficiency": float(timing.period_efficiency(period)),
         }
-        rep_seeds = _replication_seeds(
-            spec.seed + period, spec.replication.replications
-        )
-        # Context-local observers don't cross thread-pool workers; capture
-        # the submitting thread's observer and parent span and re-enter in
-        # each replication so spans nest under the scenario run.
-        obs = current_observer()
-        parent_span = obs.current_span_id()
 
         def run_replication(seed):
             # One fresh system per policy: every policy replays the same
@@ -443,50 +434,35 @@ def _run_periodic(spec: ScenarioSpec) -> ExperimentResult:
             # models additionally get a freshly materialized environment per
             # policy — their chain/cursor state would otherwise leak from
             # one policy's run into the next.
-            with obs.activate(parent_span):
-                return _run_policies(seed)
-
-        def _run_policies(seed):
             runs = {}
             for policy_spec in spec.policies:
-                policy_channels = channels
-                if channels.has_stateful_models:
-                    replay = np.random.default_rng(spec.seed)
-                    spec.topology.build(replay)  # consume the topology draws
-                    policy_channels = spec.channels.build_state(
-                        graph.num_nodes, graph.num_channels, replay
-                    )
+                policy_channels = (
+                    spec.materialize()[1] if channels.has_stateful_models else channels
+                )
                 system = ChannelAccessSystem(graph, policy_channels, seed=seed)
-                policy = policy_spec.build(system)
                 runs[policy_spec.display_label] = system.simulate_periodic(
-                    policy,
+                    policy_spec.build(system),
                     num_periods=spec.schedule.num_periods,
                     period_slots=period,
                 )
             return runs
 
-        replication_runs = ThreadBackend().map(
-            run_replication, rep_seeds, spec.replication.jobs
+        seeds = _replication_seeds(spec.seed + period, spec.replication.replications)
+        replication_runs = fan_out(
+            ThreadBackend(), run_replication, seeds, spec.replication.jobs
         )
 
         for policy_spec in spec.policies:
             label = policy_spec.display_label
             runs = [replication[label] for replication in replication_runs]
             runs_by_cell[(period, label)] = runs
-            actual_rows = [run.average_actual_trace() for run in runs]
-            estimated_rows = [run.average_estimated_trace() for run in runs]
-            result.replication_series[f"actual[{label}][y={period}]"] = [
-                row.tolist() for row in actual_rows
-            ]
-            result.replication_series[f"estimated[{label}][y={period}]"] = [
-                row.tolist() for row in estimated_rows
-            ]
-            result.series[f"actual[{label}][y={period}]"] = (
-                np.mean(actual_rows, axis=0).tolist()
-            )
-            result.series[f"estimated[{label}][y={period}]"] = (
-                np.mean(estimated_rows, axis=0).tolist()
-            )
+            for metric, rows in (
+                ("actual", [run.average_actual_trace() for run in runs]),
+                ("estimated", [run.average_estimated_trace() for run in runs]),
+            ):
+                key = f"{metric}[{label}][y={period}]"
+                result.replication_series[key] = [row.tolist() for row in rows]
+                result.series[key] = np.mean(rows, axis=0).tolist()
     result.artifacts["periodic_runs"] = runs_by_cell
     return result
 
@@ -504,13 +480,7 @@ def _run_dynamic(spec: ScenarioSpec) -> ExperimentResult:
     from repro.dynamics.graph import index_frame
     from repro.sim.dynamic import DynamicSimulator
 
-    def materialize():
-        rng = np.random.default_rng(spec.seed)
-        graph = spec.topology.build(rng)
-        channels = spec.channels.build_state(graph.num_nodes, graph.num_channels, rng)
-        return graph, channels
-
-    graph, channels = materialize()
+    graph, channels = spec.materialize()
     num_rounds = spec.schedule.num_rounds
     schedule = spec.dynamics.build_schedule(graph, num_rounds, spec.seed)
     timing = TimingConfig.paper_defaults()
@@ -526,45 +496,40 @@ def _run_dynamic(spec: ScenarioSpec) -> ExperimentResult:
     result.summary["num_event_rounds"] = float(len(schedule.event_rounds))
     result.summary["event_rate"] = float(schedule.num_events) / float(num_rounds)
 
+    def run_replication(item):
+        policy_spec, child = item
+        # Stateful models carry chain/cursor state across samples; every run
+        # gets a freshly materialized environment (the same seed replays the
+        # identical construction).
+        run_graph, run_channels = (
+            spec.materialize() if channels.has_stateful_models else (graph, channels)
+        )
+        engine = DynamicStrategyEngine(
+            run_graph,
+            r=policy_spec.r,
+            local_solver=policy_spec.build_local_solver(index_graph.num_vertices),
+        )
+        policy = policy_spec.build_dynamic(engine, index_graph, reward_scale)
+        simulator = DynamicSimulator(
+            engine,
+            run_channels,
+            schedule,
+            timing=timing,
+            rng=np.random.default_rng(child),
+            compute_optimal=spec.compute_optimal,
+            frame=index_graph,
+        )
+        return simulator.run(policy, num_rounds)
+
     children = child_seed_sequences(spec.seed, replications)
     runs_by_label: Dict[str, List[object]] = {}
     for policy_spec in spec.policies:
         label = policy_spec.display_label
-        runs = []
-        for child in children:
-            run_graph, run_channels = graph, channels
-            if channels.has_stateful_models:
-                # Stateful models carry chain/cursor state across samples;
-                # every run gets a freshly materialized environment (the
-                # same seed replays the identical construction).
-                run_graph, run_channels = materialize()
-            engine = DynamicStrategyEngine(
-                run_graph,
-                r=policy_spec.r,
-                local_solver=policy_spec.build_local_solver(index_graph.num_vertices),
-            )
-            policy = policy_spec.build_dynamic(engine, index_graph, reward_scale)
-            simulator = DynamicSimulator(
-                engine,
-                run_channels,
-                schedule,
-                timing=timing,
-                rng=np.random.default_rng(child),
-                compute_optimal=spec.compute_optimal,
-                frame=index_graph,
-            )
-            runs.append(simulator.run(policy, num_rounds))
+        items = [(policy_spec, child) for child in children]
+        runs = fan_out(ThreadBackend(), run_replication, items, spec.replication.jobs)
         runs_by_label[label] = runs
-
-        expected_matrix = np.array(
-            [run.expected_reward_trace() for run in runs], dtype=float
-        )
-        result.replication_series[f"expected_reward[{label}]"] = [
-            row.tolist() for row in expected_matrix
-        ]
-        expected = expected_matrix.mean(axis=0)
-        result.series[f"expected_reward[{label}]"] = expected.tolist()
-        result.series[f"effective_throughput[{label}]"] = (theta * expected).tolist()
+        expected_matrix = np.array([run.expected_reward_trace() for run in runs])
+        _per_round_policy_series(result, label, expected_matrix, theta, None, spec.alpha)
         result.series[f"protocol_mini_rounds[{label}]"] = np.mean(
             [run.mini_rounds_trace() for run in runs], axis=0
         ).tolist()
@@ -587,19 +552,16 @@ def _run_dynamic(spec: ScenarioSpec) -> ExperimentResult:
             ).tolist()
             result.summary[f"mean_dynamic_regret[{label}]"] = float(regret.mean())
         if runs[0].event_batches:
-            result.summary[f"avg_reconvergence_mini_rounds[{label}]"] = float(
-                np.mean(
-                    [
-                        np.mean([b.reconvergence_mini_rounds for b in run.event_batches])
+            for name, field_name in (
+                ("avg_reconvergence_mini_rounds", "reconvergence_mini_rounds"),
+                ("avg_messages_per_event_round", "messages"),
+            ):
+                result.summary[f"{name}[{label}]"] = float(
+                    np.mean([
+                        np.mean([getattr(b, field_name) for b in run.event_batches])
                         for run in runs
-                    ]
+                    ])
                 )
-            )
-            result.summary[f"avg_messages_per_event_round[{label}]"] = float(
-                np.mean(
-                    [np.mean([b.messages for b in run.event_batches]) for run in runs]
-                )
-            )
 
     first = runs_by_label[spec.policies[0].display_label][0]
     result.series["active_nodes"] = first.active_nodes_trace().tolist()
@@ -608,7 +570,8 @@ def _run_dynamic(spec: ScenarioSpec) -> ExperimentResult:
     ]
     if spec.compute_optimal:
         result.series["dynamic_optimal"] = first.optimal_value_trace().tolist()
-    for batch in first.event_batches:
+    # Every run applies the same schedule, so its event batches line up.
+    for index, batch in enumerate(first.event_batches):
         record: Dict[str, float] = {
             "round": float(batch.round_index),
             "num_events": float(batch.num_events),
@@ -618,12 +581,7 @@ def _run_dynamic(spec: ScenarioSpec) -> ExperimentResult:
             "num_edges": float(batch.num_edges),
         }
         for label, runs in runs_by_label.items():
-            matching = [
-                next(
-                    b for b in run.event_batches if b.round_index == batch.round_index
-                )
-                for run in runs
-            ]
+            matching = [run.event_batches[index] for run in runs]
             record[f"reconvergence_mini_rounds[{label}]"] = float(
                 np.mean([b.reconvergence_mini_rounds for b in matching])
             )

@@ -1417,26 +1417,29 @@ class ScenarioSpec(_Spec):
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
+    def materialize(self):
+        """Draw the environment ``(graph, channels)`` of a simulation mode.
+
+        Topology, then channel state, from one ``default_rng(seed)`` stream:
+        the draw order the presets have always used, replayed identically on
+        every call.  Protocol scenarios draw per sweep cell in the runner.
+        """
+        rng = np.random.default_rng(self.seed)
+        graph = self.topology.build(rng)
+        return graph, self.channels.build_state(
+            graph.num_nodes, graph.num_channels, rng
+        )
+
     def build(self):
-        """Materialize the scenario's environment.
+        """:meth:`materialize` wired into a
+        :class:`~repro.api.ChannelAccessSystem` rooted at the same seed.
 
-        Draws the topology and channel state from one ``default_rng(seed)``
-        stream (the draw order the presets have always used, so they
-        reproduce the historical environments bit for bit) and wires them
-        into a :class:`~repro.api.ChannelAccessSystem` rooted at the same
-        seed.  Returns ``(system, policies)`` where ``policies`` maps each
-        display label to a zero-argument policy factory.
-
-        Only meaningful for simulation modes; protocol scenarios are
-        materialized per sweep cell by the runner instead.
+        Returns ``(system, policies)`` where ``policies`` maps each display
+        label to a zero-argument policy factory.
         """
         from repro.api import ChannelAccessSystem
 
-        rng = np.random.default_rng(self.seed)
-        graph = self.topology.build(rng)
-        channels = self.channels.build_state(
-            graph.num_nodes, graph.num_channels, rng
-        )
+        graph, channels = self.materialize()
         system = ChannelAccessSystem(graph, channels, seed=self.seed)
         factories = {
             policy.display_label: (lambda p=policy: p.build(system))

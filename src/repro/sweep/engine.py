@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Union
 from repro.obs import current_observer
 from repro.obs.metrics import summarize_values
 from repro.reporting import render_table
-from repro.sim.backends import ExecutionBackend, ProcessBackend, resolve_backend
+from repro.sim.backends import ExecutionBackend, fan_out, resolve_backend
 from repro.spec.canon import canonical_spec, unit_hash, unit_key
 from repro.spec.runner import ExperimentResult, merge_replication_results
 from repro.spec.scenario import ScenarioSpec, SpecError
@@ -199,6 +199,16 @@ class SweepResult:
         }
 
 
+def _run_unit(payload) -> Dict[str, object]:
+    """One work unit under a ``sweep.unit`` span (module-level, for process
+    pools; ``execute_unit`` is looked up in this module at call time)."""
+    spec_dict, replication = payload
+    with current_observer().span(
+        "sweep.unit", scenario=spec_dict.get("name"), replication=replication
+    ):
+        return execute_unit(payload)
+
+
 def run_sweep(
     plan: SweepPlan,
     store: Union[ResultStore, str, None] = None,
@@ -257,25 +267,7 @@ def run_sweep(
         unit_timing: Dict[str, Dict[str, float]] = {}
         if misses:
             payloads = [unit.payload() for unit in misses]
-            if isinstance(executor, ProcessBackend):
-                # Worker processes run untraced: observers do not cross
-                # pickling boundaries, and ``execute_unit`` must stay a plain
-                # module-level callable.
-                computed = executor.map(execute_unit, payloads, jobs)
-            else:
-                parent_span = obs.current_span_id()
-
-                def traced_execute(payload):
-                    spec_dict, replication = payload
-                    with obs.activate(parent_span):
-                        with obs.span(
-                            "sweep.unit",
-                            scenario=spec_dict.get("name"),
-                            replication=replication,
-                        ):
-                            return execute_unit(payload)
-
-                computed = executor.map(traced_execute, payloads, jobs)
+            computed = fan_out(executor, _run_unit, payloads, jobs)
             unit_wall_clocks = []
             for unit, result_dict in zip(misses, computed):
                 results[unit.hash] = result_dict

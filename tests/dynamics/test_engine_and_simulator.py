@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.channels.state import ChannelState
-from repro.core.policies import CombinatorialUCBPolicy
+from repro.core.policies import CombinatorialUCBPolicy, LLRPolicy
+from repro.distributed.framework import DistributedMWISSolver
 from repro.dynamics import (
     DynamicStrategyEngine,
     EventSchedule,
@@ -13,8 +14,10 @@ from repro.dynamics import (
     NodeDeparture,
     index_frame,
 )
+from repro.graph.extended import ExtendedConflictGraph
 from repro.graph.topology import connected_random_network, ring_network
 from repro.sim.dynamic import DynamicSimulator
+from repro.sim.engine import Simulator
 
 
 def make_environment(seed=11, num_nodes=8, num_channels=2):
@@ -205,3 +208,27 @@ class TestDynamicSimulator:
         engine.apply_events([NodeDeparture(round_index=1, node=0)])
         with pytest.raises(ValueError, match="fresh engine"):
             DynamicSimulator(engine, channels, EventSchedule(()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("policy_class", [CombinatorialUCBPolicy, LLRPolicy])
+def test_an_empty_schedule_replays_the_per_round_simulator(seed, policy_class):
+    # Without events the dynamic loop is the per-round loop: on the same
+    # stream and policy class, Algorithm 3 through the engine over the index
+    # frame plays exactly the rounds of Algorithm 3 on the static graph.
+    graph, channels = make_environment(seed=seed)
+    extended = ExtendedConflictGraph(graph)
+    static = Simulator(extended, channels, rng=np.random.default_rng(seed)).run(
+        policy_class(extended, solver=DistributedMWISSolver(extended, r=1), reward_scale=1350.0),
+        30,
+    )
+    engine = DynamicStrategyEngine(graph, r=1)
+    frame = index_frame(graph.num_nodes, graph.num_channels)
+    dynamic = DynamicSimulator(
+        engine, channels, EventSchedule(()), rng=np.random.default_rng(seed)
+    ).run(policy_class(frame, solver=engine.solver(), reward_scale=1350.0), 30)
+    assert len(dynamic.rounds) == len(static.rounds)
+    for moved, fixed in zip(dynamic.rounds, static.rounds):
+        assert moved.strategy == fixed.strategy
+        assert moved.expected_reward == fixed.expected_reward
+        assert moved.observed_reward == fixed.observed_reward

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.channels.state import ChannelState
-from repro.core.policies import CombinatorialUCBPolicy, OraclePolicy
+from repro.core.policies import CombinatorialUCBPolicy, LLRPolicy, OraclePolicy
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph
+from repro.graph.topology import connected_random_network
 from repro.mwis.exact import ExactMWISSolver
+from repro.sim.engine import Simulator
 from repro.sim.periodic import PeriodicSimulator
 from repro.sim.timing import TimingConfig
 
@@ -97,3 +99,31 @@ class TestPeriodicSimulator:
         result = simulator.run(policy, num_periods=9)
         assert result.average_actual_trace().shape == (9,)
         assert result.average_estimated_trace().shape == (9,)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("policy_class", [CombinatorialUCBPolicy, LLRPolicy])
+def test_one_slot_periods_replay_the_per_round_simulator(seed, policy_class):
+    # With y = 1, R_P(z) reduces to theta * R_x: on the same stream and policy
+    # class a periodic run plays the per-round run's strategies, rescaled.
+    rng = np.random.default_rng(seed)
+    extended = ExtendedConflictGraph(connected_random_network(6, 2, rng=rng))
+    channels = ChannelState.random_paper_rates(6, 2, rng=rng)
+
+    def policy():
+        return policy_class(extended, solver=ExactMWISSolver(), reward_scale=1350.0)
+
+    per_round = Simulator(extended, channels, rng=np.random.default_rng(seed)).run(
+        policy(), 40
+    )
+    periodic = PeriodicSimulator(
+        extended, channels, period_slots=1, rng=np.random.default_rng(seed)
+    ).run(policy(), 40)
+    theta = TimingConfig.paper_defaults().theta
+    assert len(periodic.records) == len(per_round.rounds)
+    for period, round_ in zip(periodic.records, per_round.rounds):
+        assert period.strategy == round_.strategy
+        assert period.expected_throughput == theta * round_.expected_reward
+        assert period.actual_throughput == pytest.approx(
+            theta * round_.observed_reward, rel=1e-12
+        )

@@ -10,6 +10,7 @@ from repro.spec import (
     get_scenario,
     run_scenario,
 )
+from repro.sim.backends import ThreadBackend
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +136,39 @@ class TestFormatResult:
         assert "fig7-smoke" in text
         assert "practical_regret[Algorithm2]" in text
         assert "theta" in text
+
+
+@pytest.mark.parametrize("name", ["fig7-quick", "fig8-quick", "churn-quick"])
+def test_replication_jobs_never_change_the_envelope(name, shrunk_spec):
+    # Per-round, periodic and dynamic runs fan replications out through one
+    # map; the echoed spec is the only envelope field jobs may reach.
+    envelopes = []
+    for jobs in (1, 3):
+        spec = apply_overrides(
+            shrunk_spec(name),
+            {"replication.replications": 3, "replication.jobs": jobs},
+        )
+        data = run_scenario(spec).to_dict()
+        del data["wall_clock_s"]
+        data["summary"].pop("simulated_wall_clock_s", None)
+        assert data["spec"]["replication"].pop("jobs") == jobs
+        envelopes.append(data)
+    assert envelopes[0] == envelopes[1]
+
+
+def test_dynamic_runs_honour_replication_jobs(monkeypatch, shrunk_spec):
+    seen_jobs = []
+    thread_map = ThreadBackend.map
+
+    def recording_map(self, fn, items, jobs):
+        seen_jobs.append(jobs)
+        return thread_map(self, fn, items, jobs)
+
+    monkeypatch.setattr(ThreadBackend, "map", recording_map)
+    spec = apply_overrides(
+        shrunk_spec("churn-quick"),
+        {"replication.replications": 3, "replication.jobs": 3},
+    )
+    run_scenario(spec)
+    # One fan-out per policy, each on the scenario's three jobs.
+    assert seen_jobs == [3] * len(spec.policies)
