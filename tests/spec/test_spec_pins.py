@@ -49,6 +49,12 @@ _R2_DIGESTS = {
     "fig8-quick": "448a1fd146c4bd26d117cb2275871f8ab3fda5619c2347a3af6a9d51ca5e7e7d",
     "churn-quick": "b01e17ad87c4f07358bb8ced5c86894df4ac8871e43d4da102f6262ec2f23b2f",
 }
+#: The shrunk periodic presets keep only y in {1, 5}; R_P(z) sums y slot
+#: rewards left to right, and a regrouped sum changes bits from y = 9 on.
+SIMULATION_ENVELOPES["fig8-quick@y10-20"] = (
+    {"schedule.periods": [10, 20]},
+    "b57a6ead5f82ea6f002190482b869e348ab8d68482d8aeddf1c69497bb3f23a4",
+)
 for _name, _digest_value in _R2_DIGESTS.items():
     SIMULATION_ENVELOPES[f"{_name}@R2"] = (
         {"replication.replications": 2}, _digest_value
