@@ -76,7 +76,6 @@ from repro.mwis import (
 )
 from repro.sim import (
     BatchResult,
-    BatchSimulator,
     PeriodicSimulator,
     Simulator,
     TimingConfig,
@@ -133,7 +132,6 @@ __all__ = [
     "RobustPTASSolver",
     "IndependentSet",
     "BatchResult",
-    "BatchSimulator",
     "replication_rngs",
     "PeriodicSimulator",
     "Simulator",

@@ -9,7 +9,8 @@ every component swappable.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,7 +26,15 @@ from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph
 from repro.mwis.base import MWISSolver
 from repro.mwis.exact import ExactMWISSolver
-from repro.sim.batch import BatchResult, BatchSimulator, child_seed_sequences
+from repro.obs import current_observer
+from repro.sim.backends import (
+    ExecutionBackend,
+    ProcessBackend,
+    ensure_picklable,
+    fan_out,
+    resolve_backend,
+)
+from repro.sim.batch import BatchResult, _run_replication, child_seed_sequences
 from repro.sim.engine import Simulator, check_shape
 from repro.sim.periodic import PeriodicResult, PeriodicSimulator
 from repro.sim.results import SimulationResult
@@ -182,7 +191,7 @@ class ChannelAccessSystem:
         replications: int = 1,
         jobs: int = 1,
         optimal_value: Optional[float] = None,
-        backend: Optional[str] = None,
+        backend: Union[str, ExecutionBackend, None] = None,
         first_replication: int = 0,
     ) -> BatchResult:
         """Run ``replications`` independent simulations of one policy.
@@ -193,29 +202,54 @@ class ChannelAccessSystem:
         and replication 0 matches a sequential :meth:`simulate`-style run
         driven by ``repro.sim.replication_rngs(seed, 1)[0]``.
 
-        ``backend`` selects the executor (``serial`` / ``thread`` /
-        ``process``, see :mod:`repro.sim.backends`); ``first_replication``
-        shifts the seed-stream window so a one-replication batch reproduces
-        replication ``i`` of a larger batch bit for bit.
+        ``backend`` picks the executor (see :mod:`repro.sim.backends`):
+        ``"serial"``, ``"thread"`` (the default when ``jobs > 1``; GIL-bound
+        for the pure-Python round loop) or ``"process"`` for true multicore.
+        The process backend pickles the work, so ``policy_factory`` must be
+        a module-level callable; this is checked up front with an error
+        naming the factory.  Results are ordered by replication index and
+        are bit-identical across backends.
+
+        ``first_replication`` shifts the seed-stream window so a
+        one-replication batch reproduces replication ``i`` of a larger batch
+        bit for bit (the sweep layer's per-replication work units).
         """
-        simulator = BatchSimulator(
-            self.extended_graph,
-            self.channels,
-            timing=self.timing,
-            optimal_value=optimal_value,
-            # The resolved root (not the raw seed): with seed=None the root
-            # entropy is drawn once in __init__, so batches and sequential
-            # runs on this system share one stream family.
-            seed=self._root_seq,
+        if num_rounds <= 0:
+            raise ValueError(f"num_rounds must be positive, got {num_rounds}")
+        if replications <= 0:
+            raise ValueError(f"replications must be positive, got {replications}")
+        if first_replication < 0:
+            raise ValueError(
+                f"first_replication must be non-negative, got {first_replication}"
+            )
+        if replications > 1 and self.channels.has_stateful_models:
+            raise ValueError(
+                "the channel state contains stateful models (e.g. "
+                "Gilbert-Elliott); sharing them across replications would "
+                "couple the runs, so batches require i.i.d. channel models"
+            )
+        executor = resolve_backend(
+            backend, default="thread" if jobs > 1 else "serial"
         )
-        return simulator.run(
-            policy_factory,
-            num_rounds,
-            replications=replications,
-            jobs=jobs,
-            backend=backend,
-            first_replication=first_replication,
+        if isinstance(executor, ProcessBackend):
+            ensure_picklable(policy_factory, f"the policy factory {policy_factory!r}")
+        run_one = partial(
+            _run_replication, self.extended_graph, self.channels, self.timing,
+            optimal_value, policy_factory, num_rounds,
         )
+        # The resolved root (not the raw seed): with seed=None the root
+        # entropy is drawn once in __init__, so batches and sequential runs
+        # on this system share one stream family.
+        children = child_seed_sequences(
+            self._root_seq, replications, first=first_replication
+        )
+        with current_observer().span(
+            "sim.batch", replications=replications, num_rounds=num_rounds
+        ):
+            results = fan_out(
+                executor, run_one, list(enumerate(children, first_replication)), jobs
+            )
+        return BatchResult(policy_name=results[0].policy_name, results=results)
 
     def simulate_periodic(
         self, policy: Policy, num_periods: int, period_slots: int

@@ -34,8 +34,9 @@ class ChannelModel(abc.ABC):
 
     #: Whether :meth:`sample` mutates internal model state.  Stateful models
     #: (e.g. the Gilbert-Elliott extension) cannot be shared between
-    #: independent replications; :class:`~repro.sim.batch.BatchSimulator`
-    #: refuses them for ``replications > 1``.
+    #: independent replications;
+    #: :meth:`~repro.api.ChannelAccessSystem.simulate_batch` refuses them for
+    #: ``replications > 1``.
     stateful: bool = False
 
     @property

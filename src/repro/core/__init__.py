@@ -28,11 +28,6 @@ from repro.core.policies import (
     RandomPolicy,
     EpsilonGreedyPolicy,
 )
-from repro.core.nonstationary import (
-    SlidingWindowEstimator,
-    SlidingWindowUCBPolicy,
-    DynamicOraclePolicy,
-)
 from repro.core.regret import (
     RegretTracker,
     cumulative_regret,
@@ -42,9 +37,6 @@ from repro.core.regret import (
 from repro.core.bounds import theorem1_regret_bound, theorem5_practical_regret_bound
 
 __all__ = [
-    "SlidingWindowEstimator",
-    "SlidingWindowUCBPolicy",
-    "DynamicOraclePolicy",
     "Strategy",
     "WeightEstimator",
     "Policy",

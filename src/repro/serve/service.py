@@ -37,7 +37,7 @@ from repro.spec.canon import unit_key
 from repro.spec.runner import ExperimentResult
 from repro.spec.scenario import ScenarioSpec, SpecError
 from repro.sweep.engine import PointOutcome, SweepResult, SweepUnit, assemble_point
-from repro.sweep.plan import SweepPlan, parse_grid_items
+from repro.sweep.plan import SweepPlan
 from repro.sweep.presets import builtin_plans, get_plan
 from repro.sweep.store import ResultStore
 from repro.sweep.worker import execute_unit
@@ -510,7 +510,3 @@ class ResultService:
             },
         }
 
-
-def parse_grid_payload(items) -> Dict[str, Tuple[object, ...]]:
-    """CLI helper: ``PATH=V1,V2`` strings into the sweep-grid JSON shape."""
-    return {path: list(values) for path, values in parse_grid_items(items).items()}

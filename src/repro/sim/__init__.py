@@ -5,8 +5,10 @@
 * :mod:`repro.sim.engine` -- the per-round simulator and the one
   decide → play → observe loop (Algorithm 2's outer loop) that every
   simulator below runs.
-* :mod:`repro.sim.batch` -- seed-streamed batch runner for ``R`` independent
-  replications of one policy.
+* :mod:`repro.sim.batch` -- the seed streams, the one-replication worker and
+  the result of a batch of ``R`` independent replications of one policy; the
+  one way to run a batch is
+  :meth:`repro.api.ChannelAccessSystem.simulate_batch`.
 * :mod:`repro.sim.backends` -- pluggable serial / thread / process executors
   and the one traced replication fan-out shared by batches, the periodic
   and dynamic scenario runners and parameter sweeps.
@@ -15,7 +17,10 @@
 * :mod:`repro.sim.dynamic` -- simulation under topology dynamics (churn,
   mobility, link flapping): the same loop, applying :mod:`repro.dynamics`
   event schedules before each decision.
-* :mod:`repro.sim.results` -- result containers.
+* :mod:`repro.sim.results` -- the one step trace every simulator fills (a
+  preallocated column per recorded number, one row per decision) and the
+  per-round result view over it; the periodic and dynamic results are views
+  over the same trace.
 * :mod:`repro.sim.metrics` -- small numeric helpers shared by the experiments.
 """
 
@@ -30,15 +35,10 @@ from repro.sim.backends import (
     ensure_picklable,
     resolve_backend,
 )
-from repro.sim.batch import BatchResult, BatchSimulator, replication_rngs
-from repro.sim.dynamic import (
-    DynamicRoundRecord,
-    DynamicRunResult,
-    DynamicSimulator,
-    EventBatchRecord,
-)
-from repro.sim.periodic import PeriodicSimulator, PeriodRecord, PeriodicResult
-from repro.sim.results import RoundRecord, SimulationResult
+from repro.sim.batch import BatchResult, replication_rngs
+from repro.sim.dynamic import DynamicRunResult, DynamicSimulator, EventBatchRecord
+from repro.sim.periodic import PeriodicSimulator, PeriodicResult
+from repro.sim.results import SimulationResult, StepTrace
 from repro.sim.metrics import running_average, summarize_trace
 
 __all__ = [
@@ -52,17 +52,14 @@ __all__ = [
     "ensure_picklable",
     "resolve_backend",
     "BatchResult",
-    "BatchSimulator",
     "replication_rngs",
     "DynamicSimulator",
     "DynamicRunResult",
-    "DynamicRoundRecord",
     "EventBatchRecord",
     "PeriodicSimulator",
-    "PeriodRecord",
     "PeriodicResult",
-    "RoundRecord",
     "SimulationResult",
+    "StepTrace",
     "running_average",
     "summarize_trace",
 ]

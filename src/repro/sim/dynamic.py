@@ -38,30 +38,20 @@ from repro.mwis.base import MWISSolver
 from repro.mwis.local import solve_local_mwis
 from repro.obs import current_observer
 from repro.sim.engine import check_shape, learning_loop
-from repro.sim.timing import TimingConfig
+from repro.sim.results import StepTrace
 
-__all__ = ["DynamicRoundRecord", "EventBatchRecord", "DynamicRunResult", "DynamicSimulator"]
+__all__ = [
+    "DYNAMIC_COLUMNS", "EventBatchRecord", "DynamicRunResult", "DynamicSimulator"
+]
 
 
-@dataclass(frozen=True)
-class DynamicRoundRecord:
-    """Everything measured in one learning round under dynamics."""
-
-    round_index: int
-    strategy: Strategy
-    expected_reward: float
-    observed_reward: float
-    active_nodes: int
-    num_events: int
-    #: Mini-rounds / messages of this round's strategy decision (0 when the
-    #: policy decided without the distributed protocol).
-    mini_rounds: int
-    messages: int
-    deliveries: int
-    #: Optimal expected throughput of the current topology (dynamic oracle);
-    #: ``None`` when the oracle is disabled.
-    optimal_value: Optional[float]
-    duration_s: float
+#: The columns a dynamic run adds to its :class:`~repro.sim.results.StepTrace`:
+#: active nodes, applied events, the decision's protocol mini-rounds,
+#: messages and deliveries (0 when the policy decided without the protocol)
+#: and the dynamic-oracle value (NaN when the oracle is disabled).
+DYNAMIC_COLUMNS = (
+    "active_nodes", "events", "mini_rounds", "messages", "deliveries", "optimal"
+)
 
 
 @dataclass(frozen=True)
@@ -82,16 +72,17 @@ class EventBatchRecord:
 
 @dataclass
 class DynamicRunResult:
-    """Full trace of one policy run under topology dynamics."""
+    """Trace of one policy run under topology dynamics: its step trace with
+    the :data:`DYNAMIC_COLUMNS`, plus one record per applied event batch."""
 
     policy_name: str
-    rounds: List[DynamicRoundRecord] = field(default_factory=list)
+    trace: StepTrace
     event_batches: List[EventBatchRecord] = field(default_factory=list)
 
     @property
     def num_rounds(self) -> int:
         """Number of simulated rounds."""
-        return len(self.rounds)
+        return len(self.trace)
 
     @property
     def num_events(self) -> int:
@@ -100,13 +91,12 @@ class DynamicRunResult:
 
     def expected_reward_trace(self) -> np.ndarray:
         """Per-round expected throughput of the played strategies."""
-        return np.array([record.expected_reward for record in self.rounds], dtype=float)
+        return self.trace.column("expected")
 
     def optimal_value_trace(self) -> Optional[np.ndarray]:
         """Per-round dynamic-oracle value (``None`` when disabled)."""
-        if any(record.optimal_value is None for record in self.rounds):
-            return None
-        return np.array([record.optimal_value for record in self.rounds], dtype=float)
+        optimal = self.trace.column("optimal")
+        return None if np.isnan(optimal).any() else optimal
 
     def dynamic_regret_trace(self) -> Optional[np.ndarray]:
         """Per-round gap to the dynamic oracle (``None`` when disabled)."""
@@ -117,23 +107,23 @@ class DynamicRunResult:
 
     def active_nodes_trace(self) -> np.ndarray:
         """Per-round number of active nodes."""
-        return np.array([record.active_nodes for record in self.rounds], dtype=float)
+        return self.trace.column("active_nodes")
 
     def mini_rounds_trace(self) -> np.ndarray:
         """Per-round protocol mini-rounds of the strategy decision."""
-        return np.array([record.mini_rounds for record in self.rounds], dtype=float)
+        return self.trace.column("mini_rounds")
 
     def messages_trace(self) -> np.ndarray:
         """Per-round protocol broadcasts of the strategy decision."""
-        return np.array([record.messages for record in self.rounds], dtype=float)
+        return self.trace.column("messages")
 
     def total_messages(self) -> int:
         """Broadcasts originated across all rounds."""
-        return int(sum(record.messages for record in self.rounds))
+        return int(self.messages_trace().sum())
 
     def total_deliveries(self) -> int:
         """Message deliveries across all rounds."""
-        return int(sum(record.deliveries for record in self.rounds))
+        return int(self.trace.column("deliveries").sum())
 
 
 class DynamicSimulator:
@@ -148,8 +138,6 @@ class DynamicSimulator:
         Ground-truth channel state over the full node universe.
     schedule:
         The topology events threaded between rounds.
-    timing:
-        Round timing (defaults to the paper's Table II values).
     rng:
         Random generator driving the channel draws.
     compute_optimal:
@@ -170,7 +158,6 @@ class DynamicSimulator:
         engine: DynamicStrategyEngine,
         channels: ChannelState,
         schedule: EventSchedule,
-        timing: Optional[TimingConfig] = None,
         rng: Optional[np.random.Generator] = None,
         compute_optimal: bool = False,
         optimal_solver: Optional[MWISSolver] = None,
@@ -186,7 +173,6 @@ class DynamicSimulator:
         self._engine = engine
         self._channels = channels
         self._schedule = schedule
-        self._timing = timing if timing is not None else TimingConfig.paper_defaults()
         self._rng = rng if rng is not None else np.random.default_rng()
         self._compute_optimal = compute_optimal
         self._optimal_solver = optimal_solver
@@ -197,16 +183,6 @@ class DynamicSimulator:
         check_shape("index frame", frame, "the topology", topology)
         self._index_graph = frame
         self._consumed = False
-
-    @property
-    def engine(self) -> DynamicStrategyEngine:
-        """The dynamic-topology engine driving this run."""
-        return self._engine
-
-    @property
-    def timing(self) -> TimingConfig:
-        """The round timing configuration."""
-        return self._timing
 
     def _optimal_value(self) -> Optional[float]:
         if not self._compute_optimal:
@@ -248,7 +224,7 @@ class DynamicSimulator:
                 "simulator per run"
             )
         self._consumed = True
-        result = DynamicRunResult(policy_name=policy.name)
+        result = DynamicRunResult(policy.name, StepTrace(num_rounds, DYNAMIC_COLUMNS))
         optimal_value = self._optimal_value()
         obs = current_observer()
 
@@ -282,20 +258,17 @@ class DynamicSimulator:
                     mini_rounds, messages, deliveries = self._decision_costs()
                 else:
                     mini_rounds, messages, deliveries = 0, 0, 0
-                result.rounds.append(
-                    DynamicRoundRecord(
-                        round_index=step.index,
-                        strategy=step.strategy,
-                        expected_reward=step.expected_reward,
-                        observed_reward=step.rewards[0],
-                        active_nodes=self._engine.topology.num_active,
-                        num_events=num_events,
-                        mini_rounds=mini_rounds,
-                        messages=messages,
-                        deliveries=deliveries,
-                        optimal_value=optimal_value,
-                        duration_s=time.perf_counter() - step.started_at,
-                    )
+                result.trace.append(
+                    step.strategy,
+                    expected=step.expected_reward,
+                    observed=step.rewards[0],
+                    duration=time.perf_counter() - step.started_at,
+                    active_nodes=self._engine.topology.num_active,
+                    events=num_events,
+                    mini_rounds=mini_rounds,
+                    messages=messages,
+                    deliveries=deliveries,
+                    optimal=optimal_value,
                 )
                 if report is not None:
                     result.event_batches.append(

@@ -27,11 +27,10 @@ import numpy as np
 
 from repro.channels.state import ChannelState
 from repro.core.policies import Policy
-from repro.core.regret import RegretTracker
 from repro.core.strategy import Strategy
 from repro.graph.extended import ExtendedConflictGraph
 from repro.obs import current_observer
-from repro.sim.results import RoundRecord, SimulationResult
+from repro.sim.results import SimulationResult, StepTrace
 from repro.sim.timing import TimingConfig
 
 __all__ = ["Simulator"]
@@ -142,7 +141,7 @@ class Simulator:
         Round timing; defaults to the paper's Table II values (``theta = 0.5``).
     optimal_value:
         Expected throughput ``R_1`` of the optimal fixed strategy, when known
-        (used to fill the regret tracker).  ``None`` for large networks.
+        (the result's regret tracker).  ``None`` for large networks.
     rng:
         Random generator driving the channel draws.
     """
@@ -162,44 +161,23 @@ class Simulator:
         self._optimal_value = optimal_value
         self._rng = rng if rng is not None else np.random.default_rng()
 
-    @property
-    def graph(self) -> ExtendedConflictGraph:
-        """The extended conflict graph."""
-        return self._graph
-
-    @property
-    def channels(self) -> ChannelState:
-        """The channel environment."""
-        return self._channels
-
-    @property
-    def timing(self) -> TimingConfig:
-        """The round timing configuration."""
-        return self._timing
-
     def run(self, policy: Policy, num_rounds: int) -> SimulationResult:
         """Run ``policy`` for ``num_rounds`` rounds and return the full trace."""
         if num_rounds <= 0:
             raise ValueError(f"num_rounds must be positive, got {num_rounds}")
-        tracker = RegretTracker(
-            optimal_value=self._optimal_value, theta=self._timing.theta
-        )
-        result = SimulationResult(policy_name=policy.name, tracker=tracker)
+        trace = StepTrace(num_rounds)
         steps = learning_loop(
             policy, num_rounds, self._graph, self._channels, self._rng, estimate=True
         )
         with current_observer().span("sim.run", policy=policy.name, num_rounds=num_rounds):
             for step in steps:
-                observed_reward = step.rewards[0]
-                result.rounds.append(
-                    RoundRecord(
-                        round_index=step.index,
-                        strategy=step.strategy,
-                        expected_reward=step.expected_reward,
-                        observed_reward=observed_reward,
-                        estimated_weight=step.estimated_weight,
-                        duration_s=time.perf_counter() - step.started_at,
-                    )
+                trace.append(
+                    step.strategy,
+                    expected=step.expected_reward,
+                    observed=step.rewards[0],
+                    estimated=step.estimated_weight,
+                    duration=time.perf_counter() - step.started_at,
                 )
-                tracker.record(step.expected_reward, observed_reward)
-        return result
+        return SimulationResult(
+            policy.name, trace, self._optimal_value, self._timing.theta
+        )

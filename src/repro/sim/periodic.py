@@ -20,49 +20,37 @@ The experiment of Fig. 8 tracks the running averages of both quantities for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro.channels.state import ChannelState
 from repro.core.policies import Policy
-from repro.core.strategy import Strategy
 from repro.graph.extended import ExtendedConflictGraph
 from repro.obs import current_observer
 from repro.sim.engine import check_shape, learning_loop
 from repro.sim.metrics import running_average
+from repro.sim.results import StepTrace
 from repro.sim.timing import TimingConfig
 
-__all__ = ["PeriodRecord", "PeriodicResult", "PeriodicSimulator"]
-
-
-@dataclass(frozen=True)
-class PeriodRecord:
-    """Throughput summary of one update period."""
-
-    period_index: int
-    strategy: Strategy
-    #: Actual average throughput R_P(z), time-weighted as in the paper.
-    actual_throughput: float
-    #: Estimated average throughput W_P(z) under the policy's index weights.
-    estimated_throughput: float
-    #: Expected (true-mean) average throughput with the same time weighting.
-    expected_throughput: float
+__all__ = ["PeriodicResult", "PeriodicSimulator"]
 
 
 @dataclass
 class PeriodicResult:
-    """Full trace of a periodic-update run."""
+    """Trace of a periodic-update run, one row per period: the ``observed``
+    column holds R_P(z), ``estimated`` holds W_P(z) and ``expected`` the
+    true-mean throughput under the same time weighting."""
 
     policy_name: str
     period_slots: int
-    records: List[PeriodRecord] = field(default_factory=list)
+    trace: StepTrace
 
     @property
     def num_periods(self) -> int:
         """Number of simulated periods."""
-        return len(self.records)
+        return len(self.trace)
 
     @property
     def num_slots(self) -> int:
@@ -71,11 +59,11 @@ class PeriodicResult:
 
     def actual_throughputs(self) -> np.ndarray:
         """Per-period actual throughput R_P(z)."""
-        return np.array([r.actual_throughput for r in self.records], dtype=float)
+        return self.trace.column("observed")
 
     def estimated_throughputs(self) -> np.ndarray:
         """Per-period estimated throughput W_P(z)."""
-        return np.array([r.estimated_throughput for r in self.records], dtype=float)
+        return self.trace.column("estimated")
 
     def average_actual_trace(self) -> np.ndarray:
         """Running average of the actual throughput (the paper's R~_P(z))."""
@@ -106,29 +94,17 @@ class PeriodicSimulator:
         self._timing = timing if timing is not None else TimingConfig.paper_defaults()
         self._rng = rng if rng is not None else np.random.default_rng()
 
-    @property
-    def period_slots(self) -> int:
-        """Number of time slots per update period ``y``."""
-        return self._period_slots
-
-    @property
-    def timing(self) -> TimingConfig:
-        """Round timing configuration."""
-        return self._timing
-
     def run(self, policy: Policy, num_periods: int) -> PeriodicResult:
         """Run ``policy`` for ``num_periods`` update periods."""
         if num_periods <= 0:
             raise ValueError(f"num_periods must be positive, got {num_periods}")
-        result = PeriodicResult(
-            policy_name=policy.name, period_slots=self._period_slots
-        )
         t_a = self._timing.round_ms
         t_d = self._timing.data_transmission_ms
         y = self._period_slots
         period_time = y * t_a
         estimation_scale = ((y - 1) * t_a + t_d) / period_time
 
+        trace = StepTrace(num_periods)
         steps = learning_loop(
             policy, num_periods, self._graph, self._channels, self._rng,
             span=("sim.period", "period"), slots=y, estimate=True,
@@ -145,17 +121,14 @@ class PeriodicSimulator:
                     # First slot of the period loses t_s to the strategy decision.
                     weighted_observed += slot_reward * (t_d if offset == 0 else t_a)
                 estimated_weight = step.estimated_weight
-                result.records.append(
-                    PeriodRecord(
-                        period_index=step.index,
-                        strategy=step.strategy,
-                        actual_throughput=weighted_observed / period_time,
-                        estimated_throughput=(
-                            estimated_weight * estimation_scale
-                            if estimated_weight is not None
-                            else float("nan")
-                        ),
-                        expected_throughput=step.expected_reward * estimation_scale,
-                    )
+                trace.append(
+                    step.strategy,
+                    expected=step.expected_reward * estimation_scale,
+                    observed=weighted_observed / period_time,
+                    estimated=(
+                        estimated_weight * estimation_scale
+                        if estimated_weight is not None
+                        else None
+                    ),
                 )
-        return result
+        return PeriodicResult(policy.name, y, trace)

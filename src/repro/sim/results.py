@@ -1,93 +1,116 @@
-"""Result containers for simulation runs."""
+"""The step trace of a simulation run and the per-round result view over it.
+
+Every simulator of :mod:`repro.sim` records the same numbers per step of
+:func:`repro.sim.engine.learning_loop`: the strategy played, its expected
+throughput, the observed throughput, the policy's index weight and the
+step's wall clock.  :class:`StepTrace` holds them as preallocated float64
+columns filled once per step; :class:`SimulationResult`,
+:class:`~repro.sim.periodic.PeriodicResult` and
+:class:`~repro.sim.dynamic.DynamicRunResult` are thin views over it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.regret import RegretTracker
 from repro.core.strategy import Strategy
 
-__all__ = ["RoundRecord", "SimulationResult"]
+__all__ = ["STEP_COLUMNS", "StepTrace", "SimulationResult"]
+
+#: The columns of every trace; a run may add its own (see
+#: :data:`repro.sim.dynamic.DYNAMIC_COLUMNS`).
+STEP_COLUMNS = ("expected", "observed", "estimated", "duration")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What happened in one simulated round."""
+class StepTrace:
+    """One row per step: the strategy played and a float64 value per column.
 
-    round_index: int
-    strategy: Strategy
-    #: Expected throughput of the played strategy (sum of true means).
-    expected_reward: float
-    #: Observed throughput (sum of sampled rates).
-    observed_reward: float
-    #: Estimated weight of the played strategy under the policy's index.
-    estimated_weight: Optional[float] = None
-    #: Wall-clock seconds spent simulating the round (selection + play),
-    #: recorded for benchmark trajectories; ``None`` when not measured.
-    duration_s: Optional[float] = None
+    Columns are allocated for ``num_steps`` rows up front and start as NaN,
+    so a value a step does not record (the index weight of a policy without
+    one) reads as NaN.
+    """
+
+    def __init__(self, num_steps: int, extra_columns: Sequence[str] = ()) -> None:
+        self.strategies: List[Strategy] = []
+        self._columns = {
+            name: np.full(num_steps, np.nan)
+            for name in (*STEP_COLUMNS, *extra_columns)
+        }
+
+    def __len__(self) -> int:
+        return len(self.strategies)
+
+    def append(self, strategy: Strategy, **values: Optional[float]) -> None:
+        """Record the next step; a ``None`` value leaves its column NaN."""
+        row = len(self.strategies)
+        for name, value in values.items():
+            if value is not None:
+                self._columns[name][row] = value
+        self.strategies.append(strategy)
+
+    def column(self, name: str) -> np.ndarray:
+        """Read-only view of one column over the recorded steps."""
+        view = self._columns[name][: len(self.strategies)]
+        view.flags.writeable = False
+        return view
 
 
 @dataclass
 class SimulationResult:
-    """Full trace of one policy run.
+    """Trace of one per-round policy run.
 
-    The embedded :class:`~repro.core.regret.RegretTracker` holds the reward
-    traces; the per-round records keep the played strategies and estimates so
-    experiments can compute strategy-level statistics (e.g. how often the
-    optimal strategy was played).
+    ``optimal_value`` (``R_1``, when known) and ``theta`` parameterise the
+    :attr:`tracker` regret view.
     """
 
     policy_name: str
-    rounds: List[RoundRecord] = field(default_factory=list)
-    tracker: RegretTracker = field(default_factory=RegretTracker)
+    trace: StepTrace
+    optimal_value: Optional[float] = None
+    theta: float = 1.0
 
     @property
     def num_rounds(self) -> int:
         """Number of simulated rounds."""
-        return len(self.rounds)
+        return len(self.trace)
+
+    @property
+    def tracker(self) -> RegretTracker:
+        """Regret accounting over this run's expected and observed rewards."""
+        return RegretTracker(
+            optimal_value=self.optimal_value,
+            theta=self.theta,
+            expected_rewards=self.expected_rewards().tolist(),
+            observed_rewards=self.observed_rewards().tolist(),
+        )
 
     def expected_rewards(self) -> np.ndarray:
         """Per-round expected throughputs."""
-        return np.array([record.expected_reward for record in self.rounds], dtype=float)
+        return self.trace.column("expected")
 
     def observed_rewards(self) -> np.ndarray:
         """Per-round observed throughputs."""
-        return np.array([record.observed_reward for record in self.rounds], dtype=float)
+        return self.trace.column("observed")
 
     def estimated_weights(self) -> np.ndarray:
         """Per-round estimated strategy weights (NaN when not recorded)."""
-        return np.array(
-            [
-                record.estimated_weight if record.estimated_weight is not None else np.nan
-                for record in self.rounds
-            ],
-            dtype=float,
-        )
+        return self.trace.column("estimated")
 
     def round_durations(self) -> np.ndarray:
-        """Per-round wall-clock seconds (NaN when not recorded)."""
-        return np.array(
-            [
-                record.duration_s if record.duration_s is not None else np.nan
-                for record in self.rounds
-            ],
-            dtype=float,
-        )
+        """Per-round wall-clock seconds."""
+        return self.trace.column("duration")
 
     def total_wall_clock(self) -> float:
         """Total measured wall-clock seconds across all rounds."""
-        durations = self.round_durations()
-        return float(np.nansum(durations)) if durations.size else 0.0
+        return float(np.nansum(self.round_durations()))
 
     def strategy_play_counts(self) -> Dict[Strategy, int]:
         """How many times each distinct strategy was played."""
-        counts: Dict[Strategy, int] = {}
-        for record in self.rounds:
-            counts[record.strategy] = counts.get(record.strategy, 0) + 1
-        return counts
+        return dict(Counter(self.trace.strategies))
 
     def average_expected_throughput(self) -> float:
         """Mean per-round expected throughput over the whole run."""

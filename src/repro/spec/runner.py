@@ -483,10 +483,9 @@ def _run_dynamic(spec: ScenarioSpec) -> ExperimentResult:
     graph, channels = spec.materialize()
     num_rounds = spec.schedule.num_rounds
     schedule = spec.dynamics.build_schedule(graph, num_rounds, spec.seed)
-    timing = TimingConfig.paper_defaults()
     index_graph = index_frame(graph.num_nodes, graph.num_channels)
     reward_scale = float(channels.mean_matrix().max())
-    theta = float(timing.theta)
+    theta = float(TimingConfig.paper_defaults().theta)
     replications = spec.replication.replications
 
     result = ExperimentResult(scenario=spec.name, mode="dynamic", spec=spec.to_dict())
@@ -514,7 +513,6 @@ def _run_dynamic(spec: ScenarioSpec) -> ExperimentResult:
             engine,
             run_channels,
             schedule,
-            timing=timing,
             rng=np.random.default_rng(child),
             compute_optimal=spec.compute_optimal,
             frame=index_graph,

@@ -108,9 +108,9 @@ class TestDynamicSimulator:
         )
         departed_by_round = {5: {1}, 10: {1, 4}, 20: {4}}
         departed = set()
-        for record in result.rounds:
-            departed = departed_by_round.get(record.round_index, departed)
-            scheduled = {node for node, _channel in record.strategy}
+        for round_index, strategy in enumerate(result.trace.strategies, start=1):
+            departed = departed_by_round.get(round_index, departed)
+            scheduled = {node for node, _channel in strategy}
             assert not (scheduled & departed)
         assert result.num_events == 3
         assert [b.round_index for b in result.event_batches] == [5, 10, 20]
@@ -227,8 +227,8 @@ def test_an_empty_schedule_replays_the_per_round_simulator(seed, policy_class):
     dynamic = DynamicSimulator(
         engine, channels, EventSchedule(()), rng=np.random.default_rng(seed)
     ).run(policy_class(frame, solver=engine.solver(), reward_scale=1350.0), 30)
-    assert len(dynamic.rounds) == len(static.rounds)
-    for moved, fixed in zip(dynamic.rounds, static.rounds):
-        assert moved.strategy == fixed.strategy
-        assert moved.expected_reward == fixed.expected_reward
-        assert moved.observed_reward == fixed.observed_reward
+    assert dynamic.trace.strategies == static.trace.strategies
+    for column in ("expected", "observed"):
+        assert np.array_equal(
+            dynamic.trace.column(column), static.trace.column(column)
+        )

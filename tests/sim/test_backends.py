@@ -1,8 +1,9 @@
-"""Execution backends and the process-parallel BatchSimulator path."""
+"""Execution backends and the process-parallel batch path."""
 
 import numpy as np
 import pytest
 
+from repro.api import ChannelAccessSystem
 from repro.channels.state import ChannelState
 from repro.core.policies import CombinatorialUCBPolicy
 from repro.graph.conflict_graph import ConflictGraph
@@ -16,28 +17,31 @@ from repro.sim.backends import (
     ensure_picklable,
     resolve_backend,
 )
-from repro.sim.batch import BatchSimulator
 
 
 def _build_environment():
     graph = ConflictGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], num_channels=2)
-    extended = ExtendedConflictGraph(graph)
     means = np.array([[2.0, 5.0], [7.0, 1.0], [3.0, 4.0], [6.0, 2.0]])
     channels = ChannelState.from_mean_matrix(means, relative_std=0.05)
-    return extended, channels
+    return graph, channels
 
 
-@pytest.fixture
-def environment():
-    return _build_environment()
+def _system(seed):
+    return ChannelAccessSystem(*_build_environment(), seed=seed)
 
 
 def _module_level_factory(index):
     """A picklable policy factory (module-level, unlike a test-local lambda)."""
-    extended, _ = _build_environment()
+    graph, _ = _build_environment()
     return CombinatorialUCBPolicy(
-        extended, solver=ExactMWISSolver(), reward_scale=7.0
+        ExtendedConflictGraph(graph), solver=ExactMWISSolver(), reward_scale=7.0
     )
+
+
+def _assert_same_trace(ours, theirs, columns=("expected", "observed", "estimated")):
+    assert ours.trace.strategies == theirs.trace.strategies
+    for column in columns:
+        assert np.array_equal(ours.trace.column(column), theirs.trace.column(column))
 
 
 def _square(x):
@@ -90,12 +94,11 @@ class TestBackendMapping:
 
 
 class TestBatchProcessBackend:
-    def test_process_results_bit_identical_to_serial(self, environment):
-        extended, channels = environment
-        serial = BatchSimulator(extended, channels, seed=11).run(
+    def test_process_results_bit_identical_to_serial(self):
+        serial = _system(11).simulate_batch(
             _module_level_factory, num_rounds=20, replications=2, backend="serial"
         )
-        process = BatchSimulator(extended, channels, seed=11).run(
+        process = _system(11).simulate_batch(
             _module_level_factory,
             num_rounds=20,
             replications=2,
@@ -103,29 +106,23 @@ class TestBatchProcessBackend:
             backend="process",
         )
         for ours, theirs in zip(serial.results, process.results):
-            for a, b in zip(ours.rounds, theirs.rounds):
-                assert a.strategy == b.strategy
-                assert a.expected_reward == b.expected_reward
-                assert a.observed_reward == b.observed_reward
-                assert a.estimated_weight == b.estimated_weight
+            _assert_same_trace(ours, theirs)
 
-    def test_unpicklable_factory_fails_eagerly_naming_it(self, environment):
-        extended, channels = environment
-        simulator = BatchSimulator(extended, channels, seed=11)
+    def test_unpicklable_factory_fails_eagerly_naming_it(self):
+        system = _system(11)
         factory = lambda index: CombinatorialUCBPolicy(  # noqa: E731
-            extended, solver=ExactMWISSolver(), reward_scale=7.0
+            system.extended_graph, solver=ExactMWISSolver(), reward_scale=7.0
         )
         with pytest.raises(ValueError, match="policy factory.*<lambda>.*module level"):
-            simulator.run(
+            system.simulate_batch(
                 factory, num_rounds=5, replications=2, jobs=2, backend="process"
             )
 
-    def test_lambda_factories_still_fine_on_thread_backend(self, environment):
-        extended, channels = environment
-        simulator = BatchSimulator(extended, channels, seed=11)
-        batch = simulator.run(
+    def test_lambda_factories_still_fine_on_thread_backend(self):
+        system = _system(11)
+        batch = system.simulate_batch(
             lambda index: CombinatorialUCBPolicy(
-                extended, solver=ExactMWISSolver(), reward_scale=7.0
+                system.extended_graph, solver=ExactMWISSolver(), reward_scale=7.0
             ),
             num_rounds=5,
             replications=2,
@@ -135,50 +132,43 @@ class TestBatchProcessBackend:
 
 
 class TestFirstReplication:
-    def test_window_shift_reproduces_the_inner_replication(self, environment):
-        extended, channels = environment
-        full = BatchSimulator(extended, channels, seed=23).run(
+    def test_window_shift_reproduces_the_inner_replication(self):
+        full = _system(23).simulate_batch(
             _module_level_factory, num_rounds=15, replications=3
         )
-        shifted = BatchSimulator(extended, channels, seed=23).run(
+        shifted = _system(23).simulate_batch(
             _module_level_factory, num_rounds=15, replications=1, first_replication=1
         )
-        for a, b in zip(full.results[1].rounds, shifted.results[0].rounds):
-            assert a.strategy == b.strategy
-            assert a.observed_reward == b.observed_reward
+        _assert_same_trace(full.results[1], shifted.results[0], columns=("observed",))
 
-    def test_negative_first_replication_rejected(self, environment):
-        extended, channels = environment
+    def test_negative_first_replication_rejected(self):
         with pytest.raises(ValueError, match="first_replication"):
-            BatchSimulator(extended, channels, seed=23).run(
+            _system(23).simulate_batch(
                 _module_level_factory, num_rounds=5, first_replication=-1
             )
 
-    def test_factory_receives_the_global_index(self, environment):
-        extended, channels = environment
+    def test_factory_receives_the_global_index(self):
         seen = []
 
         def factory(index):
             seen.append(index)
             return _module_level_factory(index)
 
-        BatchSimulator(extended, channels, seed=23).run(
+        _system(23).simulate_batch(
             factory, num_rounds=5, replications=2, first_replication=3
         )
         assert seen == [3, 4]
 
 
 class TestReplicationValidation:
-    def test_zero_replications_rejected_with_a_clear_error(self, environment):
-        extended, channels = environment
+    def test_zero_replications_rejected_with_a_clear_error(self):
         with pytest.raises(ValueError, match="replications must be positive"):
-            BatchSimulator(extended, channels, seed=1).run(
+            _system(1).simulate_batch(
                 _module_level_factory, num_rounds=5, replications=0
             )
 
-    def test_negative_replications_rejected(self, environment):
-        extended, channels = environment
+    def test_negative_replications_rejected(self):
         with pytest.raises(ValueError, match="replications must be positive"):
-            BatchSimulator(extended, channels, seed=1).run(
+            _system(1).simulate_batch(
                 _module_level_factory, num_rounds=5, replications=-2
             )

@@ -1,25 +1,29 @@
-"""Tests for repro.sim.batch (seed-streamed replication batches)."""
+"""Tests for repro.sim.batch and ChannelAccessSystem.simulate_batch
+(seed-streamed replication batches)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ChannelAccessSystem
 from repro.channels.models import BernoulliChannel, GaussianChannel
 from repro.channels.state import ChannelState
 from repro.core.policies import CombinatorialUCBPolicy, LLRPolicy
 from repro.graph.conflict_graph import ConflictGraph
-from repro.graph.extended import ExtendedConflictGraph
 from repro.mwis.exact import ExactMWISSolver
-from repro.sim.batch import BatchSimulator, child_seed_sequences, replication_rngs
+from repro.sim.batch import child_seed_sequences, replication_rngs
 from repro.sim.engine import Simulator
 
 
 def _build_environment():
     graph = ConflictGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], num_channels=2)
-    extended = ExtendedConflictGraph(graph)
     means = np.array([[2.0, 5.0], [7.0, 1.0], [3.0, 4.0], [6.0, 2.0]])
     channels = ChannelState.from_mean_matrix(means, relative_std=0.05)
-    return extended, channels
+    return graph, channels
+
+
+def _system(seed):
+    return ChannelAccessSystem(*_build_environment(), seed=seed)
 
 
 @pytest.fixture
@@ -73,28 +77,27 @@ class TestBatchMatchesSequential:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_single_replication_reproduces_sequential_trace_bitwise(self, seed):
-        extended, channels = _build_environment()
-        batch = BatchSimulator(extended, channels, seed=seed).run(
+        system = _system(seed)
+        extended = system.extended_graph
+        batch = system.simulate_batch(
             _ucb_factory(extended), num_rounds=40, replications=1
         )
         sequential = Simulator(
-            extended, channels, rng=replication_rngs(seed, 1)[0]
+            extended, system.channels, rng=replication_rngs(seed, 1)[0]
         ).run(_ucb_factory(extended)(0), num_rounds=40)
-        batch_rounds = batch.results[0].rounds
-        assert len(batch_rounds) == len(sequential.rounds)
-        for ours, theirs in zip(batch_rounds, sequential.rounds):
-            assert ours.strategy == theirs.strategy
-            assert ours.expected_reward == theirs.expected_reward
-            assert ours.observed_reward == theirs.observed_reward
-            assert ours.estimated_weight == theirs.estimated_weight
+        (ours,) = batch.results
+        assert ours.trace.strategies == sequential.trace.strategies
+        for column in ("expected", "observed", "estimated"):
+            assert np.array_equal(
+                ours.trace.column(column), sequential.trace.column(column)
+            )
 
-    def test_parallel_jobs_match_serial_run_bitwise(self, environment):
-        extended, channels = environment
-        serial = BatchSimulator(extended, channels, seed=3).run(
-            _ucb_factory(extended), num_rounds=25, replications=4, jobs=1
-        )
-        threaded = BatchSimulator(extended, channels, seed=3).run(
-            _ucb_factory(extended), num_rounds=25, replications=4, jobs=4
+    def test_parallel_jobs_match_serial_run_bitwise(self):
+        system = _system(3)
+        factory = _ucb_factory(system.extended_graph)
+        serial = system.simulate_batch(factory, num_rounds=25, replications=4, jobs=1)
+        threaded = system.simulate_batch(
+            factory, num_rounds=25, replications=4, jobs=4
         )
         assert np.array_equal(
             serial.observed_reward_matrix(), threaded.observed_reward_matrix()
@@ -149,10 +152,13 @@ class TestDictAndArraySamplingAgree:
 
 
 class TestBatchResultAggregation:
-    def test_matrix_shapes_and_means(self, environment):
-        extended, channels = environment
-        batch = BatchSimulator(extended, channels, seed=5, optimal_value=13.0).run(
-            _ucb_factory(extended), num_rounds=30, replications=3
+    def test_matrix_shapes_and_means(self):
+        system = _system(5)
+        batch = system.simulate_batch(
+            _ucb_factory(system.extended_graph),
+            num_rounds=30,
+            replications=3,
+            optimal_value=13.0,
         )
         assert batch.num_replications == 3
         assert batch.num_rounds == 30
@@ -163,23 +169,23 @@ class TestBatchResultAggregation:
         assert batch.mean_regret_trace().shape == (30,)
         assert batch.total_wall_clock() > 0.0
 
-    def test_policy_factory_receives_replication_index(self, environment):
-        extended, channels = environment
+    def test_policy_factory_receives_replication_index(self):
+        system = _system(1)
         seen = []
 
         def factory(index):
             seen.append(index)
-            return LLRPolicy(extended, solver=ExactMWISSolver(), reward_scale=7.0)
+            return LLRPolicy(
+                system.extended_graph, solver=ExactMWISSolver(), reward_scale=7.0
+            )
 
-        BatchSimulator(extended, channels, seed=1).run(
-            factory, num_rounds=5, replications=3
-        )
+        system.simulate_batch(factory, num_rounds=5, replications=3)
         assert seen == [0, 1, 2]
 
-    def test_round_durations_are_recorded(self, environment):
-        extended, channels = environment
-        batch = BatchSimulator(extended, channels, seed=2).run(
-            _ucb_factory(extended), num_rounds=10, replications=1
+    def test_round_durations_are_recorded(self):
+        system = _system(2)
+        batch = system.simulate_batch(
+            _ucb_factory(system.extended_graph), num_rounds=10, replications=1
         )
         durations = batch.results[0].round_durations()
         assert durations.shape == (10,)
@@ -189,39 +195,41 @@ class TestBatchResultAggregation:
 
 class TestBatchValidation:
     def test_mismatched_channel_shape_rejected(self, environment):
-        extended, _ = environment
+        graph, _ = environment
         wrong = ChannelState.from_mean_matrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            BatchSimulator(extended, wrong)
+            ChannelAccessSystem(graph, wrong)
 
-    def test_non_positive_rounds_rejected(self, environment):
-        extended, channels = environment
+    def test_non_positive_rounds_rejected(self):
+        system = _system(0)
         with pytest.raises(ValueError):
-            BatchSimulator(extended, channels, seed=0).run(
-                _ucb_factory(extended), num_rounds=0, replications=1
+            system.simulate_batch(
+                _ucb_factory(system.extended_graph), num_rounds=0, replications=1
             )
 
-    def test_non_positive_jobs_rejected(self, environment):
-        extended, channels = environment
+    def test_non_positive_jobs_rejected(self):
+        system = _system(0)
         with pytest.raises(ValueError):
-            BatchSimulator(extended, channels, seed=0).run(
-                _ucb_factory(extended), num_rounds=5, replications=1, jobs=0
+            system.simulate_batch(
+                _ucb_factory(system.extended_graph),
+                num_rounds=5,
+                replications=1,
+                jobs=0,
             )
 
     def test_stateful_channel_models_rejected_for_multiple_replications(self):
         from repro.channels.dynamics import GilbertElliottChannel
 
         graph = ConflictGraph(2, [(0, 1)], num_channels=1)
-        extended = ExtendedConflictGraph(graph)
         channels = ChannelState(
             [
                 [GilbertElliottChannel(5.0, 1.0, 0.1, 0.3)],
                 [GaussianChannel(2.0, 0.1)],
             ]
         )
-        simulator = BatchSimulator(extended, channels, seed=0)
-        factory = _ucb_factory(extended)
+        system = ChannelAccessSystem(graph, channels, seed=0)
+        factory = _ucb_factory(system.extended_graph)
         # A single replication owns the only stream, so it is allowed.
-        simulator.run(factory, num_rounds=3, replications=1)
+        system.simulate_batch(factory, num_rounds=3, replications=1)
         with pytest.raises(ValueError, match="stateful"):
-            simulator.run(factory, num_rounds=3, replications=2)
+            system.simulate_batch(factory, num_rounds=3, replications=2)

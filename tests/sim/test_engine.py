@@ -37,12 +37,12 @@ class TestSimulatorBasics:
         policy = CombinatorialUCBPolicy(extended, solver=ExactMWISSolver())
         result = simulator.run(policy, num_rounds=10)
         means = channels.mean_matrix()
-        for record in result.rounds:
-            assert record.expected_reward == pytest.approx(
-                record.strategy.expected_reward(means)
-            )
-            assert record.observed_reward >= 0.0
-            assert record.estimated_weight is not None
+        for strategy, expected in zip(
+            result.trace.strategies, result.expected_rewards()
+        ):
+            assert expected == pytest.approx(strategy.expected_reward(means))
+        assert (result.observed_rewards() >= 0.0).all()
+        assert not np.isnan(result.estimated_weights()).any()
 
     def test_oracle_policy_has_zero_expected_regret(self, tiny_environment, rng):
         extended, channels = tiny_environment

@@ -120,10 +120,10 @@ def test_one_slot_periods_replay_the_per_round_simulator(seed, policy_class):
         extended, channels, period_slots=1, rng=np.random.default_rng(seed)
     ).run(policy(), 40)
     theta = TimingConfig.paper_defaults().theta
-    assert len(periodic.records) == len(per_round.rounds)
-    for period, round_ in zip(periodic.records, per_round.rounds):
-        assert period.strategy == round_.strategy
-        assert period.expected_throughput == theta * round_.expected_reward
-        assert period.actual_throughput == pytest.approx(
-            theta * round_.observed_reward, rel=1e-12
-        )
+    assert periodic.trace.strategies == per_round.trace.strategies
+    assert np.array_equal(
+        periodic.trace.column("expected"), theta * per_round.expected_rewards()
+    )
+    assert periodic.actual_throughputs() == pytest.approx(
+        theta * per_round.observed_rewards(), rel=1e-12
+    )

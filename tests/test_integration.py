@@ -28,8 +28,8 @@ class TestFullSchemeOnSmallNetworks:
         policy = system.paper_policy(r=1)
         result = system.simulate(policy, num_rounds=40)
         extended = system.extended_graph
-        for record in result.rounds:
-            arms = record.strategy.arms(extended)
+        for strategy in result.trace.strategies:
+            arms = strategy.arms(extended)
             assert extended.is_independent_set(arms)
 
     def test_learning_approaches_the_oracle_with_exact_decisions(self, rng):
