@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote
 
 __all__ = [
@@ -24,6 +24,8 @@ __all__ = [
     "send_error",
     "EventStream",
     "MAX_BODY_BYTES",
+    "MAX_HEADER_LINES",
+    "HEAD_TIMEOUT_S",
     "STATUS_PHRASES",
 ]
 
@@ -34,6 +36,13 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Maximum length of the request line / one header line.
 _MAX_LINE_BYTES = 16 * 1024
 
+#: Requests with more header lines than this are rejected with 431.
+MAX_HEADER_LINES = 100
+
+#: Seconds a client has to send the request line and headers; a slower head
+#: is answered with 408, so a stalled client cannot hold its connection.
+HEAD_TIMEOUT_S = 10.0
+
 STATUS_PHRASES = {
     200: "OK",
     202: "Accepted",
@@ -41,9 +50,11 @@ STATUS_PHRASES = {
     401: "Unauthorized",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     505: "HTTP Version Not Supported",
@@ -105,10 +116,13 @@ class Request:
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line with its ``\n``; ``b""`` when the stream ends before it."""
     try:
         line = await reader.readuntil(b"\n")
     except asyncio.IncompleteReadError as err:
-        return err.partial
+        if err.partial:
+            raise HttpError(400, "request head ended mid-line") from None
+        return b""
     except asyncio.LimitOverrunError:
         raise HttpError(413, "header line too long") from None
     if len(line) > _MAX_LINE_BYTES:
@@ -116,8 +130,10 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
     return line
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Parse one request off the stream; ``None`` on a cleanly closed socket."""
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, Dict[str, str]]]:
+    """The request line and headers up to the blank line that ends them."""
     line = await _read_line(reader)
     if not line.strip():
         return None
@@ -128,14 +144,37 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     if not version.startswith("HTTP/1."):
         raise HttpError(505, f"unsupported protocol version {version!r}")
     headers: Dict[str, str] = {}
+    header_lines = 0
     while True:
         line = await _read_line(reader)
+        if not line:
+            raise HttpError(400, "request head ended before its blank line")
         if not line.strip():
-            break
+            return method, target, headers
+        header_lines += 1
+        if header_lines > MAX_HEADER_LINES:
+            raise HttpError(431, f"more than {MAX_HEADER_LINES} header lines")
         name, separator, value = line.decode("latin-1").partition(":")
         if not separator:
             raise HttpError(400, f"malformed header line {line.decode('latin-1')!r}")
         headers[name.strip().lower()] = value.strip()
+
+
+async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+    """Parse one request off the stream; ``None`` on a cleanly closed socket.
+
+    The head must arrive within :data:`HEAD_TIMEOUT_S` (408 otherwise) and
+    end with its blank line (400 otherwise).
+    """
+    try:
+        head = await asyncio.wait_for(_read_head(reader), HEAD_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise HttpError(
+            408, f"request head not received within {HEAD_TIMEOUT_S:g} s"
+        ) from None
+    if head is None:
+        return None
+    method, target, headers = head
     raw_path, _, raw_query = target.partition("?")
     query = {key: value for key, value in parse_qsl(raw_query)}
     length_text = headers.get("content-length", "0") or "0"

@@ -1,0 +1,85 @@
+"""Request-head parsing of repro.serve.http and the head deadline."""
+
+import asyncio
+import socket
+import time
+
+import pytest
+
+from repro.serve import ServerThread, ServiceConfig
+from repro.serve import http
+from repro.serve.http import (
+    MAX_HEADER_LINES,
+    STATUS_PHRASES,
+    HttpError,
+    read_request,
+)
+
+
+def _parse(data: bytes, eof: bool = True):
+    async def parse():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        if eof:
+            reader.feed_eof()
+        # The outer bound turns a parser that waits forever into a failure.
+        return await asyncio.wait_for(read_request(reader), 5)
+
+    return asyncio.run(parse())
+
+
+def _status(data: bytes, eof: bool = True) -> int:
+    with pytest.raises(HttpError) as excinfo:
+        _parse(data, eof)
+    return excinfo.value.status
+
+
+def _head(header_lines: int) -> bytes:
+    headers = b"".join(b"X-H%d: v\r\n" % index for index in range(header_lines))
+    return b"GET /v1/health HTTP/1.1\r\n" + headers + b"\r\n"
+
+
+class TestReadRequest:
+    def test_complete_request_parses(self):
+        request = _parse(
+            b"POST /v1/run?x=1 HTTP/1.1\r\nContent-Length: 2\r\nHost: h\r\n\r\n{}"
+        )
+        assert (request.method, request.path, request.query) == (
+            "POST", "/v1/run", {"x": "1"}
+        )
+        assert request.headers == {"content-length": "2", "host": "h"}
+        assert request.body == b"{}"
+
+    def test_clean_close_is_no_request(self):
+        assert _parse(b"") is None
+
+    def test_head_cut_mid_header_is_400(self):
+        assert _status(b"GET /v1/health HTTP/1.1\r\nHost: x") == 400
+
+    def test_head_without_its_blank_line_is_400(self):
+        assert _status(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n") == 400
+
+    def test_request_line_without_crlf_is_400(self):
+        assert _status(b"GET /v1/health HTTP/1.1") == 400
+
+    def test_header_count_is_capped_with_431(self):
+        assert _parse(_head(MAX_HEADER_LINES)).path == "/v1/health"
+        assert _status(_head(MAX_HEADER_LINES + 1)) == 431
+        assert STATUS_PHRASES[431] == "Request Header Fields Too Large"
+
+    def test_stalled_head_is_408(self, monkeypatch):
+        monkeypatch.setattr(http, "HEAD_TIMEOUT_S", 0.05)
+        assert _status(b"GET /v1/hea", eof=False) == 408
+
+
+def test_server_answers_a_stalled_client_within_the_deadline(tmp_path, monkeypatch):
+    monkeypatch.setattr(http, "HEAD_TIMEOUT_S", 0.2)
+    config = ServiceConfig(store=str(tmp_path / "store"), backend="thread", jobs=1)
+    with ServerThread(config) as server:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(b"GET /v1/hea")
+            started = time.monotonic()
+            reply = sock.recv(4096)
+            elapsed = time.monotonic() - started
+    assert reply == b"" or reply.startswith(b"HTTP/1.1 408 ")
+    assert elapsed < 5
