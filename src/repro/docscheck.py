@@ -1,6 +1,6 @@
 """Static checker for the repository's markdown documentation.
 
-Docs rot in three ways this module catches mechanically, so
+Docs rot in four ways this module catches mechanically, so
 ``tests/test_docscheck.py`` can gate on them:
 
 * **Dead internal links** — ``[text](path)`` targets that do not exist on
@@ -10,6 +10,9 @@ Docs rot in three ways this module catches mechanically, so
   rest of the page on render.
 * **Stale command lines** — ``repro run <name>`` / ``repro sweep <name>``
   examples whose scenario or sweep-plan name is no longer registered.
+* **Stale API names** — inline-code dotted names such as
+  ``repro.sim.engine.Simulator`` (optionally called, ``…()``) outside code
+  fences that no longer import or resolve to an attribute.
 
 Usage::
 
@@ -22,6 +25,7 @@ problem (``path:line: message``).
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 import re
 import sys
@@ -36,6 +40,8 @@ _FENCE = re.compile(r"^\s*(```+|~~~+)")
 # at whitespace so flags and file arguments are inspected separately.
 _COMMAND = re.compile(r"\brepro\s+(run|sweep)\s+([^\s`\"']+)")
 _EXTERNAL = re.compile(r"^[a-z][a-z0-9+.-]*:")  # http:, https:, mailto:, ...
+# `repro.a.b` or `repro.a.b(...)`: the whole inline-code span is the name.
+_API_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
 
 
 def heading_anchor(heading: str) -> str:
@@ -99,6 +105,22 @@ def _check_command(kind: str, name: str) -> Optional[str]:
     return None
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is an importable module or an attribute path of one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
 def check_file(path: pathlib.Path, root: pathlib.Path) -> List[str]:
     """Return report lines for one markdown file (empty when clean)."""
     problems: List[str] = []
@@ -123,6 +145,12 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> List[str]:
                     if message:
                         problems.append(f"{path}:{lineno}: {message}")
             continue
+        for match in _API_NAME.finditer(line):
+            if not _resolves(match.group(1)):
+                problems.append(
+                    f"{path}:{lineno}: `{match.group(1)}` no longer imports "
+                    "or resolves"
+                )
         for match in _LINK.finditer(line):
             target = match.group(1)
             if _EXTERNAL.match(target):

@@ -127,6 +127,30 @@ class TestCommands:
         assert check_file(doc, tmp_path) == []
 
 
+class TestApiNames:
+    def test_resolving_names_pass(self, tmp_path):
+        doc = write(
+            tmp_path / "doc.md",
+            "`repro.sim` `repro.sim.engine.Simulator.run` "
+            "`repro.obs.current_observer()` `repro.trace/v1`\n",
+        )
+        assert check_file(doc, tmp_path) == []
+
+    def test_removed_names_reported(self, tmp_path):
+        doc = write(
+            tmp_path / "doc.md",
+            "Use `repro.sim.NoSuchSimulator` or `repro.no_such_module.thing()`.\n",
+        )
+        problems = check_file(doc, tmp_path)
+        assert len(problems) == 2
+        assert ":1: `repro.sim.NoSuchSimulator`" in problems[0]
+        assert "`repro.no_such_module.thing`" in problems[1]
+
+    def test_names_inside_fences_ignored(self, tmp_path):
+        doc = write(tmp_path / "doc.md", "```\n`repro.sim.Gone`\n```\n")
+        assert check_file(doc, tmp_path) == []
+
+
 class TestCheckPathsAndMain:
     def test_missing_input_reported(self, tmp_path):
         problems = check_paths([tmp_path / "nope.md"], tmp_path)
