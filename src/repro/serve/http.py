@@ -116,7 +116,7 @@ class Request:
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One line with its ``\n``; ``b""`` when the stream ends before it."""
+    """One line with its newline; ``b""`` when the stream ends before it."""
     try:
         line = await reader.readuntil(b"\n")
     except asyncio.IncompleteReadError as err:
