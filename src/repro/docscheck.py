@@ -1,6 +1,6 @@
 """Static checker for the repository's markdown documentation.
 
-Docs rot in four ways this module catches mechanically, so
+Docs rot in five ways this module catches mechanically, so
 ``tests/test_docscheck.py`` can gate on them:
 
 * **Dead internal links** — ``[text](path)`` targets that do not exist on
@@ -13,6 +13,9 @@ Docs rot in four ways this module catches mechanically, so
 * **Stale API names** — inline-code dotted names such as
   ``repro.sim.engine.Simulator`` (optionally called, ``…()``) outside code
   fences that no longer import or resolve to an attribute.
+* **Stale test references** — inline-code ``tests/...`` paths outside code
+  fences that no longer exist, or whose ``::Class::test`` names the file no
+  longer defines.
 
 Usage::
 
@@ -42,6 +45,8 @@ _COMMAND = re.compile(r"\brepro\s+(run|sweep)\s+([^\s`\"']+)")
 _EXTERNAL = re.compile(r"^[a-z][a-z0-9+.-]*:")  # http:, https:, mailto:, ...
 # `repro.a.b` or `repro.a.b(...)`: the whole inline-code span is the name.
 _API_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+# `tests/a/b.py` or `tests/a/b.py::TestX::test_y`: the whole span.
+_TEST_REFERENCE = re.compile(r"`(tests/[^`\s]*)`")
 
 
 def heading_anchor(heading: str) -> str:
@@ -121,6 +126,22 @@ def _resolves(dotted: str) -> bool:
     return False
 
 
+def _check_test_reference(reference: str, root: pathlib.Path) -> Optional[str]:
+    """Why ``tests/<path>[::name...]`` is stale (relative to ``root``), else ``None``."""
+    path, *names = reference.split("::")
+    target = root / path
+    if not target.exists():
+        return f"`{reference}`: {path} does not exist"
+    if names:
+        if not target.is_file():
+            return f"`{reference}`: {path} is not a file"
+        source = target.read_text(encoding="utf-8")
+        for name in names:
+            if not re.search(rf"(class|def) {re.escape(name)}\b", source):
+                return f"`{reference}`: {path} defines no {name}"
+    return None
+
+
 def check_file(path: pathlib.Path, root: pathlib.Path) -> List[str]:
     """Return report lines for one markdown file (empty when clean)."""
     problems: List[str] = []
@@ -151,6 +172,10 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> List[str]:
                     f"{path}:{lineno}: `{match.group(1)}` no longer imports "
                     "or resolves"
                 )
+        for match in _TEST_REFERENCE.finditer(line):
+            message = _check_test_reference(match.group(1), root)
+            if message:
+                problems.append(f"{path}:{lineno}: {message}")
         for match in _LINK.finditer(line):
             target = match.group(1)
             if _EXTERNAL.match(target):

@@ -226,10 +226,17 @@ for _ in range(int(sys.argv[3])):
 """
 
     READER = """
-import json, sys
+import json, sys, time
 data = json.load(open(sys.argv[1]))
 from repro.sweep import ResultStore
 store = ResultStore(sys.argv[2])
+# Poll until the first writer's entry lands, so the strict reads below
+# overlap the live writes however the processes are scheduled.
+deadline = time.monotonic() + 60.0
+while store.load(data["hash"], strict=True) is None:  # raises on a torn entry
+    if time.monotonic() > deadline:
+        sys.exit("no entry appeared within 60 s")
+    time.sleep(0.001)
 hits = 0
 for _ in range(int(sys.argv[3])):
     entry = store.load(data["hash"], strict=True)  # raises on any torn entry

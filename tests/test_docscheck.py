@@ -151,6 +151,37 @@ class TestApiNames:
         assert check_file(doc, tmp_path) == []
 
 
+class TestTestReferences:
+    def test_existing_paths_and_names_pass(self, tmp_path):
+        write(tmp_path / "tests" / "test_x.py", "class TestX:\n    def test_y(self):\n")
+        doc = write(
+            tmp_path / "README.md",
+            "`tests/` `tests/test_x.py` `tests/test_x.py::TestX::test_y`\n",
+        )
+        assert check_file(doc, tmp_path) == []
+
+    def test_planted_stale_path_reported(self, tmp_path):
+        doc = write(
+            tmp_path / "docs" / "guide.md", "Pinned by `tests/sweep/test_gone.py`.\n"
+        )
+        problems = check_file(doc, tmp_path)
+        assert len(problems) == 1
+        assert ":1: `tests/sweep/test_gone.py`: tests/sweep/test_gone.py does not exist" in (
+            problems[0]
+        )
+
+    def test_stale_test_name_reported(self, tmp_path):
+        write(tmp_path / "tests" / "test_x.py", "def test_kept():\n    pass\n")
+        doc = write(tmp_path / "doc.md", "`tests/test_x.py::test_renamed`\n")
+        problems = check_file(doc, tmp_path)
+        assert len(problems) == 1
+        assert "defines no test_renamed" in problems[0]
+
+    def test_references_inside_fences_ignored(self, tmp_path):
+        doc = write(tmp_path / "doc.md", "```\n`tests/test_gone.py`\n```\n")
+        assert check_file(doc, tmp_path) == []
+
+
 class TestCheckPathsAndMain:
     def test_missing_input_reported(self, tmp_path):
         problems = check_paths([tmp_path / "nope.md"], tmp_path)
@@ -174,15 +205,11 @@ class TestCheckPathsAndMain:
     def test_architecture_names_only_existing_tests(self):
         """The contract-to-test map in docs/architecture.md stays honest."""
         root = pathlib.Path(__file__).resolve().parents[1]
-        text = (root / "docs" / "architecture.md").read_text(encoding="utf-8")
-        quoted = re.findall(r"`(tests/[^`\s]*)`", text)
-        assert quoted, "docs/architecture.md names no tests"
-        for reference in quoted:
-            path, *names = reference.split("::")
-            assert (root / path).exists(), reference
-            for name in names:
-                source = (root / path).read_text(encoding="utf-8")
-                assert re.search(rf"(class|def) {name}\b", source), reference
+        doc = root / "docs" / "architecture.md"
+        assert re.search(r"`tests/", doc.read_text(encoding="utf-8")), (
+            "docs/architecture.md names no tests"
+        )
+        assert check_file(doc, root) == []
 
 
 @pytest.mark.parametrize(
