@@ -33,6 +33,10 @@ class DistributedMWISSolver(MWISSolver):
     local_solver:
         Solver for the per-leader local MWIS instances (defaults to exact
         enumeration inside :class:`DistributedRobustPTAS`).
+
+    The protocol runs on the neighbourhood table of ``H``'s conflict graph
+    (:meth:`~repro.graph.conflict_graph.ConflictGraph.neighborhood_table`),
+    so every solver built over one graph and ``r`` shares a single table.
     """
 
     def __init__(
@@ -43,13 +47,13 @@ class DistributedMWISSolver(MWISSolver):
         local_solver=None,
     ) -> None:
         self._graph = extended_graph
-        self._adjacency = extended_graph.adjacency_sets()
+        neighborhoods = extended_graph.conflict_graph.neighborhood_table(r)
         self._protocol = DistributedRobustPTAS(
-            self._adjacency,
+            neighborhoods.adjacency,
             r=r,
             max_mini_rounds=max_mini_rounds,
             local_solver=local_solver,
-            master_of=[extended_graph.master_of(v) for v in extended_graph.vertices()],
+            neighborhoods=neighborhoods,
         )
         self._last_result: Optional[ProtocolResult] = None
         #: Vertices of the previously returned strategy; they are the ones

@@ -25,10 +25,10 @@ achieving the same approximation ratio as the centralized robust PTAS
 a constant-factor approximation on random networks (Theorem 4) -- experiment
 E1 / Fig. 6 measures exactly this convergence.
 
-This class is the user-facing wrapper: it validates parameters, precomputes
-the neighbourhood tables once per topology, and runs the protocol over
-either an internally-built :class:`~repro.distributed.transport.
-SimulatedTransport` (the back-compat ``adjacency``-only path) or any
+This class is the user-facing wrapper: it validates parameters, holds the
+topology's :class:`~repro.graph.neighborhoods.NeighborhoodTable` (built here
+unless a shared one is passed) and runs the protocol over either a fresh
+:class:`~repro.distributed.transport.SimulatedTransport` per run or any
 transport passed via ``transport=`` — including the real asyncio runtime.
 """
 
@@ -38,34 +38,20 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.distributed.runtime import MiniRoundRecord, ProtocolEngine, ProtocolResult
 from repro.distributed.transport import SimulatedTransport, Transport
-from repro.graph.neighborhoods import r_hop_neighborhood
+from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
 from repro.mwis.base import Adjacency, MWISSolver
 
 __all__ = [
     "MiniRoundRecord",
     "ProtocolResult",
     "DistributedRobustPTAS",
-    "protocol_neighborhoods",
 ]
-
-
-def protocol_neighborhoods(adjacency: Adjacency, r: int) -> Dict[int, List[Set[int]]]:
-    """Per-vertex neighbourhood tables for every radius the protocol uses.
-
-    Maps each of ``r`` (the local MWIS), ``r + 1`` (the Loser ball),
-    ``2r + 1`` (knowledge and elections) and ``3r + 2`` (the determination
-    broadcast) to the list of every vertex's neighbourhood at that radius.
-    """
-    return {
-        hops: [r_hop_neighborhood(adjacency, vertex, hops) for vertex in range(len(adjacency))]
-        for hops in (r, r + 1, 2 * r + 1, 3 * r + 2)
-    }
 
 
 class DistributedRobustPTAS:
     """Executable model of Algorithm 3 on a fixed extended conflict graph.
 
-    Neighbourhood structures are precomputed once per topology so that the
+    The neighbourhood table is built once per topology so that the
     per-round work matches the distributed algorithm (the real protocol also
     discovers its neighbourhood once, not every round).
 
@@ -82,23 +68,21 @@ class DistributedRobustPTAS:
     local_solver:
         Solver used for the local MWIS instances; defaults to exact
         enumeration as in the paper.
-    master_of:
-        Optional map from vertex id to master-node id, used only for the
-        space-cost report (the O(m) claim counts master nodes); defaults to
-        counting vertices.
-    precomputed_neighborhoods:
-        Optional externally-owned neighbourhood caches, mapping hop radius
-        to the per-vertex neighbourhood list.  Must cover the radii ``r``,
-        ``r + 1``, ``2r + 1`` and ``3r + 2``; lists are kept *by reference*,
-        which lets :mod:`repro.dynamics` maintain them incrementally while
-        the protocol keeps running on the live topology.
+    neighborhoods:
+        The :class:`~repro.graph.neighborhoods.NeighborhoodTable` of ``H``
+        at :func:`~repro.graph.neighborhoods.protocol_radii` ``(r)``, kept
+        *by reference*: every policy of a run can share one (see
+        :meth:`repro.graph.conflict_graph.ConflictGraph.neighborhood_table`),
+        and :mod:`repro.dynamics` updates it in place while the protocol
+        keeps running on the live topology.  Built from ``adjacency`` when
+        omitted.
     transport:
         Optional :class:`~repro.distributed.transport.Transport` instance to
         run the protocol over.  It is :meth:`~repro.distributed.transport.
         Transport.reset` before every :meth:`run` so per-run cost reports
         never mix rounds.  When omitted, each run builds a fresh
         :class:`~repro.distributed.transport.SimulatedTransport` over
-        ``adjacency`` (the historical behaviour, bit for bit).
+        ``adjacency`` and the neighbourhood table.
     """
 
     def __init__(
@@ -107,8 +91,7 @@ class DistributedRobustPTAS:
         r: int = 2,
         max_mini_rounds: Optional[int] = None,
         local_solver: Optional[MWISSolver] = None,
-        master_of: Optional[Sequence[int]] = None,
-        precomputed_neighborhoods: Optional[Dict[int, List[Set[int]]]] = None,
+        neighborhoods: Optional[NeighborhoodTable] = None,
         transport: Optional[Transport] = None,
     ) -> None:
         if adjacency is None:
@@ -135,39 +118,14 @@ class DistributedRobustPTAS:
         self._num_vertices = len(adjacency)
         self._r = r
         self._max_mini_rounds = max_mini_rounds
-        self._local_solver = local_solver
-        self._master_of = list(master_of) if master_of is not None else None
         self._transport = transport
-        # Precompute the neighbourhood radii used by the protocol: r for the
-        # local MWIS, r+1 for the Loser ball, 2r+1 for knowledge/elections and
-        # 3r+2 for the determination broadcast.  The paper broadcasts within
-        # 3r+1 hops because its Losers lie within r hops of the leader; our
-        # Loser set additionally contains the Winners' direct neighbours
-        # (distance up to r+1), so one extra hop is needed for every vertex
-        # whose (2r+1)-hop election horizon contains a decided vertex to learn
-        # about the decision before the next mini-round.
-        if precomputed_neighborhoods is not None:
-            required = (r, r + 1, 2 * r + 1, 3 * r + 2)
-            missing = [hops for hops in required if hops not in precomputed_neighborhoods]
-            if missing:
-                raise ValueError(
-                    f"precomputed_neighborhoods is missing radii {missing}; "
-                    f"the protocol needs {list(required)}"
-                )
-            hoods = precomputed_neighborhoods
-        else:
-            hoods = protocol_neighborhoods(adjacency, r)
-        self._hood_r = hoods[r]
-        self._hood_r1 = hoods[r + 1]
-        self._hood_2r1 = hoods[2 * r + 1]
-        self._hood_lb = hoods[3 * r + 2]
+        if neighborhoods is None:
+            neighborhoods = NeighborhoodTable(adjacency, protocol_radii(r))
+        # Set-up builds the table (for its first user), so no decision
+        # ever pays for it.
+        self._neighborhoods = neighborhoods.build()
         self._engine = ProtocolEngine(
-            self._adjacency,
-            r=self._r,
-            hood_r=self._hood_r,
-            hood_r1=self._hood_r1,
-            hood_2r1=self._hood_2r1,
-            local_solver=self._local_solver,
+            adjacency, r, self._neighborhoods, local_solver=local_solver
         )
 
     @property
@@ -186,17 +144,9 @@ class DistributedRobustPTAS:
         return self._transport
 
     def transport_neighborhoods(self) -> Dict[int, List[Set[int]]]:
-        """The broadcast-radius neighbourhood tables, for external transports.
-
-        A transport built over the same graph can share these caches instead
-        of recomputing k-hop routing (the radii cover every broadcast the
-        protocol emits plus the local-MWIS radius ``r``).
-        """
+        """The per-vertex balls at every protocol radius, keyed by radius."""
         return {
-            self._r: self._hood_r,
-            self._r + 1: self._hood_r1,
-            2 * self._r + 1: self._hood_2r1,
-            3 * self._r + 2: self._hood_lb,
+            hops: self._neighborhoods.balls(hops) for hops in protocol_radii(self._r)
         }
 
     # ------------------------------------------------------------------
@@ -235,12 +185,7 @@ class DistributedRobustPTAS:
 
         if self._transport is None:
             transport: Transport = SimulatedTransport(
-                self._adjacency,
-                precomputed_neighborhoods={
-                    self._r: self._hood_r,
-                    2 * self._r + 1: self._hood_2r1,
-                    3 * self._r + 2: self._hood_lb,
-                },
+                self._adjacency, neighborhoods=self._neighborhoods
             )
         else:
             transport = self._transport

@@ -42,10 +42,9 @@ from repro.distributed.messages import (
     WeightBroadcast,
 )
 from repro.distributed.serialize import decode_message, encode_message
-from repro.distributed.telemetry import DeliveryTelemetry
 from repro.distributed.transport import Transport
 from repro.distributed.vertex import VertexAgent, VertexStatus
-from repro.graph.neighborhoods import r_hop_neighborhood
+from repro.graph.neighborhoods import NeighborhoodTable
 from repro.mwis.base import Adjacency, IndependentSet, MWISSolver, is_independent
 from repro.mwis.local import solve_local_mwis
 from repro.obs import current_observer
@@ -334,25 +333,22 @@ class ProtocolEngine:
     * a dependent winner set on a lossless transport is data, not a bug.
 
     Parameters mirror :class:`~repro.distributed.ptas.DistributedRobustPTAS`
-    (which delegates here); the four neighbourhood tables must already be
-    computed for radii ``r``, ``r+1``, ``2r+1`` and ``3r+2``.
+    (which delegates here); ``neighborhoods`` is the topology's shared
+    :class:`~repro.graph.neighborhoods.NeighborhoodTable`, read afresh at
+    every run so in-place dynamic updates are seen.
     """
 
     def __init__(
         self,
         adjacency: Adjacency,
         r: int,
-        hood_r: List[Set[int]],
-        hood_r1: List[Set[int]],
-        hood_2r1: List[Set[int]],
+        neighborhoods: NeighborhoodTable,
         local_solver: Optional[MWISSolver] = None,
     ) -> None:
         self._adjacency = adjacency
         self._num_vertices = len(adjacency)
         self._r = r
-        self._hood_r = hood_r
-        self._hood_r1 = hood_r1
-        self._hood_2r1 = hood_2r1
+        self._neighborhoods = neighborhoods
         self._local_solver = local_solver
 
     def run(
@@ -410,15 +406,19 @@ class ProtocolEngine:
         faults,
     ) -> ProtocolResult:
         make_vertex = VertexProtocol if faults is None else faults.make_vertex
+        r = self._r
+        hood_r = self._neighborhoods.balls(r)
+        hood_r1 = self._neighborhoods.balls(r + 1)
+        hood_2r1 = self._neighborhoods.balls(2 * r + 1)
         vertices = [
             make_vertex(
                 vertex,
                 transport,
-                self._r,
+                r,
                 self._adjacency,
-                hood_r=self._hood_r[vertex],
-                hood_r1=self._hood_r1[vertex],
-                hood_2r1=self._hood_2r1[vertex],
+                hood_r=hood_r[vertex],
+                hood_r1=hood_r1[vertex],
+                hood_2r1=hood_2r1[vertex],
                 local_solver=self._local_solver,
             )
             for vertex in range(self._num_vertices)
@@ -619,11 +619,8 @@ class AsyncioTransport(Transport):
 
     Parameters
     ----------
-    adjacency:
-        Adjacency sets of the extended conflict graph ``H``.
-    precomputed_neighborhoods:
-        Optional hop-radius -> per-vertex neighbourhood cache (shared with
-        the protocol so k-hop routing is computed once per topology).
+    adjacency, neighborhoods:
+        As for :class:`~repro.distributed.transport.Transport`.
     latency:
         Delivery latency distribution: ``"none"`` (in-order), ``"uniform"``
         over ``[0, latency_scale)`` or ``"exponential"`` with mean
@@ -644,7 +641,7 @@ class AsyncioTransport(Transport):
     def __init__(
         self,
         adjacency: Sequence[Set[int]],
-        precomputed_neighborhoods: Optional[Dict[int, List[Set[int]]]] = None,
+        neighborhoods: Optional[NeighborhoodTable] = None,
         *,
         latency: str = "none",
         latency_scale: float = 1.0,
@@ -662,11 +659,7 @@ class AsyncioTransport(Transport):
             )
         if latency_scale <= 0:
             raise ValueError(f"latency_scale must be positive, got {latency_scale}")
-        self._adjacency = adjacency
-        self._num_vertices = len(adjacency)
-        self._neighborhood_cache: Dict[int, List[Set[int]]] = (
-            dict(precomputed_neighborhoods) if precomputed_neighborhoods else {}
-        )
+        super().__init__(adjacency, neighborhoods)
         self._latency = latency
         self._latency_scale = float(latency_scale)
         self._reorder = bool(reorder)
@@ -674,9 +667,6 @@ class AsyncioTransport(Transport):
         self._rng = np.random.default_rng(seed)
 
         self._inboxes: List[List[Message]] = [[] for _ in range(self._num_vertices)]
-        self._messages_sent: List[int] = [0] * self._num_vertices
-        self._telemetry = DeliveryTelemetry()
-        self._mini_timeslots: Dict[str, int] = {}
         #: Deliveries staged by the router, flushed at the next phase barrier:
         #: (virtual delivery time, reorder jitter, sequence, recipient, frame).
         self._staged: List[Tuple[float, float, int, int, bytes]] = []
@@ -707,29 +697,6 @@ class AsyncioTransport(Transport):
             self._tasks.append(
                 self._loop.create_task(self._run_mailbox(vertex, down_reader))
             )
-
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices the transport connects."""
-        return self._num_vertices
-
-    @property
-    def adjacency(self) -> Sequence[Set[int]]:
-        """Adjacency sets of the graph the transport routes over."""
-        return self._adjacency
-
-    def _neighborhood(self, vertex: int, hops: int) -> Set[int]:
-        cache = self._neighborhood_cache.get(hops)
-        if cache is None:
-            cache = [
-                r_hop_neighborhood(self._adjacency, v, hops)
-                for v in range(self._num_vertices)
-            ]
-            self._neighborhood_cache[hops] = cache
-        return cache[vertex]
 
     # ------------------------------------------------------------------
     # Event-loop plumbing
@@ -784,7 +751,7 @@ class AsyncioTransport(Transport):
         message sequence.
         """
         message = self._decode(line)
-        recipients = sorted(self._neighborhood(sender, message.hop_limit) - {sender})
+        recipients = sorted(self._recipients(sender, message.hop_limit))
         self._clock += 1
         for recipient in recipients:
             if (
@@ -843,21 +810,10 @@ class AsyncioTransport(Transport):
         counted as deliveries (they never happened on this transport).
         """
         self._ensure_open()
-        sender = message.sender
-        if not (0 <= sender < self._num_vertices):
-            raise ValueError(
-                f"sender {sender} out of range [0, {self._num_vertices})"
-            )
-        if message.hop_limit < 0:
-            raise ValueError(f"hop_limit must be non-negative, got {message.hop_limit}")
-        if message.hop_limit == 0:
+        if not self._charge(message, phase):
             return 0
-        self._messages_sent[sender] += 1
-        self._mini_timeslots[phase] = (
-            self._mini_timeslots.get(phase, 0) + max(1, message.hop_limit)
-        )
         self._unrouted += 1
-        self._up_writers[sender].write(encode_message(message))
+        self._up_writers[message.sender].write(encode_message(message))
         self._drive(self._until_routed())
         return self._last_recipients
 
@@ -877,51 +833,6 @@ class AsyncioTransport(Transport):
         return len(self._inboxes[vertex]) + sum(
             1 for entry in self._staged if entry[3] == vertex
         )
-
-    def messages_sent(self, vertex: Optional[int] = None):
-        """Messages originated by ``vertex`` (or the per-vertex list)."""
-        if vertex is None:
-            return list(self._messages_sent)
-        return self._messages_sent[vertex]
-
-    @property
-    def total_messages_sent(self) -> int:
-        """Total number of broadcasts originated by any vertex."""
-        return sum(self._messages_sent)
-
-    @property
-    def total_deliveries(self) -> int:
-        """Total number of (message, recipient) deliveries (drops excluded)."""
-        return self._telemetry.deliveries
-
-    @property
-    def total_dropped(self) -> int:
-        """Number of (message, recipient) pairs lost to the drop model."""
-        return self._telemetry.dropped
-
-    def mini_timeslots(self, phase: Optional[str] = None) -> int:
-        """Mini-timeslots consumed, optionally restricted to one phase."""
-        if phase is not None:
-            return self._mini_timeslots.get(phase, 0)
-        return sum(self._mini_timeslots.values())
-
-    def telemetry_summary(self) -> Dict[str, float]:
-        """Flat numeric summary of the delivery trace and fault model.
-
-        Keys are envelope-record ready (all values are floats): totals for
-        deliveries / drops / out-of-order arrivals, virtual-latency stats,
-        and one ``net_delivered_<tag>`` counter per delivered message type.
-        Lossy and faulty runs surface this into the JSON envelope so they
-        are diagnosable without re-running.  The schema is shared with
-        :meth:`repro.distributed.transport.SimulatedTransport.telemetry_summary`.
-        """
-        return self._telemetry.summary()
-
-    def reset_costs(self) -> None:
-        """Zero all counters (inboxes and staged deliveries are kept)."""
-        self._messages_sent = [0] * self._num_vertices
-        self._telemetry.reset()
-        self._mini_timeslots = {}
 
     def reset(self) -> None:
         """Discard undelivered messages, the trace and all counters.

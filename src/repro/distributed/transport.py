@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.distributed.messages import Message
 from repro.distributed.telemetry import DeliveryTelemetry
-from repro.graph.neighborhoods import r_hop_neighborhood
+from repro.graph.neighborhoods import NeighborhoodTable
 
 __all__ = ["Transport", "SimulatedTransport"]
 
@@ -40,25 +40,74 @@ class Transport(abc.ABC):
     :meth:`collect` only after the sender side of the phase is over, which is
     exactly the synchronous mini-timeslot structure of Algorithm 3.
 
-    Implementations must mirror :class:`SimulatedTransport`'s cost
-    accounting so protocol results stay comparable across transports: one
+    The base class owns what every transport shares: the topology, the k-hop
+    balls a broadcast reaches (read from a
+    :class:`~repro.graph.neighborhoods.NeighborhoodTable`) and the cost
+    accounting, so protocol results stay comparable across transports: one
     originated message per broadcast, one delivery per (message, recipient)
     pair and ``max(1, hop_limit)`` mini-timeslots per broadcast, with
     zero-hop broadcasts charging nothing.
+
+    Parameters
+    ----------
+    adjacency:
+        Adjacency sets of the extended conflict graph ``H``.
+    neighborhoods:
+        The :class:`~repro.graph.neighborhoods.NeighborhoodTable` k-hop
+        delivery reads.  The protocol passes its own, so balls are computed
+        once per topology rather than once per round; a private table over
+        ``adjacency`` (each hop limit computed on first use) when omitted.
     """
+
+    def __init__(
+        self,
+        adjacency: Sequence[Set[int]],
+        neighborhoods: Optional[NeighborhoodTable] = None,
+    ) -> None:
+        self._adjacency = adjacency
+        self._num_vertices = len(adjacency)
+        self._neighborhoods = (
+            neighborhoods if neighborhoods is not None else NeighborhoodTable(adjacency)
+        )
+        self._telemetry = DeliveryTelemetry()
+        self.reset_costs()
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     @property
-    @abc.abstractmethod
     def num_vertices(self) -> int:
         """Number of vertices the transport connects."""
+        return self._num_vertices
 
     @property
-    @abc.abstractmethod
     def adjacency(self) -> Sequence[Set[int]]:
         """Adjacency sets of the graph the transport routes over."""
+        return self._adjacency
+
+    def _charge(self, message: Message, phase: str) -> bool:
+        """Validate one broadcast and charge its message and mini-timeslots.
+
+        Returns ``False`` for a zero-hop broadcast: it reaches nobody, so
+        nothing is transmitted and nothing is charged.
+        """
+        sender = message.sender
+        if not (0 <= sender < self._num_vertices):
+            raise ValueError(
+                f"sender {sender} out of range [0, {self._num_vertices})"
+            )
+        if message.hop_limit < 0:
+            raise ValueError(f"hop_limit must be non-negative, got {message.hop_limit}")
+        if message.hop_limit == 0:
+            return False
+        self._messages_sent[sender] += 1
+        # A k-hop flood needs O(k) mini-timeslots to propagate.
+        self._mini_timeslots[phase] += max(1, message.hop_limit)
+        return True
+
+    def _recipients(self, sender: int, hops: int) -> Set[int]:
+        """Every vertex within ``hops`` of ``sender``, the sender excluded."""
+        return self._neighborhoods.balls(hops)[sender] - {sender}
 
     # ------------------------------------------------------------------
     # Broadcast and delivery
@@ -83,45 +132,52 @@ class Transport(abc.ABC):
     # ------------------------------------------------------------------
     # Cost accounting
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def messages_sent(self, vertex: Optional[int] = None):
         """Messages originated by ``vertex`` (or the per-vertex list)."""
+        if vertex is None:
+            return list(self._messages_sent)
+        return self._messages_sent[vertex]
 
     @property
-    @abc.abstractmethod
     def total_messages_sent(self) -> int:
         """Total number of broadcasts originated by any vertex."""
+        return sum(self._messages_sent)
 
     @property
-    @abc.abstractmethod
     def total_deliveries(self) -> int:
-        """Total number of (message, recipient) deliveries."""
-
-    @abc.abstractmethod
-    def mini_timeslots(self, phase: Optional[str] = None) -> int:
-        """Mini-timeslots consumed, optionally restricted to one phase."""
+        """Total number of (message, recipient) deliveries (drops excluded)."""
+        return self._telemetry.deliveries
 
     @property
-    @abc.abstractmethod
     def total_dropped(self) -> int:
         """(message, recipient) pairs lost to the drop model (0 if lossless)."""
+        return self._telemetry.dropped
 
-    @abc.abstractmethod
-    def telemetry_summary(self) -> "dict":
+    def mini_timeslots(self, phase: Optional[str] = None) -> int:
+        """Mini-timeslots consumed, optionally restricted to one phase."""
+        if phase is not None:
+            return self._mini_timeslots.get(phase, 0)
+        return sum(self._mini_timeslots.values())
+
+    def telemetry_summary(self) -> Dict[str, float]:
         """Flat numeric delivery summary (``net_*`` keys, float values).
 
         Every transport reports the same schema — ``net_deliveries``,
         ``net_dropped``, ``net_out_of_order``, ``net_latency_mean``,
         ``net_latency_max`` and per-type ``net_delivered_<Type>`` counts —
         backed by :class:`repro.distributed.telemetry.DeliveryTelemetry`
-        on the obs metrics registry.  The summary never enters the
-        envelope's canonical form, so recording it cannot perturb result
-        hashes.
+        on the obs metrics registry.  On the instant, lossless simulated
+        transport drops, out-of-order arrivals and latency are structurally
+        zero.  The summary never enters the envelope's canonical form, so
+        recording it cannot perturb result hashes.
         """
+        return self._telemetry.summary()
 
-    @abc.abstractmethod
     def reset_costs(self) -> None:
-        """Zero all counters (inboxes are left untouched)."""
+        """Zero all counters (inboxes and staged deliveries are kept)."""
+        self._messages_sent: List[int] = [0] * self._num_vertices
+        self._telemetry.reset()
+        self._mini_timeslots: Dict[str, int] = defaultdict(int)
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -160,49 +216,18 @@ class SimulatedTransport(Transport):
     about (messages originated per vertex, total deliveries, and
     mini-timeslots per phase: ``O((2r+1)^2)`` for WB, ``O(2r+1)`` for LD and
     ``O(3r+1)`` for LB, Section IV-C), and is the reference behaviour every
-    other transport is tested against.
-
-    Parameters
-    ----------
-    adjacency:
-        Adjacency sets of the extended conflict graph ``H``.
-    precomputed_neighborhoods:
-        Optional cache mapping hop radius -> list of neighbourhood sets per
-        vertex.  The distributed PTAS passes its own cache so neighbourhoods
-        are computed once per topology rather than once per round.
+    other transport is tested against.  Parameters as for
+    :class:`Transport`.
     """
 
     def __init__(
         self,
         adjacency: Sequence[Set[int]],
-        precomputed_neighborhoods: Optional[Dict[int, List[Set[int]]]] = None,
+        neighborhoods: Optional[NeighborhoodTable] = None,
     ) -> None:
-        self._adjacency = adjacency
-        self._num_vertices = len(adjacency)
-        self._neighborhood_cache: Dict[int, List[Set[int]]] = (
-            dict(precomputed_neighborhoods) if precomputed_neighborhoods else {}
-        )
+        super().__init__(adjacency, neighborhoods)
         self._inboxes: List[List[Message]] = [[] for _ in range(self._num_vertices)]
-        self._messages_sent: List[int] = [0] * self._num_vertices
-        self._telemetry = DeliveryTelemetry()
-        self._mini_timeslots: Dict[str, int] = defaultdict(int)
 
-    # ------------------------------------------------------------------
-    # Neighbourhood handling
-    # ------------------------------------------------------------------
-    def _neighborhood(self, vertex: int, hops: int) -> Set[int]:
-        cache = self._neighborhood_cache.get(hops)
-        if cache is None:
-            cache = [
-                r_hop_neighborhood(self._adjacency, v, hops)
-                for v in range(self._num_vertices)
-            ]
-            self._neighborhood_cache[hops] = cache
-        return cache[vertex]
-
-    # ------------------------------------------------------------------
-    # Broadcast and delivery
-    # ------------------------------------------------------------------
     def broadcast(self, message: Message, phase: str) -> int:
         """Deliver ``message`` to every vertex within its hop limit.
 
@@ -210,28 +235,16 @@ class SimulatedTransport(Transport):
         labels the protocol phase (``"WB"``, ``"LD"`` or ``"LB"``) for the
         mini-timeslot accounting.
         """
-        sender = message.sender
-        if not (0 <= sender < self._num_vertices):
-            raise ValueError(
-                f"sender {sender} out of range [0, {self._num_vertices})"
-            )
-        if message.hop_limit < 0:
-            raise ValueError(f"hop_limit must be non-negative, got {message.hop_limit}")
-        if message.hop_limit == 0:
-            # A zero-hop broadcast reaches nobody; nothing is transmitted, so
-            # neither the message counter nor the timeslot budget is charged.
+        if not self._charge(message, phase):
             return 0
-        recipients = self._neighborhood(sender, message.hop_limit) - {sender}
+        recipients = self._recipients(message.sender, message.hop_limit)
         for recipient in recipients:
             self._inboxes[recipient].append(message)
-        self._messages_sent[sender] += 1
         if recipients:
             self._telemetry.count_deliveries(len(recipients))
             self._telemetry.count_delivered_type(
                 type(message).__name__, len(recipients)
             )
-        # A k-hop flood needs O(k) mini-timeslots to propagate.
-        self._mini_timeslots[phase] += max(1, message.hop_limit)
         return len(recipients)
 
     def collect(self, vertex: int) -> List[Message]:
@@ -245,62 +258,6 @@ class SimulatedTransport(Transport):
     def pending(self, vertex: int) -> int:
         """Number of undelivered messages waiting for ``vertex``."""
         return len(self._inboxes[vertex])
-
-    # ------------------------------------------------------------------
-    # Cost accounting
-    # ------------------------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices the transport connects."""
-        return self._num_vertices
-
-    @property
-    def adjacency(self) -> Sequence[Set[int]]:
-        """Adjacency sets of the graph the transport routes over."""
-        return self._adjacency
-
-    def messages_sent(self, vertex: Optional[int] = None):
-        """Messages originated by ``vertex`` (or the per-vertex list)."""
-        if vertex is None:
-            return list(self._messages_sent)
-        return self._messages_sent[vertex]
-
-    @property
-    def total_messages_sent(self) -> int:
-        """Total number of broadcasts originated by any vertex."""
-        return sum(self._messages_sent)
-
-    @property
-    def total_deliveries(self) -> int:
-        """Total number of (message, recipient) deliveries."""
-        return self._telemetry.deliveries
-
-    @property
-    def total_dropped(self) -> int:
-        """Pairs lost to a drop model (always 0: this transport is lossless)."""
-        return self._telemetry.dropped
-
-    def mini_timeslots(self, phase: Optional[str] = None) -> int:
-        """Mini-timeslots consumed, optionally restricted to one phase."""
-        if phase is not None:
-            return self._mini_timeslots.get(phase, 0)
-        return sum(self._mini_timeslots.values())
-
-    def telemetry_summary(self) -> Dict[str, float]:
-        """Flat numeric delivery summary (same schema on every transport).
-
-        Instant lossless delivery means drops, out-of-order arrivals and
-        latency are structurally zero here, but the keys match
-        :meth:`repro.distributed.runtime.AsyncioTransport.telemetry_summary`
-        so callers report through one code path.
-        """
-        return self._telemetry.summary()
-
-    def reset_costs(self) -> None:
-        """Zero all counters (inboxes are left untouched)."""
-        self._messages_sent = [0] * self._num_vertices
-        self._telemetry.reset()
-        self._mini_timeslots = defaultdict(int)
 
     def reset(self) -> None:
         """Discard all undelivered messages and zero all counters."""

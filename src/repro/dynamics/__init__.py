@@ -6,12 +6,11 @@
   deterministic seeded generators (Poisson churn, periodic flapping,
   random-waypoint mobility).
 * :mod:`repro.dynamics.graph` -- incremental maintenance of the conflict
-  graph ``G``, the extended conflict graph ``H`` and the r-hop
-  neighbourhood caches, with a rebuild-equality contract against full
-  reconstruction.
+  graph ``G`` and the extended conflict graph ``H``, with a
+  rebuild-equality contract against full reconstruction.
 * :mod:`repro.dynamics.engine` -- the per-run
-  :class:`DynamicStrategyEngine` wiring the live structures into the
-  distributed robust PTAS, and the :class:`DynamicStrategySolver` the
+  :class:`DynamicStrategyEngine` wiring the live structures and their
+  neighbourhood table into the distributed robust PTAS, and the :class:`DynamicStrategySolver` the
   learning policies plug in.
 
 The simulation loop lives in :mod:`repro.sim.dynamic`; the declarative
@@ -41,7 +40,6 @@ from repro.dynamics.graph import (
     DynamicTopology,
     ExtendedDelta,
     GraphDelta,
-    IncrementalNeighborhoods,
     index_frame,
     replay_schedule,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "ExtendedDelta",
     "DynamicTopology",
     "DynamicExtendedGraph",
-    "IncrementalNeighborhoods",
     "replay_schedule",
     "index_frame",
     "DynamicStrategyEngine",

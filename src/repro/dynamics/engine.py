@@ -6,10 +6,11 @@ dynamics shares per replication:
 * the :class:`~repro.dynamics.graph.DynamicTopology` (``G``) and the
   in-place maintained :class:`~repro.dynamics.graph.DynamicExtendedGraph`
   (``H``),
-* one :class:`~repro.dynamics.graph.IncrementalNeighborhoods` cache per
-  protocol radius (``r``, ``r+1``, ``2r+1``, ``3r+2``), and
+* one :class:`~repro.graph.neighborhoods.NeighborhoodTable` over ``H``'s
+  live adjacency, holding every protocol radius (``r``, ``r+1``, ``2r+1``,
+  ``3r+2``) and patched in place after each event batch, and
 * a :class:`~repro.distributed.ptas.DistributedRobustPTAS` built over the
-  *live* adjacency and caches, so after an event is applied incrementally
+  *live* adjacency and table, so after an event is applied incrementally
   the protocol immediately runs on the new topology — no rebuild.
 
 Policies get their strategy decisions through :meth:`solver`, which returns
@@ -31,13 +32,9 @@ import numpy as np
 
 from repro.distributed.ptas import DistributedRobustPTAS, ProtocolResult
 from repro.dynamics.events import TopologyEvent
-from repro.dynamics.graph import (
-    DynamicExtendedGraph,
-    DynamicTopology,
-    GraphDelta,
-    IncrementalNeighborhoods,
-)
+from repro.dynamics.graph import DynamicExtendedGraph, DynamicTopology, GraphDelta
 from repro.graph.conflict_graph import ConflictGraph
+from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
 from repro.mwis.base import IndependentSet, MWISSolver
 
 __all__ = ["EventReport", "DynamicStrategySolver", "DynamicStrategyEngine"]
@@ -50,7 +47,8 @@ class EventReport:
     num_events: int
     #: Extended-graph vertices incident to a changed edge.
     touched_vertices: int
-    #: Vertices whose r-hop neighbourhoods were recomputed (max over radii).
+    #: Vertices whose neighbourhoods were recomputed (those of the
+    #: touched vertices' old and new (3r+2)-balls).
     recomputed_neighborhoods: int
     active_nodes: int
     num_edges: int
@@ -160,19 +158,13 @@ class DynamicStrategyEngine:
         self.extended = DynamicExtendedGraph(self.topology)
         adjacency = self.extended.adjacency
         self._r = r
-        radii = sorted({r, r + 1, 2 * r + 1, 3 * r + 2})
-        self._caches = {
-            radius: IncrementalNeighborhoods(adjacency, radius) for radius in radii
-        }
+        self.neighborhoods = NeighborhoodTable(adjacency, protocol_radii(r))
         self.protocol = DistributedRobustPTAS(
             adjacency,
             r=r,
             max_mini_rounds=max_mini_rounds,
             local_solver=local_solver,
-            master_of=self.extended.masters(),
-            precomputed_neighborhoods={
-                radius: cache.hoods for radius, cache in self._caches.items()
-            },
+            neighborhoods=self.neighborhoods,
         )
         self._solvers: List[DynamicStrategySolver] = []
         self.num_event_batches = 0
@@ -206,10 +198,7 @@ class DynamicStrategyEngine:
             merged = merged.merge(self.topology.apply(event))
         extended_delta = self.extended.apply_delta(merged)
         touched = extended_delta.touched_vertices
-        recomputed = 0
-        if touched:
-            for cache in self._caches.values():
-                recomputed = max(recomputed, len(cache.update(touched)))
+        recomputed = len(self.neighborhoods.update(touched))
         for solver in self._solvers:
             solver.invalidate()
         self.num_event_batches += 1
@@ -225,5 +214,4 @@ class DynamicStrategyEngine:
     def verify_rebuild(self) -> None:
         """Assert every incremental structure matches a fresh rebuild."""
         self.extended.verify_rebuild()
-        for cache in self._caches.values():
-            cache.verify_rebuild()
+        self.neighborhoods.verify_rebuild()

@@ -13,9 +13,10 @@ neighbourhood.  This module maintains the same structures *incrementally*:
 * :class:`DynamicExtendedGraph` — the extended graph ``H`` whose adjacency
   sets are patched in place from edge deltas of ``G`` (master cliques are
   static; only same-channel conflict edges change).
-* :class:`IncrementalNeighborhoods` — an r-hop neighbourhood cache that
-  recomputes only the vertices whose r-ball could have changed (those
-  within ``r`` hops of a touched endpoint in the old *or* new graph).
+
+The protocol's :class:`~repro.graph.neighborhoods.NeighborhoodTable` over
+``H``'s live adjacency is patched from the same deltas
+(:meth:`~repro.graph.neighborhoods.NeighborhoodTable.update`).
 
 Everything obeys a *rebuild-equality contract*: after any event sequence,
 the incremental state is bit-identical to a fresh build from the current
@@ -39,7 +40,6 @@ from repro.dynamics.events import (
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph
 from repro.graph.geometry import Point
-from repro.graph.neighborhoods import r_hop_neighborhood
 from repro.graph.unit_disk import DEFAULT_CONFLICT_RADIUS
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "ExtendedDelta",
     "DynamicTopology",
     "DynamicExtendedGraph",
-    "IncrementalNeighborhoods",
     "replay_schedule",
     "index_frame",
 ]
@@ -286,67 +285,6 @@ class DynamicTopology:
         for event in events:
             merged = merged.merge(self.apply(event))
         return merged
-
-
-class IncrementalNeighborhoods:
-    """An r-hop neighbourhood cache patched from edge deltas.
-
-    The cache shares its adjacency *by reference* with the caller (the
-    dynamic extended graph); after the adjacency has been mutated,
-    :meth:`update` recomputes only the vertices whose ``radius``-ball could
-    have changed.  A vertex ``w``'s ball changes only when some endpoint of
-    a changed edge lies within ``radius`` hops of ``w`` in the old or new
-    graph — by symmetry exactly the vertices of the touched endpoints' old
-    and new balls.
-    """
-
-    def __init__(self, adjacency: List[Set[int]], radius: int) -> None:
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        self._adjacency = adjacency
-        self._radius = radius
-        self._hoods: List[Set[int]] = [
-            r_hop_neighborhood(adjacency, vertex, radius)
-            for vertex in range(len(adjacency))
-        ]
-
-    @property
-    def radius(self) -> int:
-        """The cached hop radius."""
-        return self._radius
-
-    @property
-    def hoods(self) -> List[Set[int]]:
-        """The live per-vertex neighbourhood list (mutated in place)."""
-        return self._hoods
-
-    def update(self, touched_vertices: Iterable[int]) -> Set[int]:
-        """Refresh the cache after the shared adjacency changed.
-
-        ``touched_vertices`` are the endpoints of every added/removed edge.
-        Returns the set of vertices whose neighbourhood was recomputed.
-        """
-        affected: Set[int] = set()
-        for vertex in touched_vertices:
-            # Old ball (d_old(v, u) <= r  <=>  u in old hood of v).
-            affected |= self._hoods[vertex]
-            # New ball against the already-mutated adjacency.
-            affected |= r_hop_neighborhood(self._adjacency, vertex, self._radius)
-        for vertex in affected:
-            self._hoods[vertex] = r_hop_neighborhood(
-                self._adjacency, vertex, self._radius
-            )
-        return affected
-
-    def verify_rebuild(self) -> None:
-        """Assert the cache equals a from-scratch recomputation."""
-        for vertex in range(len(self._adjacency)):
-            fresh = r_hop_neighborhood(self._adjacency, vertex, self._radius)
-            if fresh != self._hoods[vertex]:
-                raise AssertionError(
-                    f"incremental {self._radius}-hop neighbourhood of vertex "
-                    f"{vertex} diverged from a fresh rebuild"
-                )
 
 
 @dataclass

@@ -50,6 +50,7 @@ from repro.distributed.transport import Transport
 from repro.distributed.vertex import VertexAgent, VertexStatus
 from repro.faults.plan import CRASH_PHASES, FaultPlan
 from repro.faults.quorum import QuorumConfig, QuorumState, termination_bound
+from repro.graph.neighborhoods import NeighborhoodTable
 from repro.mwis.base import Adjacency, IndependentSet, MWISSolver, is_independent
 # Re-exported: benchmark harnesses wrap ``repro.faults.runtime.solve_local_mwis``
 # by name; the LMWIS itself runs in ``repro.distributed.runtime``.
@@ -409,16 +410,15 @@ class FaultInjectionEngine:
     honest-only termination, and no lossless-independence assertion (a
     faulty run is *supposed* to be able to violate it).  Afterwards the
     final winners, convergence and the :class:`FaultReport` are read off the
-    vertex machines.
+    vertex machines.  ``neighborhoods`` is the topology's shared
+    :class:`~repro.graph.neighborhoods.NeighborhoodTable` at radius ``r``.
     """
 
     def __init__(
         self,
         adjacency: Adjacency,
         r: int,
-        hood_r: List[Set[int]],
-        hood_r1: List[Set[int]],
-        hood_2r1: List[Set[int]],
+        neighborhoods: NeighborhoodTable,
         local_solver: Optional[MWISSolver] = None,
         *,
         plan: FaultPlan,
@@ -426,7 +426,7 @@ class FaultInjectionEngine:
     ) -> None:
         self._adjacency = adjacency
         self._num_vertices = len(adjacency)
-        self._hood_2r1 = hood_2r1
+        self._hood_2r1 = neighborhoods.balls(2 * r + 1)
         if plan.max_vertex >= self._num_vertices:
             raise ValueError(
                 f"fault plan names vertex {plan.max_vertex} but the graph "
@@ -442,9 +442,7 @@ class FaultInjectionEngine:
                 ),
             )
         self._quorum = quorum
-        self._engine = ProtocolEngine(
-            adjacency, r, hood_r, hood_r1, hood_2r1, local_solver
-        )
+        self._engine = ProtocolEngine(adjacency, r, neighborhoods, local_solver)
 
     def run(
         self,

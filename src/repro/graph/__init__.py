@@ -19,12 +19,14 @@ from repro.graph.geometry import Point, grid_cell_keys, pairwise_distances
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph, VirtualVertex
 from repro.graph.neighborhoods import (
+    NeighborhoodTable,
     all_r_hop_neighborhoods,
     hop_distances,
     r_hop_neighborhood,
     r_hop_neighborhood_arrays,
     hop_distance,
     eccentricity,
+    protocol_radii,
 )
 from repro.graph.unit_disk import (
     build_unit_disk_graph,
@@ -53,6 +55,8 @@ __all__ = [
     "r_hop_neighborhood",
     "r_hop_neighborhood_arrays",
     "all_r_hop_neighborhoods",
+    "NeighborhoodTable",
+    "protocol_radii",
     "eccentricity",
     "unit_disk_edges",
     "unit_disk_edge_array",

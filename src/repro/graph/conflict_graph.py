@@ -20,11 +20,14 @@ existing consumer keeps working unchanged; large-``n`` code should prefer
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.graph.geometry import Point
+
+if TYPE_CHECKING:
+    from repro.graph.neighborhoods import NeighborhoodTable
 
 __all__ = ["ConflictGraph", "build_csr", "canonical_edge_array"]
 
@@ -131,6 +134,12 @@ class ConflictGraph:
         self._edge_array = canonical_edge_array(num_nodes, edges)
         self._edge_array.setflags(write=False)
         self._indptr, self._indices = build_csr(num_nodes, self._edge_array)
+        self._neighborhood_tables: Dict[int, "NeighborhoodTable"] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A process rebuilds the neighbourhood tables on first use instead
+        # of receiving them pickled.
+        return {**self.__dict__, "_neighborhood_tables": {}}
 
     @classmethod
     def from_adjacency(
@@ -316,6 +325,26 @@ class ConflictGraph:
             set(self._indices[self._indptr[i] : self._indptr[i + 1]].tolist())
             for i in range(self._num_nodes)
         ]
+
+    def neighborhood_table(self, r: int) -> "NeighborhoodTable":
+        """Algorithm 3's balls of the extended graph ``H`` at PTAS radius ``r``.
+
+        One table per ``r``, created on the first call and handed to every
+        later caller: concurrent first calls may each create one, but only
+        the first stored is ever handed out.
+        """
+        from repro.graph.extended import ExtendedConflictGraph
+        from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
+
+        table = self._neighborhood_tables.get(r)
+        if table is None:
+            table = self._neighborhood_tables.setdefault(
+                r,
+                NeighborhoodTable(
+                    ExtendedConflictGraph(self).adjacency_sets(), protocol_radii(r)
+                ),
+            )
+        return table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

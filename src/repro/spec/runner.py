@@ -20,8 +20,7 @@ import numpy as np
 
 from repro.core.bounds import theorem1_regret_bound
 from repro.distributed.costs import theoretical_message_bound, theoretical_space_bound
-from repro.distributed.ptas import DistributedRobustPTAS, protocol_neighborhoods
-from repro.graph.extended import ExtendedConflictGraph
+from repro.distributed.ptas import DistributedRobustPTAS
 from repro.mwis.greedy import GreedyMWISSolver
 from repro.obs import current_observer
 from repro.reporting import render_series, render_table
@@ -637,46 +636,38 @@ def _run_protocol(spec: ScenarioSpec) -> ExperimentResult:
     for num_nodes, num_channels in cells:
         label = f"{num_nodes}x{num_channels}"
         graph = spec.topology.with_size(num_nodes, num_channels).build(rng)
-        extended = ExtendedConflictGraph(graph)
         weights = spec.channels.build_means(num_nodes, num_channels, rng).reshape(-1)
-        adjacency = extended.adjacency_sets()
+        neighborhoods = graph.neighborhood_table(decision.r)
+        adjacency = neighborhoods.adjacency
+        num_vertices = len(adjacency)
         local_solver = (
             GreedyMWISSolver()
-            if decision.use_greedy_local_solver(extended.num_vertices)
+            if decision.use_greedy_local_solver(num_vertices)
             else None
         )
         telemetry: Dict[str, float] = {}
         fault_record: Dict[str, float] = {}
         with current_observer().span(
-            "run.cell", cell=label, num_vertices=extended.num_vertices
+            "run.cell", cell=label, num_vertices=num_vertices
         ) as cell_span:
             if faults_active:
                 run, fault_record, telemetry = _run_faulty_cell(
-                    spec, decision, adjacency, weights, local_solver,
+                    spec, decision, neighborhoods, weights, local_solver,
                     cell=(num_nodes, num_channels),
                 )
                 fault_reports[label] = fault_record
-            elif spec.transport.kind == "simulated":
-                protocol = DistributedRobustPTAS(
-                    adjacency, r=decision.r, local_solver=local_solver
-                )
-                run = protocol.run(weights)
             else:
-                # Non-simulated transports share the protocol's neighbourhood
-                # tables so k-hop routing is computed once per cell.
-                hoods = protocol_neighborhoods(adjacency, decision.r)
                 transport = spec.transport.build(
-                    adjacency, run_seed=spec.seed, precomputed_neighborhoods=hoods
+                    adjacency, run_seed=spec.seed, neighborhoods=neighborhoods
                 )
                 try:
-                    protocol = DistributedRobustPTAS(
+                    run = DistributedRobustPTAS(
                         adjacency,
                         r=decision.r,
                         local_solver=local_solver,
-                        precomputed_neighborhoods=hoods,
+                        neighborhoods=neighborhoods,
                         transport=transport,
-                    )
-                    run = protocol.run(weights)
+                    ).run(weights)
                     telemetry = _transport_telemetry(spec, transport)
                 finally:
                     transport.close()
@@ -704,7 +695,7 @@ def _run_protocol(spec: ScenarioSpec) -> ExperimentResult:
             len(trajectory),
         )
         result.records[label] = {
-            "num_vertices": float(extended.num_vertices),
+            "num_vertices": float(num_vertices),
             "average_degree": float(graph.average_degree()),
             "mini_rounds": float(mini_rounds),
             "max_messages_per_vertex": float(
@@ -741,7 +732,7 @@ def _run_protocol(spec: ScenarioSpec) -> ExperimentResult:
 def _run_faulty_cell(
     spec: ScenarioSpec,
     decision,
-    adjacency,
+    neighborhoods,
     weights,
     local_solver,
     *,
@@ -756,22 +747,20 @@ def _run_faulty_cell(
     """
     from repro.faults.runtime import FaultInjectionEngine
 
-    hoods = protocol_neighborhoods(adjacency, decision.r)
+    adjacency = neighborhoods.adjacency
     plan = spec.faults.build_plan(
         len(adjacency), run_seed=spec.seed, cell=cell
     )
     engine = FaultInjectionEngine(
         adjacency,
         decision.r,
-        hoods[decision.r],
-        hoods[decision.r + 1],
-        hoods[2 * decision.r + 1],
+        neighborhoods,
         local_solver,
         plan=plan,
         quorum=spec.faults.build_quorum(),
     )
     transport = spec.transport.build(
-        adjacency, run_seed=spec.seed, precomputed_neighborhoods=hoods
+        adjacency, run_seed=spec.seed, neighborhoods=neighborhoods
     )
     try:
         run, report = engine.run(transport, weights)
@@ -785,7 +774,7 @@ def _run_faulty_cell(
         adjacency,
         r=decision.r,
         local_solver=local_solver,
-        precomputed_neighborhoods=hoods,
+        neighborhoods=neighborhoods,
     ).run(weights)
     baseline_weight = float(baseline.independent_set.weight)
     fault_record = {

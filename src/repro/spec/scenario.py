@@ -1061,24 +1061,23 @@ class TransportSpec(_Spec):
         adjacency,
         *,
         run_seed: int = 0,
-        precomputed_neighborhoods=None,
+        neighborhoods=None,
     ):
         """Materialize the :class:`~repro.distributed.transport.Transport`.
 
         ``run_seed`` is the scenario seed; the asyncio fault stream is rooted
         at ``(run_seed, tag, transport.seed)`` so it is independent of the
-        topology/channel draws.
+        topology/channel draws.  ``neighborhoods`` is the topology's shared
+        :class:`~repro.graph.neighborhoods.NeighborhoodTable`.
         """
         from repro.distributed.runtime import AsyncioTransport
         from repro.distributed.transport import SimulatedTransport
 
         if self.kind == "simulated":
-            return SimulatedTransport(
-                adjacency, precomputed_neighborhoods=precomputed_neighborhoods
-            )
+            return SimulatedTransport(adjacency, neighborhoods=neighborhoods)
         return AsyncioTransport(
             adjacency,
-            precomputed_neighborhoods=precomputed_neighborhoods,
+            neighborhoods=neighborhoods,
             latency=self.latency,
             latency_scale=self.latency_scale,
             reorder=self.reorder,

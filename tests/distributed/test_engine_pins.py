@@ -30,7 +30,7 @@ from repro.faults import (
     QuorumConfig,
 )
 from repro.graph.extended import ExtendedConflictGraph
-from repro.graph.neighborhoods import r_hop_neighborhood
+from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
 from repro.graph.topology import connected_random_network
 
 PINNED_DIGEST = "83b2335d7e9ef7148774532f93190c5c6e4130f7c9ea98c6c590fc86e62f0a60"
@@ -90,13 +90,7 @@ def fault_run():
     with a short patience so silent crashed vertices get suspected."""
     adjacency, weights = tie_heavy_instance(5, num_nodes=14)
     r = 1
-    hoods = {
-        hops: [
-            r_hop_neighborhood(adjacency, vertex, hops)
-            for vertex in range(len(adjacency))
-        ]
-        for hops in (r, r + 1, 2 * r + 1, 3 * r + 2)
-    }
+    hoods = NeighborhoodTable(adjacency, protocol_radii(r))
     plan = FaultPlan(
         [
             CrashFault(vertex=3, mini_round=0, phase="WB"),
@@ -108,13 +102,11 @@ def fault_run():
     engine = FaultInjectionEngine(
         adjacency,
         r,
-        hoods[r],
-        hoods[r + 1],
-        hoods[2 * r + 1],
+        hoods,
         plan=plan,
         quorum=QuorumConfig(threshold=2, patience=2),
     )
-    transport = SimulatedTransport(adjacency, precomputed_neighborhoods=hoods)
+    transport = SimulatedTransport(adjacency, neighborhoods=hoods)
     result, report = engine.run(transport, weights)
     return {"result": result_fields(result), "report": vars(report)}
 

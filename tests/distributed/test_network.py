@@ -4,6 +4,7 @@ import pytest
 
 from repro.distributed.messages import StatusDetermination, WeightBroadcast
 from repro.distributed.transport import SimulatedTransport
+from repro.graph.neighborhoods import NeighborhoodTable
 
 
 @pytest.fixture
@@ -95,7 +96,7 @@ class TestCostAccounting:
         assert network.pending(1) == 1
 
     def test_precomputed_neighborhood_cache_is_used(self, path_adjacency):
-        cache = {1: [{0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4}]}
-        network = SimulatedTransport(path_adjacency, precomputed_neighborhoods=cache)
+        cache = NeighborhoodTable(path_adjacency, [1])
+        network = SimulatedTransport(path_adjacency, neighborhoods=cache)
         network.broadcast(WeightBroadcast(sender=0, hop_limit=1, weight=1.0), "WB")
         assert network.pending(1) == 1

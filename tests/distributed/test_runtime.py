@@ -19,6 +19,7 @@ from repro.distributed import (
     VertexProtocol,
 )
 from repro.graph.extended import ExtendedConflictGraph
+from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
 from repro.graph.topology import connected_random_network
 from repro.mwis.base import is_independent
 
@@ -176,14 +177,8 @@ class TestLossyRuns:
 class TestEngineAndVertexProtocol:
     def test_engine_reusable_across_transports(self):
         adjacency, weights = unit_disk_instance(4)
-        protocol = DistributedRobustPTAS(adjacency, r=1)
-        hoods = protocol.transport_neighborhoods()
         engine = ProtocolEngine(
-            adjacency,
-            r=1,
-            hood_r=hoods[1],
-            hood_r1=hoods[2],
-            hood_2r1=hoods[3],
+            adjacency, r=1, neighborhoods=NeighborhoodTable(adjacency, protocol_radii(1))
         )
         first = engine.run(SimulatedTransport(adjacency), weights)
         transport = AsyncioTransport(adjacency)

@@ -2,7 +2,7 @@
 
 The contract: after *any* event sequence, the incrementally maintained
 conflict graph ``G``, extended graph ``H``, master assignment and r-hop
-neighbourhood caches are bit-identical to a fresh build from the current
+neighbourhood table are bit-identical to a fresh build from the current
 topology.  Exercised property-style over random unit-disk topologies and
 random event sequences drawn from all four event kinds.
 """
@@ -11,13 +11,9 @@ import numpy as np
 import pytest
 
 from repro.dynamics.events import LinkFlap, MobilityStep, NodeArrival, NodeDeparture
-from repro.dynamics.graph import (
-    DynamicExtendedGraph,
-    DynamicTopology,
-    IncrementalNeighborhoods,
-)
+from repro.dynamics.graph import DynamicExtendedGraph, DynamicTopology
 from repro.graph.extended import ExtendedConflictGraph
-from repro.graph.neighborhoods import all_r_hop_neighborhoods
+from repro.graph.neighborhoods import NeighborhoodTable, all_r_hop_neighborhoods
 from repro.graph.topology import random_network, ring_network
 
 
@@ -58,15 +54,17 @@ def random_event(topology: DynamicTopology, rng: np.random.Generator, round_inde
     return LinkFlap(round_index=round_index, u=u, v=v, up=bool(rng.random() < 0.4))
 
 
-def assert_matches_fresh_build(topology, extended, caches):
+def assert_matches_fresh_build(topology, extended, table):
     """The satellite contract: adjacency, masters and hoods match a rebuild."""
     snapshot = topology.to_conflict_graph()
     fresh = ExtendedConflictGraph(snapshot)
     assert extended.adjacency == fresh.adjacency_sets()
     assert snapshot.adjacency_sets() == topology.adjacency_sets()
     assert extended.masters() == [fresh.master_of(v) for v in fresh.vertices()]
-    for radius, cache in caches.items():
-        assert cache.hoods == all_r_hop_neighborhoods(fresh.adjacency_sets(), radius)
+    for radius in table.radii:
+        assert table.balls(radius) == all_r_hop_neighborhoods(
+            fresh.adjacency_sets(), radius
+        )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -77,38 +75,34 @@ def test_random_event_sequences_on_random_unit_disk_topologies(seed):
     )
     topology = DynamicTopology(base)
     extended = DynamicExtendedGraph(topology)
-    radii = (1, 2, 3)
-    caches = {r: IncrementalNeighborhoods(extended.adjacency, r) for r in radii}
+    table = NeighborhoodTable(extended.adjacency, (1, 2, 3))
     for step in range(1, 41):
         delta = topology.apply(random_event(topology, rng, step))
         touched = extended.apply_delta(delta).touched_vertices
-        for cache in caches.values():
-            cache.update(touched)
+        table.update(touched)
         if step % 10 == 0:
-            assert_matches_fresh_build(topology, extended, caches)
-    assert_matches_fresh_build(topology, extended, caches)
+            assert_matches_fresh_build(topology, extended, table)
+    assert_matches_fresh_build(topology, extended, table)
     extended.verify_rebuild()
-    for cache in caches.values():
-        cache.verify_rebuild()
+    table.verify_rebuild()
 
 
 def test_combinatorial_topology_restores_base_edges_on_arrival():
     base = ring_network(6, 2)
     topology = DynamicTopology(base)
     extended = DynamicExtendedGraph(topology)
-    caches = {2: IncrementalNeighborhoods(extended.adjacency, 2)}
+    table = NeighborhoodTable(extended.adjacency, (2,))
     for event in (
         NodeDeparture(round_index=1, node=0),
         NodeDeparture(round_index=2, node=3),
         NodeArrival(round_index=3, node=0),
     ):
         touched = extended.apply_delta(topology.apply(event)).touched_vertices
-        for cache in caches.values():
-            cache.update(touched)
+        table.update(touched)
     # Node 0 is back with its ring edges; node 3 is still isolated.
     assert topology.adjacency_sets()[0] == {1, 5}
     assert topology.adjacency_sets()[3] == set()
-    assert_matches_fresh_build(topology, extended, caches)
+    assert_matches_fresh_build(topology, extended, table)
 
 
 def test_flapped_link_stays_down_until_restored():

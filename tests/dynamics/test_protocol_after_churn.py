@@ -1,7 +1,7 @@
 """The live protocol after topology churn equals a fresh one on the new graph.
 
-``DynamicStrategyEngine.protocol`` runs on neighbourhood tables that
-``IncrementalNeighborhoods`` patches between decisions by replacing entries.
+``DynamicStrategyEngine.protocol`` runs on the neighbourhood table that
+``NeighborhoodTable.update`` patches between decisions by replacing entries.
 The vertex agents keep those table sets by reference, so any per-topology
 caching of agents (or of what they hold) would leak the old topology into
 the next decision; this test pins that it does not.

@@ -10,32 +10,17 @@ from repro.faults import (
     FaultPlan,
     QuorumConfig,
 )
-from repro.graph.neighborhoods import r_hop_neighborhood
+from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
 
 
 def hoods_for(adjacency, r):
-    radii = (r, r + 1, 2 * r + 1, 3 * r + 2)
-    return {
-        hops: [
-            r_hop_neighborhood(adjacency, vertex, hops)
-            for vertex in range(len(adjacency))
-        ]
-        for hops in radii
-    }
+    return NeighborhoodTable(adjacency, protocol_radii(r))
 
 
 def run_faulty(adjacency, weights, plan, quorum=None, r=1):
     hoods = hoods_for(adjacency, r)
-    engine = FaultInjectionEngine(
-        adjacency,
-        r,
-        hoods[r],
-        hoods[r + 1],
-        hoods[2 * r + 1],
-        plan=plan,
-        quorum=quorum,
-    )
-    transport = SimulatedTransport(adjacency, precomputed_neighborhoods=hoods)
+    engine = FaultInjectionEngine(adjacency, r, hoods, plan=plan, quorum=quorum)
+    transport = SimulatedTransport(adjacency, neighborhoods=hoods)
     return engine.run(transport, weights)
 
 
@@ -139,9 +124,7 @@ class TestEngineContracts:
         plan = FaultPlan([CrashFault(vertex=9, mini_round=0, phase="WB")])
         hoods = hoods_for(PATH, 1)
         with pytest.raises(ValueError, match="vertex 9"):
-            FaultInjectionEngine(
-                PATH, 1, hoods[1], hoods[2], hoods[3], plan=plan
-            )
+            FaultInjectionEngine(PATH, 1, hoods, plan=plan)
 
     def test_empty_plan_matches_the_honest_protocol(self):
         from repro.distributed.ptas import DistributedRobustPTAS
