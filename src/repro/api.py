@@ -23,7 +23,6 @@ from repro.core.policies import (
 )
 from repro.distributed.framework import DistributedMWISSolver
 from repro.graph.conflict_graph import ConflictGraph
-from repro.graph.extended import ExtendedConflictGraph
 from repro.mwis.base import MWISSolver
 from repro.mwis.exact import ExactMWISSolver
 from repro.obs import current_observer
@@ -81,7 +80,7 @@ class ChannelAccessSystem:
     ) -> None:
         check_shape("channel state", channels, "the conflict graph", conflict_graph)
         self.conflict_graph = conflict_graph
-        self.extended_graph = ExtendedConflictGraph(conflict_graph)
+        self.extended_graph = conflict_graph.extended_graph()
         self.channels = channels
         self.timing = timing if timing is not None else TimingConfig.paper_defaults()
         # Root of the per-run streams.  Resolved once so that seed=None

@@ -58,6 +58,7 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
+from repro._codec import DecodeError, loads
 from repro.obs import (
     TraceError,
     TracingObserver,
@@ -420,9 +421,9 @@ def _load_spec(reference: str, args) -> ScenarioSpec:
                 f"scenarios: {', '.join(default_registry().names())})"
             )
         try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise SpecError(f"spec file {reference!r} is not valid JSON: {err}") from None
+            data = loads(path.read_bytes(), f"spec file {reference!r}")
+        except DecodeError as err:
+            raise SpecError(str(err)) from None
         spec = ScenarioSpec.from_dict(data, path=reference)
     else:
         spec = get_scenario(reference)

@@ -34,9 +34,9 @@ class DistributedMWISSolver(MWISSolver):
         Solver for the per-leader local MWIS instances (defaults to exact
         enumeration inside :class:`DistributedRobustPTAS`).
 
-    The protocol runs on the neighbourhood table of ``H``'s conflict graph
-    (:meth:`~repro.graph.conflict_graph.ConflictGraph.neighborhood_table`),
-    so every solver built over one graph and ``r`` shares a single table.
+    The protocol runs on ``H``'s neighbourhood table
+    (:meth:`~repro.graph.extended.ExtendedConflictGraph.neighborhood_table`),
+    so every solver built over one ``H`` and ``r`` shares a single table.
     """
 
     def __init__(
@@ -47,7 +47,7 @@ class DistributedMWISSolver(MWISSolver):
         local_solver=None,
     ) -> None:
         self._graph = extended_graph
-        neighborhoods = extended_graph.conflict_graph.neighborhood_table(r)
+        neighborhoods = extended_graph.neighborhood_table(r)
         self._protocol = DistributedRobustPTAS(
             neighborhoods.adjacency,
             r=r,

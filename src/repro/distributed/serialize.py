@@ -7,13 +7,16 @@ newline-delimited, canonical-JSON *frame*::
      "sender": 3, "hop_limit": 5, "weight": 212.0}
 
 Frames are versioned through the ``schema`` field so a future wire change
-can coexist with old peers; decoding validates the schema, the type tag and
-every field (unknown fields are rejected, like the spec layer does) and
-raises :class:`WireError` with a message naming the offending part.
+can coexist with old peers.  Decoding is derived from the message classes'
+field types by the shared codec (:mod:`repro._codec`): it checks the
+schema, the type tag and every field (all are required, unknown ones are
+rejected, numbers must be finite, bytes must be UTF-8) and raises
+:class:`WireError` with a message naming the offending part.
 
 JSON objects only allow string keys, so the ``decisions`` map of a
 :class:`~repro.distributed.messages.StatusDetermination` travels with its
-vertex ids stringified; :func:`frame_to_message` restores the integer keys.
+vertex ids as decimal strings; :func:`frame_to_message` restores the
+integer keys.
 The codec round-trips every message type bit for bit (``decode(encode(m))
 == m``), which the serialization tests assert per type.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Mapping, Type, Union
 
+from repro._codec import DecodeError, loads, tagged_union
 from repro.distributed.messages import (
     Accusation,
     LeaderDeclaration,
@@ -93,99 +97,17 @@ def message_to_frame(message: Message) -> Dict[str, object]:
     return frame
 
 
-def _require_int(frame: Mapping, key: str) -> int:
-    value = frame.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WireError(f"frame.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _require_float(frame: Mapping, key: str) -> float:
-    value = frame.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WireError(f"frame.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _require_str(frame: Mapping, key: str) -> str:
-    value = frame.get(key)
-    if not isinstance(value, str):
-        raise WireError(f"frame.{key}: expected a string, got {value!r}")
-    return value
-
-
-_COMMON_KEYS = frozenset({"schema", "type", "sender", "hop_limit"})
-_PAYLOAD_KEYS = {
-    "weight-broadcast": frozenset({"weight"}),
-    "leader-declaration": frozenset({"weight", "mini_round"}),
-    "status-determination": frozenset({"decisions", "mini_round"}),
-    "accusation": frozenset({"accused", "reason", "mini_round"}),
-}
+_decode_frame = tagged_union(
+    Message, _CLASS_OF, "message", complete=True, schema_id=WIRE_SCHEMA
+)
 
 
 def frame_to_message(frame: Mapping) -> Message:
     """Rebuild the typed message a frame describes, validating as it goes."""
-    if not isinstance(frame, Mapping):
-        raise WireError(f"frame: expected a JSON object, got {type(frame).__name__}")
-    schema = frame.get("schema")
-    if schema != WIRE_SCHEMA:
-        raise WireError(
-            f"frame.schema: expected {WIRE_SCHEMA!r}, got {schema!r} "
-            "(incompatible wire version)"
-        )
-    tag = frame.get("type")
-    cls = _CLASS_OF.get(tag)
-    if cls is None:
-        raise WireError(
-            f"frame.type: unknown message type {tag!r}; known types are "
-            f"{sorted(_CLASS_OF)}"
-        )
-    unknown = sorted(set(frame) - _COMMON_KEYS - _PAYLOAD_KEYS[tag])
-    if unknown:
-        raise WireError(f"frame: unknown field(s) {unknown} for type {tag!r}")
-    sender = _require_int(frame, "sender")
-    hop_limit = _require_int(frame, "hop_limit")
-    if cls is WeightBroadcast:
-        return WeightBroadcast(
-            sender=sender, hop_limit=hop_limit, weight=_require_float(frame, "weight")
-        )
-    if cls is LeaderDeclaration:
-        return LeaderDeclaration(
-            sender=sender,
-            hop_limit=hop_limit,
-            weight=_require_float(frame, "weight"),
-            mini_round=_require_int(frame, "mini_round"),
-        )
-    if cls is Accusation:
-        return Accusation(
-            sender=sender,
-            hop_limit=hop_limit,
-            accused=_require_int(frame, "accused"),
-            reason=_require_str(frame, "reason"),
-            mini_round=_require_int(frame, "mini_round"),
-        )
-    raw = frame.get("decisions")
-    if not isinstance(raw, Mapping):
-        raise WireError(f"frame.decisions: expected an object, got {raw!r}")
-    decisions: Dict[int, bool] = {}
-    for key, flag in raw.items():
-        try:
-            vertex = int(key)
-        except (TypeError, ValueError):
-            raise WireError(
-                f"frame.decisions: key {key!r} is not a vertex id"
-            ) from None
-        if not isinstance(flag, bool):
-            raise WireError(
-                f"frame.decisions[{key}]: expected true/false, got {flag!r}"
-            )
-        decisions[vertex] = flag
-    return StatusDetermination(
-        sender=sender,
-        hop_limit=hop_limit,
-        decisions=decisions,
-        mini_round=_require_int(frame, "mini_round"),
-    )
+    try:
+        return _decode_frame(frame, "frame")
+    except DecodeError as err:
+        raise WireError(str(err)) from None
 
 
 def encode_message(message: Message) -> bytes:
@@ -202,10 +124,8 @@ def encode_message(message: Message) -> bytes:
 
 def decode_message(data: Union[bytes, str]) -> Message:
     """Decode one frame produced by :func:`encode_message`."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        frame = json.loads(data)
-    except json.JSONDecodeError as err:
-        raise WireError(f"frame is not valid JSON: {err}") from None
+        frame = loads(data, "frame")
+    except DecodeError as err:
+        raise WireError(str(err)) from None
     return frame_to_message(frame)

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro._codec import DecodeError, schema, tagged_union
 from repro.graph.conflict_graph import ConflictGraph
 
 __all__ = [
@@ -58,16 +58,24 @@ class TopologyEvent:
 
     #: Serialization tag; set by each concrete subclass.
     type_name = "event"
-
-    def _validate_common(self, path: str) -> None:
-        if isinstance(self.round_index, bool) or not isinstance(self.round_index, int):
-            raise ValueError(f"{path}.round_index: expected an integer, got {self.round_index!r}")
-        if self.round_index < 1:
-            raise ValueError(f"{path}.round_index: must be >= 1, got {self.round_index}")
+    #: Fields holding node ids; set by each concrete subclass.
+    node_fields = ()
 
     def validate(self, path: str = "event") -> None:
-        """Raise ``ValueError`` (with ``path``) when the event is ill-formed."""
-        self._validate_common(path)
+        """Raise ``ValueError`` (with ``path``) when the event is ill-formed.
+
+        Every field must hold its declared type, as a decoded event's does
+        (coordinates are finite numbers); node ids are non-negative.
+        """
+        for name, spec in schema(type(self)).items():
+            spec.decode(getattr(self, name), f"{path}.{name}")
+        if self.round_index < 1:
+            raise ValueError(f"{path}.round_index: must be >= 1, got {self.round_index}")
+        for name in self.node_fields:
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{path}.{name}: node ids are non-negative, got {getattr(self, name)}"
+                )
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation (inverse of :func:`event_from_dict`)."""
@@ -83,10 +91,7 @@ class NodeDeparture(TopologyEvent):
 
     node: int = 0
     type_name = "node-departure"
-
-    def validate(self, path: str = "event") -> None:
-        self._validate_common(path)
-        _check_node_field(self.node, f"{path}.node")
+    node_fields = ("node",)
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,12 @@ class NodeArrival(TopologyEvent):
     x: Optional[float] = None
     y: Optional[float] = None
     type_name = "node-arrival"
+    node_fields = ("node",)
 
     def validate(self, path: str = "event") -> None:
-        self._validate_common(path)
-        _check_node_field(self.node, f"{path}.node")
         if (self.x is None) != (self.y is None):
             raise ValueError(f"{path}: give both x and y or neither, got x={self.x}, y={self.y}")
-        for name, value in (("x", self.x), ("y", self.y)):
-            if value is not None:
-                _check_coordinate(value, f"{path}.{name}")
+        super().validate(path)
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,12 @@ class LinkFlap(TopologyEvent):
     v: int = 1
     up: bool = False
     type_name = "link-flap"
+    node_fields = ("u", "v")
 
     def validate(self, path: str = "event") -> None:
-        self._validate_common(path)
-        _check_node_field(self.u, f"{path}.u")
-        _check_node_field(self.v, f"{path}.v")
+        super().validate(path)
         if self.u == self.v:
             raise ValueError(f"{path}: a link needs two distinct endpoints, got ({self.u}, {self.v})")
-        if not isinstance(self.up, bool):
-            raise ValueError(f"{path}.up: expected true/false, got {self.up!r}")
 
 
 @dataclass(frozen=True)
@@ -144,28 +143,7 @@ class MobilityStep(TopologyEvent):
     x: float = 0.0
     y: float = 0.0
     type_name = "mobility-step"
-
-    def validate(self, path: str = "event") -> None:
-        self._validate_common(path)
-        _check_node_field(self.node, f"{path}.node")
-        _check_coordinate(self.x, f"{path}.x")
-        _check_coordinate(self.y, f"{path}.y")
-
-
-def _check_coordinate(value, path: str) -> None:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not math.isfinite(value))
-    ):
-        raise ValueError(f"{path}: expected a finite number, got {value!r}")
-
-
-def _check_node_field(value, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path}: expected an integer node id, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{path}: node ids are non-negative, got {value}")
+    node_fields = ("node",)
 
 
 EVENT_TYPES: Dict[str, Type[TopologyEvent]] = {
@@ -173,31 +151,17 @@ EVENT_TYPES: Dict[str, Type[TopologyEvent]] = {
 }
 
 
+_decode_event = tagged_union(TopologyEvent, EVENT_TYPES, "event")
+
+
 def event_from_dict(data, path: str = "event") -> TopologyEvent:
-    """Deserialize one event dict, raising ``ValueError`` with ``path``."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    type_name = data.get("type")
-    if not isinstance(type_name, str) or type_name not in EVENT_TYPES:
-        raise ValueError(
-            f"{path}.type: unknown event type {type_name!r}; "
-            f"choose one of {sorted(EVENT_TYPES)}"
-        )
-    cls = EVENT_TYPES[type_name]
-    kwargs = {k: v for k, v in data.items() if k != "type"}
-    allowed = set(cls(round_index=1).__dict__)
-    unknown = sorted(set(kwargs) - allowed)
-    if unknown:
-        raise ValueError(
-            f"{path}: unknown field(s) {unknown} for {type_name!r}; "
-            f"allowed fields are {sorted(allowed)}"
-        )
+    """Deserialize one event dict, raising ``SpecError`` with ``path``."""
+    from repro.spec.scenario import SpecError  # the spec layer imports this module
+
     try:
-        event = cls(**kwargs)
-    except TypeError as err:
-        raise ValueError(f"{path}: {err}") from None
-    event.validate(path)
-    return event
+        return _decode_event(data, path)
+    except DecodeError as err:
+        raise SpecError(str(err)) from None
 
 
 class EventSchedule:
@@ -247,15 +211,8 @@ class EventSchedule:
         return list(self._by_round.get(round_index, ()))
 
     def to_dicts(self) -> List[Dict[str, object]]:
-        """JSON-ready event list (inverse of :meth:`from_dicts`)."""
+        """JSON-ready event list (each entry inverts via :func:`event_from_dict`)."""
         return [event.to_dict() for event in self._events]
-
-    @classmethod
-    def from_dicts(cls, data, path: str = "events") -> "EventSchedule":
-        """Deserialize an event list, raising ``ValueError`` with ``path``."""
-        if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
-            raise ValueError(f"{path}: expected a list of event objects, got {data!r}")
-        return cls(event_from_dict(entry, f"{path}[{i}]") for i, entry in enumerate(data))
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical JSON form (sorted keys, compact)."""

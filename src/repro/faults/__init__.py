@@ -26,7 +26,6 @@ from repro.faults.plan import (
     CrashFault,
     FaultPlan,
     VertexFault,
-    fault_from_dict,
     generate_fault_plan,
 )
 from repro.faults.quorum import QuorumConfig, QuorumState, termination_bound
@@ -44,7 +43,6 @@ __all__ = [
     "CrashFault",
     "ByzantineFault",
     "FaultPlan",
-    "fault_from_dict",
     "generate_fault_plan",
     "QuorumConfig",
     "QuorumState",

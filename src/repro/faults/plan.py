@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is the fault-injection counterpart of the dynamics
 subsystem's :class:`~repro.dynamics.events.EventSchedule`: an immutable,
-JSON-round-tripping, content-hashed list of per-vertex faults that a
+JSON-serializable, content-hashed list of per-vertex faults that a
 scenario's fault stream generates deterministically from its seed.  Two
 fault kinds exist:
 
@@ -26,9 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
+
+from repro._codec import schema
 
 __all__ = [
     "CRASH_PHASES",
@@ -37,7 +39,6 @@ __all__ = [
     "CrashFault",
     "ByzantineFault",
     "FaultPlan",
-    "fault_from_dict",
     "generate_fault_plan",
 ]
 
@@ -78,22 +79,17 @@ class VertexFault:
     def __post_init__(self) -> None:
         self.validate()
 
-    def _validate_common(self, path: str) -> None:
-        if isinstance(self.vertex, bool) or not isinstance(self.vertex, int):
-            raise ValueError(
-                f"{path}.vertex: expected an integer vertex id, got {self.vertex!r}"
-            )
+    def validate(self, path: str = "fault") -> None:
+        """Raise ``ValueError`` (with ``path``) when the fault is ill-formed."""
+        for name, spec in schema(type(self)).items():
+            spec.decode(getattr(self, name), f"{path}.{name}")
         if self.vertex < 0:
             raise ValueError(
                 f"{path}.vertex: vertex ids are non-negative, got {self.vertex}"
             )
 
-    def validate(self, path: str = "fault") -> None:
-        """Raise ``ValueError`` (with ``path``) when the fault is ill-formed."""
-        self._validate_common(path)
-
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :func:`fault_from_dict`)."""
+        """JSON-ready representation."""
         data: Dict[str, object] = {"type": self.type_name}
         for name, value in sorted(self.__dict__.items()):
             data[name] = value
@@ -109,11 +105,7 @@ class CrashFault(VertexFault):
     type_name = "crash"
 
     def validate(self, path: str = "fault") -> None:
-        self._validate_common(path)
-        if isinstance(self.mini_round, bool) or not isinstance(self.mini_round, int):
-            raise ValueError(
-                f"{path}.mini_round: expected an integer, got {self.mini_round!r}"
-            )
+        super().validate(path)
         if self.mini_round < 0:
             raise ValueError(
                 f"{path}.mini_round: must be >= 0, got {self.mini_round}"
@@ -142,44 +134,12 @@ class ByzantineFault(VertexFault):
     type_name = "byzantine"
 
     def validate(self, path: str = "fault") -> None:
-        self._validate_common(path)
+        super().validate(path)
         if self.behavior not in BYZANTINE_BEHAVIORS:
             raise ValueError(
                 f"{path}.behavior: expected one of {BYZANTINE_BEHAVIORS}, "
                 f"got {self.behavior!r}"
             )
-
-
-FAULT_TYPES: Dict[str, Type[VertexFault]] = {
-    cls.type_name: cls for cls in (CrashFault, ByzantineFault)
-}
-
-
-def fault_from_dict(data, path: str = "fault") -> VertexFault:
-    """Deserialize one fault dict, raising ``ValueError`` with ``path``."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    type_name = data.get("type")
-    if type_name not in FAULT_TYPES:
-        raise ValueError(
-            f"{path}.type: unknown fault type {type_name!r}; "
-            f"choose one of {sorted(FAULT_TYPES)}"
-        )
-    cls = FAULT_TYPES[type_name]
-    kwargs = {k: v for k, v in data.items() if k != "type"}
-    allowed = set(cls(vertex=0).__dict__)
-    unknown = sorted(set(kwargs) - allowed)
-    if unknown:
-        raise ValueError(
-            f"{path}: unknown field(s) {unknown} for {type_name!r}; "
-            f"allowed fields are {sorted(allowed)}"
-        )
-    try:
-        fault = cls(**kwargs)
-    except TypeError as err:
-        raise ValueError(f"{path}: {err}") from None
-    fault.validate(path)
-    return fault
 
 
 class FaultPlan:
@@ -249,17 +209,8 @@ class FaultPlan:
         return max((fault.vertex for fault in self._faults), default=-1)
 
     def to_dicts(self) -> List[Dict[str, object]]:
-        """JSON-ready fault list (inverse of :meth:`from_dicts`)."""
+        """JSON-ready fault list (the form :meth:`content_hash` digests)."""
         return [fault.to_dict() for fault in self._faults]
-
-    @classmethod
-    def from_dicts(cls, data, path: str = "faults") -> "FaultPlan":
-        """Deserialize a fault list, raising ``ValueError`` with ``path``."""
-        if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
-            raise ValueError(f"{path}: expected a list of fault objects, got {data!r}")
-        return cls(
-            fault_from_dict(entry, f"{path}[{i}]") for i, entry in enumerate(data)
-        )
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical JSON form (sorted keys, compact)."""

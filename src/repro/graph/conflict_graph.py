@@ -27,6 +27,7 @@ import numpy as np
 from repro.graph.geometry import Point
 
 if TYPE_CHECKING:
+    from repro.graph.extended import ExtendedConflictGraph
     from repro.graph.neighborhoods import NeighborhoodTable
 
 __all__ = ["ConflictGraph", "build_csr", "canonical_edge_array"]
@@ -134,12 +135,12 @@ class ConflictGraph:
         self._edge_array = canonical_edge_array(num_nodes, edges)
         self._edge_array.setflags(write=False)
         self._indptr, self._indices = build_csr(num_nodes, self._edge_array)
-        self._neighborhood_tables: Dict[int, "NeighborhoodTable"] = {}
 
     def __getstate__(self) -> Dict[str, object]:
-        # A process rebuilds the neighbourhood tables on first use instead
-        # of receiving them pickled.
-        return {**self.__dict__, "_neighborhood_tables": {}}
+        # A process rebuilds H (and with it the neighbourhood tables) on
+        # first use instead of receiving it pickled; an unpickled graph then
+        # hands its own H to every caller in that process.
+        return {k: v for k, v in self.__dict__.items() if k != "_extended_graph"}
 
     @classmethod
     def from_adjacency(
@@ -326,25 +327,27 @@ class ConflictGraph:
             for i in range(self._num_nodes)
         ]
 
-    def neighborhood_table(self, r: int) -> "NeighborhoodTable":
-        """Algorithm 3's balls of the extended graph ``H`` at PTAS radius ``r``.
+    def extended_graph(self) -> "ExtendedConflictGraph":
+        """The extended conflict graph ``H`` of this graph.
 
-        One table per ``r``, created on the first call and handed to every
-        later caller: concurrent first calls may each create one, but only
-        the first stored is ever handed out.
+        One read-only ``H``, created on the first call and handed to every
+        later caller (every system, solver and policy on this graph):
+        concurrent first calls may each create one, but only the first
+        stored is ever handed out.  ``H`` holds no reference back to this
+        graph, so the pair is freed as soon as the graph is.
         """
         from repro.graph.extended import ExtendedConflictGraph
-        from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
 
-        table = self._neighborhood_tables.get(r)
-        if table is None:
-            table = self._neighborhood_tables.setdefault(
-                r,
-                NeighborhoodTable(
-                    ExtendedConflictGraph(self).adjacency_sets(), protocol_radii(r)
-                ),
+        extended = self.__dict__.get("_extended_graph")
+        if extended is None:
+            extended = self.__dict__.setdefault(
+                "_extended_graph", ExtendedConflictGraph(self)
             )
-        return table
+        return extended
+
+    def neighborhood_table(self, r: int) -> "NeighborhoodTable":
+        """Algorithm 3's balls of ``H`` at PTAS radius ``r`` (held by :meth:`extended_graph`)."""
+        return self.extended_graph().neighborhood_table(r)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

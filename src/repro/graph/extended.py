@@ -23,11 +23,25 @@ accessors remain available as on-demand views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.graph.conflict_graph import ConflictGraph, build_csr
+
+if TYPE_CHECKING:
+    from repro.graph.neighborhoods import NeighborhoodTable
 
 __all__ = ["VirtualVertex", "ExtendedConflictGraph"]
 
@@ -52,15 +66,21 @@ class ExtendedConflictGraph:
     """
 
     def __init__(self, conflict_graph: ConflictGraph) -> None:
-        self._graph = conflict_graph
         self._num_nodes = conflict_graph.num_nodes
         self._num_channels = conflict_graph.num_channels
         self._num_vertices = self._num_nodes * self._num_channels
-        self._edge_array = self._build_edge_array()
+        self._edge_array = self._build_edge_array(conflict_graph.edge_array())
         self._edge_array.setflags(write=False)
         self._indptr, self._indices = build_csr(self._num_vertices, self._edge_array)
+        # Algorithm 3's balls, one table per PTAS radius r, built on first use.
+        self._neighborhood_tables: Dict[int, "NeighborhoodTable"] = {}
 
-    def _build_edge_array(self) -> np.ndarray:
+    def __getstate__(self) -> Dict[str, object]:
+        # A process rebuilds the neighbourhood tables on first use instead
+        # of receiving them pickled.
+        return {**self.__dict__, "_neighborhood_tables": {}}
+
+    def _build_edge_array(self, conflicts: np.ndarray) -> np.ndarray:
         """All edges of ``H`` as a canonical ``(m, 2)`` int64 array."""
         m = self._num_channels
         parts: List[np.ndarray] = []
@@ -78,7 +98,6 @@ class ExtendedConflictGraph:
                     axis=1,
                 )
             )
-        conflicts = self._graph.edge_array()
         if conflicts.shape[0]:
             # Same-channel edges between conflicting masters: each G edge
             # (i, j) with i < j lifts to (i*M + c, j*M + c) for every c.
@@ -103,11 +122,6 @@ class ExtendedConflictGraph:
     # ------------------------------------------------------------------
     # Index conversions
     # ------------------------------------------------------------------
-    @property
-    def conflict_graph(self) -> ConflictGraph:
-        """The underlying original conflict graph ``G``."""
-        return self._graph
-
     @property
     def num_nodes(self) -> int:
         """Number of master nodes ``N``."""
@@ -260,14 +274,33 @@ class ExtendedConflictGraph:
         vertices = sorted(
             self.vertex_index(node, channel) for node, channel in assignment.items()
         )
+        m = self._num_channels
         for node, channel in assignment.items():
-            for other in self._graph.neighbors(node):
-                if assignment.get(other) == channel:
+            # Same-channel neighbours of v_{node,channel} are its G-neighbours.
+            for neighbor in self._row(node * m + channel).tolist():
+                other = neighbor // m
+                if neighbor % m == channel and assignment.get(other) == channel:
                     raise ValueError(
                         f"nodes {node} and {other} both assigned channel {channel} "
                         "but they conflict"
                     )
         return vertices
+
+    def neighborhood_table(self, r: int) -> "NeighborhoodTable":
+        """Algorithm 3's balls of ``H`` at PTAS radius ``r``.
+
+        One table per ``r``, created on the first call and handed to every
+        later caller: concurrent first calls may each create one, but only
+        the first stored is ever handed out.
+        """
+        from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
+
+        table = self._neighborhood_tables.get(r)
+        if table is None:
+            table = self._neighborhood_tables.setdefault(
+                r, NeighborhoodTable(self.adjacency_sets(), protocol_radii(r))
+            )
+        return table
 
     def weight_of(self, vertices: Iterable[int], weights: Sequence[float]) -> float:
         """Summed weight ``W(I)`` of a vertex set under a flat weight vector."""

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote
 
+from repro._codec import DecodeError, loads
+
 __all__ = [
     "HttpError",
     "Request",
@@ -92,9 +94,9 @@ class Request:
         if not self.body:
             raise HttpError(400, "request body must be a JSON object")
         try:
-            data = json.loads(self.body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise HttpError(400, f"request body is not valid JSON: {err}") from None
+            data = loads(self.body, "request body")
+        except DecodeError as err:
+            raise HttpError(400, str(err)) from None
         if not isinstance(data, dict):
             raise HttpError(400, "request body must be a JSON object")
         return data

@@ -29,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro._codec import DecodeError, decode_fields
 from repro.obs import current_observer
 from repro.obs.metrics import MetricsRegistry, summarize_values
 from repro.serve.jobs import Job, JobPlan, plan_job
@@ -97,6 +98,17 @@ class ServiceConfig:
             raise SpecError(
                 f"serve: max_job_history must be positive, got {self.max_job_history}"
             )
+
+
+@dataclass(frozen=True)
+class _SweepRequest:
+    """The body of ``POST /v1/sweep``: a built-in ``plan``, or a ``base`` spec
+    swept over ``grid`` (dotted path -> values) as plan ``name``."""
+
+    plan: Optional[str] = None
+    base: Optional[ScenarioSpec] = None
+    grid: Dict[str, List[object]] = field(default_factory=dict)
+    name: Optional[str] = None
 
 
 class ResultService:
@@ -183,28 +195,28 @@ class ResultService:
 
     async def submit_sweep(self, payload: Dict, token: str = "anonymous") -> Tuple[Job, bool]:
         """Submit a sweep: ``{"plan": name}`` or ``{"base": spec, "grid": {...}}``."""
-        if "plan" in payload:
-            name = payload["plan"]
-            if not isinstance(name, str) or name not in builtin_plans():
+        try:
+            body = _SweepRequest(**decode_fields(_SweepRequest, payload, "sweep"))
+        except DecodeError as err:
+            raise SpecError(str(err)) from None
+        if body.plan is not None:
+            if body.plan not in builtin_plans():
                 raise SpecError(
-                    f"sweep.plan: unknown built-in plan {name!r} "
+                    f"sweep.plan: unknown built-in plan {body.plan!r} "
                     f"(available: {', '.join(sorted(builtin_plans()))})"
                 )
-            plan = get_plan(name)
-        elif "base" in payload:
-            base = ScenarioSpec.from_dict(payload["base"], path="sweep.base")
-            grid = payload.get("grid", {})
-            if not isinstance(grid, dict):
-                raise SpecError("sweep.grid: expected an object of path -> value list")
-            axes = {}
-            for path, values in grid.items():
-                if not isinstance(values, list) or not values:
+            plan = get_plan(body.plan)
+        elif body.base is not None:
+            for path, values in body.grid.items():
+                if not values:
                     raise SpecError(
                         f"sweep.grid[{path!r}]: expected a non-empty list of values"
                     )
-                axes[path] = tuple(values)
-            plan_name = payload.get("name") or f"{base.name}-sweep"
-            plan = SweepPlan.from_grid(plan_name, base, axes)
+            plan = SweepPlan.from_grid(
+                body.name or f"{body.base.name}-sweep",
+                body.base,
+                {path: tuple(values) for path, values in body.grid.items()},
+            )
         else:
             raise SpecError("sweep: body needs either a 'plan' name or a 'base' spec")
         return await self._submit("sweep", plan.name, plan, token)

@@ -22,10 +22,10 @@ into an unset optional node (``faults.byzantine`` while ``faults`` is
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Dict, Mapping, Sequence, Union, get_args, get_origin
 
-from repro.spec.scenario import SpecError, _decoder, _schema
+from repro._codec import DecodeError, decoder, loads, schema
+from repro.spec.scenario import SpecError
 
 __all__ = ["apply_overrides", "parse_set_items"]
 
@@ -47,8 +47,8 @@ def parse_set_items(items: Sequence[str]) -> Dict[str, object]:
                 "(e.g. --set schedule.num_rounds=200)"
             )
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
+            value = loads(raw, key)
+        except DecodeError:
             value = raw
         overrides[key] = value
     return overrides
@@ -65,7 +65,10 @@ def apply_overrides(obj, overrides: Mapping[str, object]):
     for path, value in overrides.items():
         if value is None:
             continue
-        obj = _apply_one(obj, type(obj), path.split("."), value, path)
+        try:
+            obj = _apply_one(obj, type(obj), path.split("."), value, path)
+        except DecodeError as err:
+            raise SpecError(str(err)) from None
     return obj
 
 
@@ -94,21 +97,20 @@ def _apply_one(obj, hint, parts, value, full_path: str):
         new_item = (
             _apply_one(obj[index], item_hint, rest, value, full_path)
             if rest
-            else _decoder(item_hint)(value, f"--set {full_path}")
+            else decoder(item_hint)(value, f"--set {full_path}")
         )
         return obj[:index] + (new_item,) + obj[index + 1:]
     if dataclasses.is_dataclass(obj):
-        schema = _schema(type(obj))
-        if head not in schema:
+        allowed = schema(type(obj))
+        if head not in allowed:
             raise SpecError(
                 f"--set {full_path}: {type(obj).__name__} has no field "
-                f"{head!r}; available fields: {sorted(schema)}"
+                f"{head!r}; available fields: {sorted(allowed)}"
             )
-        field_hint = schema[head].hint
         new_value = (
-            _apply_one(getattr(obj, head), field_hint, rest, value, full_path)
+            _apply_one(getattr(obj, head), allowed[head].hint, rest, value, full_path)
             if rest
-            else schema[head].decode(value, f"--set {full_path}")
+            else allowed[head].decode(value, f"--set {full_path}")
         )
         try:
             return dataclasses.replace(obj, **{head: new_value})

@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 import numpy as np
 
+from repro._codec import NOT_SERIALIZED, DecodeError, Number, decode_fields, loads
 from repro.core.bounds import theorem1_regret_bound
 from repro.distributed.costs import theoretical_message_bound, theoretical_space_bound
 from repro.distributed.ptas import DistributedRobustPTAS
@@ -61,12 +62,12 @@ class ExperimentResult:
     scenario: str
     mode: str
     spec: Dict[str, object]
-    summary: Dict[str, float] = field(default_factory=dict)
-    series: Dict[str, List[float]] = field(default_factory=dict)
-    replication_series: Dict[str, List[List[float]]] = field(default_factory=dict)
-    records: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    wall_clock_s: float = 0.0
-    artifacts: Dict[str, object] = field(default_factory=dict)
+    summary: Dict[str, Number] = field(default_factory=dict)
+    series: Dict[str, List[Number]] = field(default_factory=dict)
+    replication_series: Dict[str, List[List[Number]]] = field(default_factory=dict)
+    records: Dict[str, Dict[str, Number]] = field(default_factory=dict)
+    wall_clock_s: Number = 0.0
+    artifacts: Dict[str, object] = field(default_factory=dict, metadata=NOT_SERIALIZED)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -93,79 +94,23 @@ class ExperimentResult:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
-    def from_dict(cls, data) -> "ExperimentResult":
+    def from_dict(cls, data, path: str = "result") -> "ExperimentResult":
         """Strictly validate and load a serialized result envelope."""
-        if not isinstance(data, Mapping):
-            raise SpecError(
-                f"result: expected a JSON object, got {type(data).__name__}"
-            )
-        schema = data.get("schema")
-        if schema != RESULT_SCHEMA:
-            raise SpecError(
-                f"result.schema: expected {RESULT_SCHEMA!r}, got {schema!r}"
-            )
-        required = {
-            "schema",
-            "scenario",
-            "mode",
-            "spec",
-            "summary",
-            "series",
-            "replication_series",
-            "records",
-            "wall_clock_s",
-        }
-        missing = sorted(required - set(data))
-        if missing:
-            raise SpecError(f"result: missing field(s) {missing}")
-        unknown = sorted(set(data) - required)
-        if unknown:
-            raise SpecError(f"result: unknown field(s) {unknown}")
-        if not isinstance(data["scenario"], str) or not data["scenario"]:
-            raise SpecError("result.scenario: expected a non-empty string")
-        if not isinstance(data["mode"], str):
-            raise SpecError("result.mode: expected a string")
-        for key in ("summary", "series", "replication_series", "records", "spec"):
-            if not isinstance(data[key], Mapping):
-                raise SpecError(f"result.{key}: expected a JSON object")
-        for name, values in data["series"].items():
-            if not isinstance(values, list) or any(
-                not isinstance(v, (int, float)) or isinstance(v, bool) for v in values
-            ):
-                raise SpecError(
-                    f"result.series[{name!r}]: expected a list of numbers"
-                )
-        for name, rows in data["replication_series"].items():
-            if not isinstance(rows, list) or any(
-                not isinstance(row, list) for row in rows
-            ):
-                raise SpecError(
-                    f"result.replication_series[{name!r}]: expected a list of "
-                    "per-replication rows"
-                )
-        if not isinstance(data["wall_clock_s"], (int, float)):
-            raise SpecError("result.wall_clock_s: expected a number")
-        return cls(
-            scenario=data["scenario"],
-            mode=data["mode"],
-            spec=dict(data["spec"]),
-            summary=dict(data["summary"]),
-            series={k: list(v) for k, v in data["series"].items()},
-            replication_series={
-                k: [list(row) for row in rows]
-                for k, rows in data["replication_series"].items()
-            },
-            records={k: dict(v) for k, v in data["records"].items()},
-            wall_clock_s=float(data["wall_clock_s"]),
-        )
+        try:
+            kwargs = decode_fields(cls, data, path, complete=True, schema_id=RESULT_SCHEMA)
+        except DecodeError as err:
+            raise SpecError(str(err)) from None
+        if not kwargs["scenario"]:
+            raise SpecError(f"{path}.scenario: expected a non-empty string")
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentResult":
         """Inverse of :meth:`to_json` (strictly validated)."""
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise SpecError(f"result: invalid JSON ({err})") from None
+            data = loads(text, "result")
+        except DecodeError as err:
+            raise SpecError(str(err)) from None
         return cls.from_dict(data)
 
     def spec_object(self) -> ScenarioSpec:

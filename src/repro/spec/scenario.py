@@ -29,28 +29,15 @@ specs is :mod:`repro.spec.registry`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import lru_cache
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-    get_args,
-    get_origin,
-    get_type_hints,
-)
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._codec import DecodeError, decode_fields, encode, nested_fields, schema
 from repro.channels.catalog import DEFAULT_RELATIVE_STD, assign_rates_to_network
 from repro.channels.state import ChannelState
+from repro.dynamics.events import TopologyEvent, event_from_dict
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.topology import (
     connected_random_network,
@@ -60,9 +47,6 @@ from repro.graph.topology import (
     ring_network,
     star_network,
 )
-
-if TYPE_CHECKING:
-    from repro.dynamics.events import TopologyEvent
 
 __all__ = [
     "SpecError",
@@ -83,141 +67,12 @@ __all__ = [
 AUTO_GREEDY_VERTEX_THRESHOLD = 400
 
 
-class SpecError(ValueError):
+class SpecError(DecodeError):
     """A scenario specification is invalid or cannot be deserialized."""
 
 
-# ----------------------------------------------------------------------
-# The spec codec: to_dict, from_dict and --set coercion, all derived from
-# each class's declared field types
-# ----------------------------------------------------------------------
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise SpecError(f"{path}: expected a finite number, got {value!r}")
-    return number
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SpecError(f"{path}: expected a string, got {value!r}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise SpecError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
-def _as_list(value, path: str) -> Sequence:
-    if not isinstance(value, (list, tuple)):
-        raise SpecError(f"{path}: expected a list, got {value!r}")
-    return value
-
-
-def _as_event(value, path: str):
-    from repro.dynamics.events import TopologyEvent, event_from_dict
-
-    if isinstance(value, TopologyEvent):
-        return value
-    try:
-        return event_from_dict(value, path)
-    except ValueError as err:
-        raise SpecError(str(err)) from None
-
-
-_SCALAR_DECODERS = {int: _as_int, float: _as_float, str: _as_str, bool: _as_bool}
-
-
-@lru_cache(maxsize=None)
-def _decoder(hint) -> Callable[[object, str], object]:
-    """Compile a declared field type into a ``(value, path) -> value`` check."""
-    from repro.dynamics.events import TopologyEvent
-
-    if hint in _SCALAR_DECODERS:
-        return _SCALAR_DECODERS[hint]
-    args = get_args(hint)
-    if get_origin(hint) is Union:  # Optional[X]
-        inner = _decoder(next(arg for arg in args if arg is not type(None)))
-        return lambda value, path: None if value is None else inner(value, path)
-    if get_origin(hint) is tuple and args[-1] is Ellipsis:  # Tuple[X, ...]
-        item = _decoder(args[0])
-        return lambda value, path: tuple(
-            item(entry, f"{path}[{i}]") for i, entry in enumerate(_as_list(value, path))
-        )
-    if get_origin(hint) is tuple:  # Tuple[X, Y]
-        items = tuple(_decoder(arg) for arg in args)
-
-        def fixed(value, path):
-            value = _as_list(value, path)
-            if len(value) != len(items):
-                raise SpecError(
-                    f"{path}: expected a list of {len(items)} items, got {value!r}"
-                )
-            return tuple(
-                item(entry, f"{path}[{i}]")
-                for i, (item, entry) in enumerate(zip(items, value))
-            )
-
-        return fixed
-    if isinstance(hint, type) and issubclass(hint, _Spec):
-        return lambda value, path: (
-            value if isinstance(value, hint) else hint.from_dict(value, path)
-        )
-    if hint is TopologyEvent:
-        return _as_event
-    raise TypeError(f"no spec codec for field type {hint!r}")  # pragma: no cover
-
-
-class _Field(NamedTuple):
-    hint: object
-    decode: Callable[[object, str], object]
-    required: bool
-
-
-@lru_cache(maxsize=None)
-def _schema(cls) -> Dict[str, _Field]:
-    """``cls``'s fields in declaration order, resolved once per class."""
-    from repro.dynamics.events import TopologyEvent
-
-    hints = get_type_hints(cls, localns={"TopologyEvent": TopologyEvent})
-    return {
-        f.name: _Field(
-            hints[f.name],
-            _decoder(hints[f.name]),
-            f.default is MISSING and f.default_factory is MISSING,
-        )
-        for f in fields(cls)
-    }
-
-
-@lru_cache(maxsize=None)
-def _nested_fields(cls) -> Tuple[str, ...]:
-    """The fields of ``cls`` whose declared type is not a plain scalar."""
-    scalar = tuple(_SCALAR_DECODERS.values())
-    return tuple(
-        name for name, spec_field in _schema(cls).items()
-        if spec_field.decode not in scalar
-    )
-
-
-def _encode(value):
-    if isinstance(value, tuple):
-        return [_encode(item) for item in value]
-    to_dict = getattr(value, "to_dict", None)  # a nested spec or topology event
-    return value if to_dict is None else to_dict()
+def _as_event(value, path: str) -> TopologyEvent:
+    return value if isinstance(value, TopologyEvent) else event_from_dict(value, path)
 
 
 class _Spec:
@@ -233,35 +88,33 @@ class _Spec:
     #: Root path of the node in error messages (``validate``'s default).
     _path = ""
 
+    def __post_init__(self) -> None:
+        # Values built in Python get the per-field type checks decoded JSON
+        # gets, then the class's own value and cross-field rules.
+        try:
+            for name, spec_field in schema(type(self)).items():
+                spec_field.decode(getattr(self, name), f"{self._path}.{name}")
+        except DecodeError as err:
+            raise SpecError(str(err)) from None
+        self.validate()
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation (inverse of :meth:`from_dict`)."""
         # A dataclass instance's __dict__ holds exactly its fields, in
         # declaration order; only the non-scalar ones need encoding.
         data = dict(self.__dict__)
-        for name in _nested_fields(type(self)):
-            data[name] = _encode(data[name])
+        for name in nested_fields(type(self)):
+            data[name] = encode(data[name])
         return data
 
     @classmethod
     def from_dict(cls, data, path: Optional[str] = None):
         """Deserialize, raising :class:`SpecError` with the offending path."""
         path = cls._path if path is None else path
-        if not isinstance(data, Mapping):
-            raise SpecError(
-                f"{path}: expected a JSON object, got {type(data).__name__}"
-            )
-        schema = _schema(cls)
-        unknown = sorted((key for key in data if key not in schema), key=str)
-        if unknown:
-            raise SpecError(
-                f"{path}: unknown field(s) {unknown}; allowed fields are {sorted(schema)}"
-            )
-        kwargs: Dict[str, object] = {}
-        for name, spec_field in schema.items():
-            if name in data:
-                kwargs[name] = spec_field.decode(data[name], f"{path}.{name}")
-            elif spec_field.required:
-                raise SpecError(f"{path}.{name}: missing required field")
+        try:
+            kwargs = decode_fields(cls, data, path)
+        except DecodeError as err:
+            raise SpecError(str(err)) from None
         try:
             return cls(**kwargs)
         except SpecError as err:
@@ -315,9 +168,6 @@ class TopologySpec(_Spec):
     #: Grid shape; only used (and required) by ``kind="grid"``.
     rows: int = 0
     cols: int = 0
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self, path: str = "topology") -> None:
         """Raise :class:`SpecError` when the topology is ill-formed."""
@@ -432,9 +282,6 @@ class ChannelSpec(_Spec):
     ge_p_bad_to_good: float = 0.3
     #: Adversarial: length of each pair's committed gain sequence.
     adversarial_period: int = 16
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     @property
     def is_stateful(self) -> bool:
@@ -615,9 +462,6 @@ class PolicySpec(_Spec):
     r: int = 2
     solver: str = "auto"
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self, path: str = "policies[?]") -> None:
         """Raise :class:`SpecError` when the policy spec is ill-formed."""
         if self.kind not in POLICY_KINDS:
@@ -730,9 +574,6 @@ class ScheduleSpec(_Spec):
     num_periods: int = 1000
     max_mini_rounds: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self, path: str = "schedule") -> None:
         """Raise :class:`SpecError` when the schedule is ill-formed."""
         if self.mode not in SCHEDULE_MODES:
@@ -826,7 +667,7 @@ class DynamicsSpec(_Spec):
                 for index, entry in enumerate(self.trace)
             ),
         )
-        self.validate()
+        super().__post_init__()
 
     def validate(self, path: str = "dynamics") -> None:
         """Raise :class:`SpecError` when the dynamics spec is ill-formed."""
@@ -879,13 +720,7 @@ class DynamicsSpec(_Spec):
             raise SpecError(
                 f"{path}.trace: kind='trace' needs at least one scripted event"
             )
-        from repro.dynamics.events import TopologyEvent
-
         for index, event in enumerate(self.trace):
-            if not isinstance(event, TopologyEvent):  # pragma: no cover - normalized
-                raise SpecError(
-                    f"{path}.trace[{index}]: expected a topology event object"
-                )
             try:
                 event.validate(f"{path}.trace[{index}]")
             except ValueError as err:
@@ -951,9 +786,6 @@ class ReplicationSpec(_Spec):
     replications: int = 1
     jobs: int = 1
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self, path: str = "replication") -> None:
         """Raise :class:`SpecError` when the replication plan is ill-formed."""
         if self.replications <= 0:
@@ -1009,9 +841,6 @@ class TransportSpec(_Spec):
     #: (asyncio only); lets sweeps vary faults without moving the topology.
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     @property
     def is_lossless(self) -> bool:
         """Whether every broadcast reaches every in-range recipient."""
@@ -1051,8 +880,6 @@ class TransportSpec(_Spec):
                 f"{path}.latency_scale: only meaningful with "
                 f"latency='uniform'/'exponential' (got latency='none')"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise SpecError(f"{path}.seed: expected an integer, got {self.seed!r}")
         if self.seed < 0:
             raise SpecError(f"{path}.seed: must be non-negative, got {self.seed}")
 
@@ -1142,9 +969,6 @@ class FaultSpec(_Spec):
     #: Extra seed of the fault-plan stream, mixed with the scenario seed.
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     @property
     def is_active(self) -> bool:
         """Whether any vertex is actually faulty (``f > 0``)."""
@@ -1154,8 +978,6 @@ class FaultSpec(_Spec):
         """Raise :class:`SpecError` when the fault spec is ill-formed."""
         for name in ("crash", "byzantine"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SpecError(f"{path}.{name}: expected a number, got {value!r}")
             if not (0.0 <= value < 1.0):
                 raise SpecError(f"{path}.{name}: must be in [0, 1), got {value}")
         if self.crash + self.byzantine > 0.5:
@@ -1174,13 +996,6 @@ class FaultSpec(_Spec):
                 f"{path}.behavior: only meaningful with byzantine > 0 "
                 f"(got byzantine={self.byzantine})"
             )
-        if isinstance(self.max_crash_round, bool) or not isinstance(
-            self.max_crash_round, int
-        ):
-            raise SpecError(
-                f"{path}.max_crash_round: expected an integer, "
-                f"got {self.max_crash_round!r}"
-            )
         if self.max_crash_round < 0:
             raise SpecError(
                 f"{path}.max_crash_round: must be >= 0, got {self.max_crash_round}"
@@ -1190,24 +1005,11 @@ class FaultSpec(_Spec):
                 f"{path}.max_crash_round: only meaningful with crash > 0 "
                 f"(got crash={self.crash})"
             )
-        if not isinstance(self.quorum, bool):
-            raise SpecError(
-                f"{path}.quorum: expected true/false, got {self.quorum!r}"
-            )
-        if isinstance(self.quorum_threshold, bool) or not isinstance(
-            self.quorum_threshold, int
-        ):
-            raise SpecError(
-                f"{path}.quorum_threshold: expected an integer, "
-                f"got {self.quorum_threshold!r}"
-            )
         if self.quorum_threshold < 1:
             raise SpecError(
                 f"{path}.quorum_threshold: must be >= 1, "
                 f"got {self.quorum_threshold}"
             )
-        if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float)):
-            raise SpecError(f"{path}.eps: expected a number, got {self.eps!r}")
         if not (0.0 < self.eps < 1.0):
             raise SpecError(f"{path}.eps: must be in (0, 1), got {self.eps}")
         if not self.quorum:
@@ -1217,8 +1019,6 @@ class FaultSpec(_Spec):
                 )
             if self.eps != 0.05:
                 raise SpecError(f"{path}.eps: only meaningful with quorum=true")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise SpecError(f"{path}.seed: expected an integer, got {self.seed!r}")
         if self.seed < 0:
             raise SpecError(f"{path}.seed: must be non-negative, got {self.seed}")
 
@@ -1296,15 +1096,10 @@ class ScenarioSpec(_Spec):
     #: Brute-force the optimal fixed strategy before per-round runs.
     compute_optimal: bool = False
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self, path: str = "scenario") -> None:
         """Raise :class:`SpecError` when the scenario is ill-formed."""
-        if not self.name or not isinstance(self.name, str):
+        if not self.name:
             raise SpecError(f"{path}.name: every scenario needs a non-empty name")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise SpecError(f"{path}.seed: expected an integer, got {self.seed!r}")
         if self.seed < 0:
             raise SpecError(
                 f"{path}.seed: must be non-negative (numpy seeds reject "
@@ -1351,11 +1146,7 @@ class ScenarioSpec(_Spec):
                     f"('random' or 'connected-random'), got {self.topology.kind!r}"
                 )
             for index, cell in enumerate(self.network_sweep):
-                if (
-                    len(cell) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, int) for v in cell)
-                    or any(v <= 0 for v in cell)
-                ):
+                if any(v <= 0 for v in cell):
                     raise SpecError(
                         f"{path}.network_sweep[{index}]: expected a "
                         f"[num_nodes, num_channels] pair of positive integers, "

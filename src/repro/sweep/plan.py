@@ -19,10 +19,10 @@ Two rules give that determinism:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro._codec import DecodeError, loads
 from repro.spec.canon import spec_hash
 from repro.spec.overrides import apply_overrides
 from repro.spec.scenario import ScenarioSpec, SpecError
@@ -84,8 +84,8 @@ def parse_grid_items(items: Sequence[str]) -> Dict[str, Tuple[object, ...]]:
         values = []
         for piece in split_grid_values(raw):
             try:
-                values.append(json.loads(piece))
-            except json.JSONDecodeError:
+                values.append(loads(piece, path))
+            except DecodeError:
                 values.append(piece)
         if not values:
             raise SpecError(

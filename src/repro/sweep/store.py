@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro._codec import DecodeError, decode_fields, loads
 from repro.spec.canon import canonical_json
 from repro.spec.runner import ExperimentResult
 from repro.spec.scenario import SpecError
@@ -51,6 +52,14 @@ AUDIT_SCHEMA = "repro.store-audit/v1"
 
 class StoreError(RuntimeError):
     """A store entry is corrupt, tampered with, or unreadable."""
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """The decoded shape of one stored object (besides its ``schema``)."""
+
+    key: Dict[str, object]
+    result: ExperimentResult
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -211,7 +220,7 @@ class ResultStore:
         """
         path = self.path_for(key_hash)
         try:
-            text = path.read_text()
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as err:
@@ -219,47 +228,36 @@ class ResultStore:
                 raise StoreError(f"store entry {path} is unreadable ({err})") from err
             return None
         try:
-            entry = self._validate_entry(key_hash, path, text)
+            entry = self._validate_entry(key_hash, path, raw)
         except StoreError:
             if strict:
                 raise
             return None
         return entry["result"]
 
-    def _validate_entry(self, key_hash: str, path: Path, text: str) -> Dict:
+    def _validate_entry(self, key_hash: str, path: Path, raw: bytes) -> Dict:
         try:
-            entry = json.loads(text)
-        except json.JSONDecodeError as err:
+            entry = loads(raw, "entry")
+            decode_fields(_Entry, entry, "entry", complete=True, schema_id=ENTRY_SCHEMA)
+        except SpecError as err:
             raise StoreError(
-                f"store entry {path} is corrupt: invalid JSON ({err})"
+                f"store entry {path} is corrupt: result envelope is invalid ({err})"
             ) from None
-        if not isinstance(entry, dict) or entry.get("schema") != ENTRY_SCHEMA:
+        except DecodeError as err:
+            raise StoreError(f"store entry {path} is corrupt: {err}") from None
+        try:
+            canonical = canonical_json(entry["key"])
+        except (ValueError, RecursionError) as err:  # e.g. a NaN in the key
             raise StoreError(
-                f"store entry {path} is corrupt: expected schema "
-                f"{ENTRY_SCHEMA!r}, got "
-                f"{entry.get('schema') if isinstance(entry, dict) else entry!r}"
-            )
-        if "key" not in entry or "result" not in entry:
-            raise StoreError(
-                f"store entry {path} is corrupt: missing "
-                f"{'key' if 'key' not in entry else 'result'} field"
-            )
-        digest = hashlib.sha256(
-            canonical_json(entry["key"]).encode("utf-8")
-        ).hexdigest()
+                f"store entry {path} is corrupt: its key is not canonical JSON ({err})"
+            ) from None
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         if digest != key_hash:
             raise StoreError(
                 f"store entry {path} is corrupt: its key hashes to "
                 f"{digest[:12]}..., not the addressed {key_hash[:12]}... "
                 "(tampered or misfiled entry)"
             )
-        try:
-            ExperimentResult.from_dict(entry["result"])
-        except SpecError as err:
-            raise StoreError(
-                f"store entry {path} is corrupt: result envelope is "
-                f"invalid ({err})"
-            ) from None
         return entry
 
     # ------------------------------------------------------------------
@@ -293,7 +291,7 @@ class ResultStore:
         for key_hash in self.hashes():
             path = self.path_for(key_hash)
             try:
-                entry = self._validate_entry(key_hash, path, path.read_text())
+                entry = self._validate_entry(key_hash, path, path.read_bytes())
             except OSError as err:
                 if strict:
                     raise StoreError(
@@ -346,12 +344,12 @@ class ResultStore:
         marker = self.marker_path
         marker_ok = False
         try:
-            data = json.loads(marker.read_text())
+            data = loads(marker.read_bytes(), "store.json")
             marker_ok = isinstance(data, dict) and data.get("schema") == STORE_SCHEMA
             detail = f"store marker does not declare schema {STORE_SCHEMA!r}"
         except FileNotFoundError:
             detail = "store marker store.json is missing"
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, DecodeError) as err:
             detail = f"store marker is unreadable ({err})"
         if not marker_ok:
             report.issues.append(AuditIssue("marker", str(marker), detail))
@@ -371,7 +369,7 @@ class ResultStore:
                     )
                     continue
                 try:
-                    self._validate_entry(path.stem, path, path.read_text())
+                    self._validate_entry(path.stem, path, path.read_bytes())
                 except OSError as err:
                     report.issues.append(
                         AuditIssue("corrupt", str(path), f"unreadable ({err})")

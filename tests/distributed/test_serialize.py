@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import (
     WIRE_SCHEMA,
@@ -156,3 +158,87 @@ class TestValidation:
     def test_non_finite_weight_unencodable(self):
         with pytest.raises(WireError):
             encode_message(WeightBroadcast(sender=0, hop_limit=1, weight=float("nan")))
+
+
+# ----------------------------------------------------------------------
+# Untrusted bytes: every input ends in a Message or a WireError
+# ----------------------------------------------------------------------
+#: Arbitrary JSON, NaN and infinities included (``json.loads`` accepts them).
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _decode_or_wire_error(data):
+    """Decode ``data``; a decoded message must re-encode to itself."""
+    try:
+        message = decode_message(data)
+    except WireError:
+        return None
+    assert decode_message(encode_message(message)) == message
+    return message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_arbitrary_bytes_decode_or_raise_wire_error(data):
+    _decode_or_wire_error(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EXAMPLES), st.data(), json_values)
+def test_arbitrary_json_at_any_frame_key_decodes_or_raises_wire_error(
+    message, data, value
+):
+    frame = message_to_frame(message)
+    key = data.draw(st.sampled_from([*frame, "extra", "1"]))
+    if key == "decisions" or data.draw(st.booleans()):
+        frame[key] = value
+    elif key in frame:
+        del frame[key]
+    if isinstance(frame.get("decisions"), dict) and data.draw(st.booleans()):
+        frame["decisions"] = {
+            **frame["decisions"],
+            data.draw(st.text(max_size=4)): data.draw(json_values),
+        }
+    text = json.dumps(frame)  # NaN and infinities travel as bare tokens
+    _decode_or_wire_error(text.encode("utf-8"))
+
+
+class TestUntrustedBytes:
+    def frame(self, **changes):
+        frame = message_to_frame(WeightBroadcast(sender=3, hop_limit=5, weight=2.0))
+        frame.update(changes)
+        return json.dumps(frame).encode("utf-8")
+
+    def test_unhashable_type_tag_is_a_wire_error(self):
+        with pytest.raises(WireError, match="frame.type"):
+            decode_message(self.frame(type=[1]))
+
+    def test_non_utf8_frame_is_a_wire_error(self):
+        with pytest.raises(WireError, match="UTF-8"):
+            decode_message(b"\xff\xfe")
+
+    def test_deeply_nested_frame_is_a_wire_error(self):
+        with pytest.raises(WireError, match="nested too deeply"):
+            decode_message(b"[" * 100000 + b"]" * 100000)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_weight_is_a_wire_error(self, token):
+        data = self.frame(weight=0.0).replace(b'"weight": 0.0', b'"weight": ' + token.encode())
+        with pytest.raises(WireError, match="weight: expected a finite number"):
+            decode_message(data)
+
+    def test_decision_keys_must_be_canonical_decimals(self):
+        frame = message_to_frame(StatusDetermination(sender=0, hop_limit=4))
+        for key in ("+7", " 7", "07", "1_0", "٣"):
+            frame["decisions"] = {key: True}
+            with pytest.raises(WireError, match="decisions"):
+                frame_to_message(frame)

@@ -86,7 +86,7 @@ class TestEventSchedule:
                 LinkFlap(round_index=4, u=0, v=1, up=True),
             ]
         )
-        rebuilt = EventSchedule.from_dicts(schedule.to_dicts())
+        rebuilt = EventSchedule(event_from_dict(entry) for entry in schedule.to_dicts())
         assert rebuilt == schedule
         assert rebuilt.content_hash() == schedule.content_hash()
         different = EventSchedule([NodeDeparture(round_index=2, node=2)])

@@ -8,7 +8,6 @@ from repro.faults import (
     ByzantineFault,
     CrashFault,
     FaultPlan,
-    fault_from_dict,
     generate_fault_plan,
 )
 
@@ -100,31 +99,6 @@ class TestValidation:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        plan = make_plan()
-        again = FaultPlan.from_dicts(plan.to_dicts())
-        assert again == plan
-        assert again.content_hash() == plan.content_hash()
-
-    def test_round_trip_survives_json(self):
-        import json
-
-        plan = make_plan()
-        again = FaultPlan.from_dicts(json.loads(json.dumps(plan.to_dicts())))
-        assert again == plan
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="type"):
-            fault_from_dict({"type": "rage-quit", "vertex": 0}, "faults[0]")
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="color"):
-            fault_from_dict(
-                {"type": "crash", "vertex": 0, "mini_round": 0, "phase": "WB",
-                 "color": "red"},
-                "faults[0]",
-            )
-
     def test_content_hash_tracks_content(self):
         a = make_plan(seed=7)
         b = make_plan(seed=8)

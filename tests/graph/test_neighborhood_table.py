@@ -6,13 +6,15 @@
   equals a fresh computation, and the recomputed count it reports equals
   the maximum over radii of the per-radius counts (each radius's touched
   vertices' old and new balls).
-* Sharing: a run builds one table per (topology, r), every policy, period
-  and replication reads that one, and the run leaves it equal to a fresh
-  build.
+* Sharing: a run builds one extended graph ``H`` per topology and one
+  table per (topology, r), every policy, period and replication reads
+  those, and the run leaves the table equal to a fresh build.
 """
 
+import gc
 import pickle
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -186,6 +188,67 @@ def test_graph_hands_every_caller_one_table():
     assert table.balls(8) is balls[0]
     assert graph.neighborhood_table(1) is not table
     assert table.adjacency == ExtendedConflictGraph(graph).adjacency_sets()
+
+
+@pytest.fixture
+def built_extended_graphs(monkeypatch):
+    """Every :class:`ExtendedConflictGraph` constructed while the test runs."""
+    graphs = []
+    init = ExtendedConflictGraph.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        graphs.append(self)
+
+    monkeypatch.setattr(ExtendedConflictGraph, "__init__", recording_init)
+    return graphs
+
+
+def test_fig8_quick_builds_one_extended_graph(built_extended_graphs):
+    """2 periods x 2 policies, each with its own system, and the table all
+    read the topology's one ``H``."""
+    run_scenario(get_scenario("fig8-quick"))
+    assert len(built_extended_graphs) == 1
+
+
+def test_graph_hands_every_caller_one_extended_graph():
+    from repro.api import ChannelAccessSystem
+    from repro.channels.state import ChannelState
+
+    graph = random_network(12, 3, average_degree=4.0, rng=np.random.default_rng(3))
+    extended = graph.extended_graph()
+    assert graph.extended_graph() is extended
+    channels = ChannelState.random_paper_rates(12, 3, rng=np.random.default_rng(0))
+    assert ChannelAccessSystem(graph, channels).extended_graph is extended
+    assert graph.neighborhood_table(2).adjacency == extended.adjacency_sets()
+    with pytest.raises(ValueError, match="read-only"):
+        extended.csr_adjacency()[1][0] = 1
+
+
+def test_pickled_graph_rebuilds_its_extended_graph(built_extended_graphs):
+    graph = ConflictGraph(4, [(0, 1), (1, 2), (2, 3)], 2)
+    extended = graph.extended_graph()
+    copy = pickle.loads(pickle.dumps(graph))
+    assert len(built_extended_graphs) == 1  # H is not shipped in the pickle
+    rebuilt = copy.extended_graph()
+    assert rebuilt is not extended
+    assert copy.extended_graph() is rebuilt
+    assert np.array_equal(rebuilt.edge_array(), extended.edge_array())
+
+
+def test_a_dropped_graph_frees_its_extended_graph_and_tables_at_once():
+    """``H`` holds no reference back to its graph, so no reference cycle
+    keeps a large table alive until the cycle collector runs."""
+    gc.disable()
+    try:
+        graph = ConflictGraph(4, [(0, 1), (1, 2), (2, 3)], 2)
+        table = graph.neighborhood_table(1)
+        refs = [weakref.ref(graph), weakref.ref(graph.extended_graph())]
+        del graph
+        assert [ref() for ref in refs] == [None, None]
+        assert table.balls(1)  # the table itself lives on while held
+    finally:
+        gc.enable()
 
 
 def test_pickled_graph_rebuilds_its_table():

@@ -213,6 +213,17 @@ class TestStoreVerify:
         assert main(["store", "verify", "--store", str(store.root)]) == 0
         assert "store is clean" in capsys.readouterr().out
 
+    def test_heal_deletes_a_non_utf8_object(self, tmp_path, capsys):
+        store = self._seed_store(tmp_path)
+        victim = store.path_for(store.hashes()[0])
+        victim.write_bytes(b"\xff\xfe" + victim.read_bytes())
+        with pytest.raises(SystemExit, match="1 corrupt"):
+            main(["store", "verify", "--store", str(store.root)])
+        assert main(["store", "verify", "--store", str(store.root), "--heal"]) == 0
+        assert not victim.exists()
+        assert main(["store", "verify", "--store", str(store.root)]) == 0
+        assert "1 valid" in capsys.readouterr().out
+
     def test_json_report(self, tmp_path, capsys):
         store = self._seed_store(tmp_path)
         assert main(

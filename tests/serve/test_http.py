@@ -5,6 +5,8 @@ import socket
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import ServerThread, ServiceConfig
 from repro.serve import http
@@ -72,6 +74,27 @@ class TestReadRequest:
         assert _status(b"GET /v1/hea", eof=False) == 408
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            [b"GET /v1/health HTTP/1.1\r\n", b"POST /v1/run HTTP/1.0\r\n", b"Host: x\r\n",
+             b"Content-Length: 4\r\n", b"Content-Length: -1\r\n", b"X: \xff\r\n",
+             b"\r\n", b"\n", b"{}", b":", b" "]
+        )
+        | st.binary(max_size=24),
+        max_size=8,
+    ).map(b"".join)
+)
+def test_any_closed_byte_stream_is_a_request_or_a_client_error(data):
+    try:
+        request = _parse(data)
+    except HttpError as err:
+        assert 400 <= err.status < 500 or err.status == 505, err.status
+    else:
+        assert request is None or isinstance(request, http.Request)
+
+
 def test_server_answers_a_stalled_client_within_the_deadline(tmp_path, monkeypatch):
     monkeypatch.setattr(http, "HEAD_TIMEOUT_S", 0.2)
     config = ServiceConfig(store=str(tmp_path / "store"), backend="thread", jobs=1)
@@ -83,3 +106,32 @@ def test_server_answers_a_stalled_client_within_the_deadline(tmp_path, monkeypat
             elapsed = time.monotonic() - started
     assert reply == b"" or reply.startswith(b"HTTP/1.1 408 ")
     assert elapsed < 5
+
+
+NESTED_BODY = b"[" * 100000 + b"]" * 100000  # 200 KB, far past the parser's depth
+
+
+class TestRequestJson:
+    def _status(self, body: bytes) -> int:
+        with pytest.raises(HttpError) as excinfo:
+            http.Request(method="POST", path="/v1/run", body=body).json()
+        return excinfo.value.status
+
+    @pytest.mark.parametrize(
+        "body",
+        [NESTED_BODY, b"\xff\xfe", b"{not json", b"1" * 5000, b"[]", b""],
+        ids=["nested", "not-utf8", "not-json", "long-integer", "array", "empty"],
+    )
+    def test_undecodable_or_non_object_body_is_400(self, body):
+        assert self._status(body) == 400
+
+
+def test_server_answers_a_deeply_nested_body_with_400(tmp_path):
+    config = ServiceConfig(store=str(tmp_path / "store"), backend="thread", jobs=1)
+    head = b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(NESTED_BODY)
+    with ServerThread(config) as server:
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(head + NESTED_BODY)
+            reply = sock.recv(4096)
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:200]
+    assert b"nested too deeply" in reply

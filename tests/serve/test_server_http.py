@@ -115,6 +115,18 @@ class TestSubmission:
         assert envelope["schema"] == "repro.sweep-result/v1"
         assert len(envelope["points"]) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"name": 5}, {"grid": {"seed": 5}}, {"grid": {"seed": []}}, {"extra": 1}],
+        ids=["non-string-name", "grid-not-lists", "empty-axis", "unknown-field"],
+    )
+    def test_malformed_sweep_body_is_400(self, client, change):
+        body = {"base": get_scenario("fig7-smoke").to_dict(), **change}
+        with pytest.raises(ServeError) as excinfo:
+            client.submit_sweep(body)
+        assert excinfo.value.status == 400
+        assert "sweep" in excinfo.value.message
+
     def test_sweep_grid_value_of_the_wrong_shape_is_400(self, client):
         # A faults grid on a per-round base fails validation (faults need
         # protocol mode): a 400 naming the point, never a 500.

@@ -3,9 +3,24 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.spec import get_scenario, run_scenario_replication, unit_hash, unit_key
 from repro.sweep import ResultStore, StoreError
+
+
+#: Arbitrary JSON, NaN and infinities included (``json.loads`` accepts them).
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +135,137 @@ class TestCorruption:
         store = ResultStore(tmp_path / "store")
         with pytest.raises(StoreError, match="malformed store key"):
             store.path_for("../escape")
+
+
+def _rewrite(path, edit):
+    """Apply ``edit`` to the stored entry dict and write it back (NaN allowed)."""
+    entry = json.loads(path.read_text())
+    edit(entry)
+    path.write_text(json.dumps(entry))
+
+
+#: Corruptions that each escaped ``load(strict=False)`` and ``audit()`` as a
+#: raw exception before every store read went through the shared codec.
+CORRUPTIONS = {
+    "not-utf8": lambda path: path.write_bytes(b"\xff" + path.read_bytes()),
+    "record-not-an-object": lambda path: _rewrite(
+        path, lambda entry: entry["result"].update(records={"cell": 5})
+    ),
+    "nan-in-key": lambda path: _rewrite(
+        path, lambda entry: entry["key"].update(replication=float("nan"))
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def heal_plan():
+    from repro.spec import apply_overrides
+    from repro.sweep import SweepPlan
+
+    base = apply_overrides(
+        get_scenario("fig7-smoke"),
+        {"schedule.num_rounds": 5, "replication.replications": 1},
+    )
+    return SweepPlan.from_grid("heal", base, {"seed": [base.seed]})
+
+
+class TestSelfHealing:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_object_is_a_miss_then_recomputed(self, tmp_path, heal_plan, corruption):
+        from repro.sweep import run_sweep
+
+        store = ResultStore(tmp_path / "store")
+        first = run_sweep(heal_plan, store=store)
+        (victim,) = store.hashes()
+        CORRUPTIONS[corruption](store.path_for(victim))
+        with pytest.raises(StoreError, match="is corrupt"):
+            store.load(victim)
+        assert store.load(victim, strict=False) is None
+        assert dict(store.entries()) == {}
+        again = run_sweep(heal_plan, store=store)
+        assert (again.corrupt_units, again.computed_units) == (1, 1)
+        recomputed, original = store.load(victim), first.outcomes[0].result
+        assert recomputed["series"] == original.series
+        assert recomputed["replication_series"] == original.replication_series
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_audit_reports_and_heal_deletes_the_corrupt_object(
+        self, tmp_path, unit, corruption
+    ):
+        key_hash, key, result = unit
+        store = ResultStore(tmp_path / "store")
+        path = store.put(key_hash, key, result)
+        CORRUPTIONS[corruption](path)
+        report = store.audit()
+        assert [issue.kind for issue in report.issues] == ["corrupt"]
+        assert report.valid == 0
+        assert store.audit(heal=True).healed
+        assert not path.exists()
+        assert store.audit().ok
+
+    def test_non_utf8_marker_is_a_marker_issue(self, tmp_path, unit):
+        key_hash, key, result = unit
+        store = ResultStore(tmp_path / "store")
+        store.put(key_hash, key, result)
+        store.marker_path.write_bytes(b"\xff\xfe")
+        report = store.audit()
+        assert [issue.kind for issue in report.issues] == ["marker"]
+        store.audit(heal=True)
+        assert store.audit().ok
+
+
+def _paths(data, prefix=()):
+    """Every key path of a JSON document (list entries by index)."""
+    items = data.items() if isinstance(data, dict) else (
+        enumerate(data) if isinstance(data, list) else ()
+    )
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data(), json_values)
+def test_arbitrary_json_at_any_entry_path_loads_or_is_corrupt(tmp_path, unit, data, value):
+    key_hash, key, result = unit
+    store = ResultStore(tmp_path / "store")
+    path = store.put(key_hash, key, result)
+    entry = json.loads(path.read_text())
+    where = data.draw(st.sampled_from([(), *_paths(entry)]))
+    if where:
+        holder = entry
+        for part in where[:-1]:
+            holder = holder[part]
+        holder[where[-1]] = value
+    else:
+        entry = value
+    path.write_text(json.dumps(entry))
+    try:
+        loaded = store.load(key_hash)
+    except StoreError:
+        assert store.load(key_hash, strict=False) is None
+        assert [issue.kind for issue in store.audit().issues] == ["corrupt"]
+    else:
+        assert loaded == store.load(key_hash, strict=False)
+        assert store.audit().ok
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.binary(max_size=64))
+def test_arbitrary_bytes_as_an_object_are_corrupt(tmp_path, unit, raw):
+    key_hash, key, result = unit
+    store = ResultStore(tmp_path / "store")
+    store.put(key_hash, key, result).write_bytes(raw)
+    assert store.load(key_hash, strict=False) is None
+    assert [issue.kind for issue in store.audit().issues] == ["corrupt"]
 
 
 class TestStrayFiles:
@@ -296,3 +442,45 @@ print(hits)
         assert json.loads(store.marker_path.read_text())["schema"] == (
             "repro.sweep-store/v1"
         )
+
+    def test_sigkilled_writers_leave_only_healable_debris(self, tmp_path, unit):
+        """A writer killed mid-``put`` (as soon as its temp file appears)
+        leaves at most that temp file: the object it was replacing still
+        loads strictly, and ``--heal`` cleans up."""
+        import os
+        import pathlib
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import repro
+
+        key_hash, key, result = unit
+        # A long series widens the window between the temp file and its rename.
+        result = {**result, "series": {**result["series"], "pad": [0.5] * 200_000}}
+        root = tmp_path / "store"
+        payload = tmp_path / "unit.json"
+        payload.write_text(json.dumps({"hash": key_hash, "key": key, "result": result}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        store = ResultStore(root)
+        fan_out = store.path_for(key_hash).parent
+        for _ in range(3):
+            writer = subprocess.Popen(
+                [sys.executable, "-c", self.WRITER, str(payload), str(root), "100000"],
+                env=env,
+            )
+            deadline = time.monotonic() + 60.0
+            while key_hash not in store or not any(
+                name.endswith(".tmp") for name in os.listdir(fan_out)
+            ):
+                assert writer.poll() is None and time.monotonic() < deadline
+            writer.send_signal(signal.SIGKILL)
+            writer.wait(timeout=60)
+            assert store.load(key_hash, strict=True) == result
+            report = store.audit()
+            assert report.valid == 1
+            assert {issue.kind for issue in report.issues} <= {"orphan"}
+            store.audit(heal=True)
+            assert store.audit().ok

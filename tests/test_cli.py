@@ -230,6 +230,21 @@ class TestScenarioCommands:
         with pytest.raises(SystemExit, match="does not exist"):
             main(["run", "no-such-spec.json"])
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b"\xff\xfe{}", "not UTF-8"),
+            (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+            (b"{not json", "invalid JSON"),
+        ],
+        ids=["not-utf8", "nested", "not-json"],
+    )
+    def test_run_undecodable_spec_file_exits_naming_it(self, tmp_path, content, problem):
+        spec_path = tmp_path / "broken.json"
+        spec_path.write_bytes(content)
+        with pytest.raises(SystemExit, match=f"repro: spec file .*broken.json.*{problem}"):
+            main(["run", str(spec_path)])
+
     def test_run_json_export_parses_and_matches_run_scenario(self, tmp_path, capsys):
         """`repro run fig7-smoke --json` writes an envelope that passes strict
         validation, carries series, echoes its spec and matches the library."""
