@@ -79,18 +79,14 @@ def loads(data: Union[str, bytes], path: str):
 # ----------------------------------------------------------------------
 # Scalars
 # ----------------------------------------------------------------------
-# Each check first tries the exact JSON type: the common case on hot paths
-# (wire frames, envelopes) then costs one type comparison.
 def _as_int(value, path: str) -> int:
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise DecodeError(f"{path}: expected an integer, got {value!r}")
     return value
 
 
 def _as_number(value, path: str):
-    if type(value) is not float and (
-        isinstance(value, bool) or not isinstance(value, (int, float))
-    ):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DecodeError(f"{path}: expected a number, got {value!r}")
     return value
 
@@ -128,13 +124,13 @@ def _as_list(value, path: str) -> Sequence:
 
 
 def _as_mapping(value, path: str) -> Mapping:
-    if type(value) is not dict and not isinstance(value, MappingABC):
+    if not isinstance(value, MappingABC):
         raise DecodeError(f"{path}: expected a JSON object, got {type(value).__name__}")
     return value
 
 
 def _str_keys(keys) -> Optional[list]:
-    return list(keys) if _all_of(_PASSTHROUGH[str], keys) else None
+    return list(keys) if all(isinstance(key, str) for key in keys) else None
 
 
 def _int_keys(keys) -> Optional[list]:
@@ -155,25 +151,12 @@ _SCALAR_DECODERS = {
     object: _as_any,
 }
 
-#: Exact types that pass a scalar decoder unchanged: a container of them is
-#: accepted in one sweep instead of one decoder call (and path) per entry.
-_PASSTHROUGH = {
-    int: frozenset({int}),
-    Number: frozenset({int, float}),
-    str: frozenset({str}),
-    bool: frozenset({bool}),
-}
-
 #: Object key type -> (decoder of a key collection, ``None`` if any key
 #: fails; what a key must be).
 _KEYS = {str: (_str_keys, "a string"), int: (_int_keys, "a decimal integer")}
 
 #: Bases registered by :func:`tagged_union`, with their decoders.
 _UNIONS: Dict[type, Callable[[object, str], object]] = {}
-
-
-def _all_of(types: Optional[frozenset], values) -> bool:
-    return types is not None and set(map(type, values)) <= types
 
 
 @lru_cache(maxsize=None)
@@ -186,12 +169,10 @@ def decoder(hint) -> Callable[[object, str], object]:
         inner = decoder(next(arg for arg in args if arg is not type(None)))
         return lambda value, path: None if value is None else inner(value, path)
     if origin in (tuple, list) and (origin is list or args[-1] is Ellipsis):
-        item, exact = decoder(args[0]), _PASSTHROUGH.get(args[0])
+        item = decoder(args[0])
 
         def sequence(value, path):
             value = _as_list(value, path)
-            if _all_of(exact, value):
-                return origin(value)
             return origin(item(entry, f"{path}[{i}]") for i, entry in enumerate(value))
 
         return sequence
@@ -212,7 +193,6 @@ def decoder(hint) -> Callable[[object, str], object]:
         return fixed
     if origin in (dict, MappingABC):  # Dict[str, X], Mapping[int, X]
         (keys_of, expected), item = _KEYS[args[0]], decoder(args[1])
-        exact = _PASSTHROUGH.get(args[1])
 
         def mapping(value, path):
             value = _as_mapping(value, path)
@@ -220,8 +200,6 @@ def decoder(hint) -> Callable[[object, str], object]:
             if keys is None:
                 bad = next(key for key in value if keys_of([key]) is None)
                 raise DecodeError(f"{path}: key {bad!r} is not {expected}")
-            if _all_of(exact, value.values()):
-                return dict(zip(keys, value.values()))
             return {
                 key: item(entry, f"{path}[{name!r}]")
                 for key, (name, entry) in zip(keys, value.items())
@@ -260,6 +238,16 @@ def schema(cls) -> Dict[str, Field]:
         for f in fields(cls)
         if f.metadata.get("serialized", True)
     }
+
+
+def check_fields(obj, path: str) -> None:
+    """Check each serialized field value of dataclass ``obj`` against its type.
+
+    Values built in Python thereby get the checks decoded JSON gets; the
+    first mismatch raises :class:`DecodeError` naming ``path.field``.
+    """
+    for name, spec in schema(type(obj)).items():
+        spec.decode(getattr(obj, name), f"{path}.{name}")
 
 
 def _check_schema(data: Mapping, schema_id: str, path: str) -> None:

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro._codec import DecodeError, schema, tagged_union
+from repro._codec import DecodeError, check_fields, tagged_union
 from repro.graph.conflict_graph import ConflictGraph
 
 __all__ = [
@@ -67,8 +67,7 @@ class TopologyEvent:
         Every field must hold its declared type, as a decoded event's does
         (coordinates are finite numbers); node ids are non-negative.
         """
-        for name, spec in schema(type(self)).items():
-            spec.decode(getattr(self, name), f"{path}.{name}")
+        check_fields(self, path)
         if self.round_index < 1:
             raise ValueError(f"{path}.round_index: must be >= 1, got {self.round_index}")
         for name in self.node_fields:

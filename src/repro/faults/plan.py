@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro._codec import schema
+from repro._codec import check_fields
 
 __all__ = [
     "CRASH_PHASES",
@@ -81,8 +81,7 @@ class VertexFault:
 
     def validate(self, path: str = "fault") -> None:
         """Raise ``ValueError`` (with ``path``) when the fault is ill-formed."""
-        for name, spec in schema(type(self)).items():
-            spec.decode(getattr(self, name), f"{path}.{name}")
+        check_fields(self, path)
         if self.vertex < 0:
             raise ValueError(
                 f"{path}.vertex: vertex ids are non-negative, got {self.vertex}"

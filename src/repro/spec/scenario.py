@@ -34,10 +34,17 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._codec import DecodeError, decode_fields, encode, nested_fields, schema
+from repro._codec import (
+    DecodeError,
+    check_fields,
+    decode_fields,
+    encode,
+    nested_fields,
+    schema,
+)
 from repro.channels.catalog import DEFAULT_RELATIVE_STD, assign_rates_to_network
 from repro.channels.state import ChannelState
-from repro.dynamics.events import TopologyEvent, event_from_dict
+from repro.dynamics.events import TopologyEvent
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.topology import (
     connected_random_network,
@@ -71,10 +78,6 @@ class SpecError(DecodeError):
     """A scenario specification is invalid or cannot be deserialized."""
 
 
-def _as_event(value, path: str) -> TopologyEvent:
-    return value if isinstance(value, TopologyEvent) else event_from_dict(value, path)
-
-
 class _Spec:
     """Base of every spec dataclass: the JSON codec, derived from field types.
 
@@ -92,8 +95,7 @@ class _Spec:
         # Values built in Python get the per-field type checks decoded JSON
         # gets, then the class's own value and cross-field rules.
         try:
-            for name, spec_field in schema(type(self)).items():
-                spec_field.decode(getattr(self, name), f"{self._path}.{name}")
+            check_fields(self, self._path)
         except DecodeError as err:
             raise SpecError(str(err)) from None
         self.validate()
@@ -659,14 +661,11 @@ class DynamicsSpec(_Spec):
     def __post_init__(self) -> None:
         # Normalize trace entries to event objects so specs built from
         # Python literals and specs deserialized from JSON compare equal.
-        object.__setattr__(
-            self,
-            "trace",
-            tuple(
-                _as_event(entry, f"dynamics.trace[{index}]")
-                for index, entry in enumerate(self.trace)
-            ),
-        )
+        try:
+            trace = schema(DynamicsSpec)["trace"].decode(self.trace, "dynamics.trace")
+        except DecodeError as err:
+            raise SpecError(str(err)) from None
+        object.__setattr__(self, "trace", trace)
         super().__post_init__()
 
     def validate(self, path: str = "dynamics") -> None:
