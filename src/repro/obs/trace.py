@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro._codec import DecodeError, decoder, loads
 from repro.obs.observer import Observer, _install, _uninstall
 from repro.obs.metrics import MetricsRegistry
 
@@ -238,6 +239,14 @@ def write_trace(path, observer: TracingObserver, scenario: Optional[str] = None)
 _SPAN_FIELDS = {"kind", "id", "parent", "name", "start_s", "end_s", "attrs"}
 
 
+def _decoded(decode, value, path: str):
+    """``decode(value, path)`` through the shared codec, failing as TraceError."""
+    try:
+        return decode(value, path)
+    except DecodeError as error:
+        raise TraceError(str(error)) from None
+
+
 def _parse_span(record: Dict[str, object], line_number: int) -> SpanRecord:
     missing = _SPAN_FIELDS - set(record)
     if missing:
@@ -249,10 +258,11 @@ def _parse_span(record: Dict[str, object], line_number: int) -> SpanRecord:
         raise TraceError(f"line {line_number}: span parent must be an integer or null")
     if not isinstance(record["name"], str) or not record["name"]:
         raise TraceError(f"line {line_number}: span name must be a non-empty string")
-    for key in ("start_s", "end_s"):
-        if not isinstance(record[key], (int, float)) or isinstance(record[key], bool):
-            raise TraceError(f"line {line_number}: span {key} must be a number")
-    if record["end_s"] < record["start_s"]:
+    start_s, end_s = (
+        _decoded(decoder(float), record[key], f"line {line_number}: span {key}")
+        for key in ("start_s", "end_s")
+    )
+    if end_s < start_s:
         raise TraceError(f"line {line_number}: span ends before it starts")
     if not isinstance(record["attrs"], dict):
         raise TraceError(f"line {line_number}: span attrs must be an object")
@@ -260,22 +270,18 @@ def _parse_span(record: Dict[str, object], line_number: int) -> SpanRecord:
         span_id=record["id"],
         parent_id=parent,
         name=record["name"],
-        start_s=float(record["start_s"]),
-        end_s=float(record["end_s"]),
+        start_s=start_s,
+        end_s=end_s,
         attrs=dict(record["attrs"]),
     )
 
 
 def read_trace(path) -> TraceData:
     """Parse and strictly validate a ``repro.trace/v1`` file."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in Path(path).read_bytes().splitlines() if line.strip()]
     if not lines:
         raise TraceError("empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as error:
-        raise TraceError(f"line 1: invalid JSON: {error}") from error
+    header = _decoded(loads, lines[0], "line 1")
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise TraceError("line 1: first record must be the trace header")
     if header.get("schema") != TRACE_SCHEMA:
@@ -288,10 +294,7 @@ def read_trace(path) -> TraceData:
     histograms: Dict[str, Dict[str, float]] = {}
     seen_ids = set()
     for line_number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise TraceError(f"line {line_number}: invalid JSON: {error}") from error
+        record = _decoded(loads, line, f"line {line_number}")
         if not isinstance(record, dict):
             raise TraceError(f"line {line_number}: record must be a JSON object")
         kind = record.get("kind")
@@ -322,6 +325,8 @@ def read_trace(path) -> TraceData:
                 raise TraceError(
                     f"line {line_number}: histogram summary missing {sorted(missing)}"
                 )
+            for key in sorted(required):
+                _decoded(decoder(float), summary[key], f"line {line_number}: histogram {key}")
             histograms[name] = dict(summary)
         else:
             raise TraceError(f"line {line_number}: unknown record kind {kind!r}")

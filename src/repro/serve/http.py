@@ -41,8 +41,9 @@ _MAX_LINE_BYTES = 16 * 1024
 #: Requests with more header lines than this are rejected with 431.
 MAX_HEADER_LINES = 100
 
-#: Seconds a client has to send the request line and headers; a slower head
-#: is answered with 408, so a stalled client cannot hold its connection.
+#: Seconds a client has to send the whole request, head and body; a slower
+#: request is answered with 408, so a stalled client cannot hold its
+#: connection.
 HEAD_TIMEOUT_S = 10.0
 
 STATUS_PHRASES = {
@@ -165,15 +166,20 @@ async def _read_head(
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request off the stream; ``None`` on a cleanly closed socket.
 
-    The head must arrive within :data:`HEAD_TIMEOUT_S` (408 otherwise) and
-    end with its blank line (400 otherwise).
+    The head and body together must arrive within :data:`HEAD_TIMEOUT_S`
+    (408 otherwise), and the head must end with its blank line (400
+    otherwise).
     """
     try:
-        head = await asyncio.wait_for(_read_head(reader), HEAD_TIMEOUT_S)
+        return await asyncio.wait_for(_read_request(reader), HEAD_TIMEOUT_S)
     except asyncio.TimeoutError:
         raise HttpError(
-            408, f"request head not received within {HEAD_TIMEOUT_S:g} s"
+            408, f"request not received within {HEAD_TIMEOUT_S:g} s"
         ) from None
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+    head = await _read_head(reader)
     if head is None:
         return None
     method, target, headers = head

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.spec.canon import canonical_json, canonical_spec_dict
-from repro.sweep.engine import SweepUnit, plan_units
+from repro.sweep.engine import SweepUnit, SweepWork, plan_sweep
 from repro.sweep.plan import SweepPlan, SweepPoint
 
 __all__ = ["JOB_SCHEMA", "Job", "JobPlan", "job_key", "plan_job"]
@@ -33,38 +33,22 @@ JOB_STATES = ("queued", "running", "done", "failed")
 
 @dataclass(frozen=True)
 class JobPlan:
-    """A submission expanded into points and deduplicated work units."""
+    """A submission's kind and its planned sweep work."""
 
     kind: str  # "run" | "sweep"
-    plan: SweepPlan
-    points: List[SweepPoint]
-    units_by_point: Dict[int, List[SweepUnit]]
-    #: Distinct units after content-hash dedup, in first-seen order.
-    unique_units: List[SweepUnit]
+    work: SweepWork
 
     @property
     def key(self) -> str:
         """Content hash identifying this job (see :func:`job_key`)."""
-        return job_key(self.kind, self.points, self.units_by_point)
+        return job_key(self.kind, self.work.points, self.work.units_by_point)
 
 
 def plan_job(kind: str, plan: SweepPlan) -> JobPlan:
     """Expand a submission into its :class:`JobPlan`."""
     if kind not in ("run", "sweep"):
         raise ValueError(f"job kind must be 'run' or 'sweep', got {kind!r}")
-    points = plan.points()
-    units_by_point = {point.index: plan_units(point) for point in points}
-    unique: Dict[str, SweepUnit] = {}
-    for point in points:
-        for unit in units_by_point[point.index]:
-            unique.setdefault(unit.hash, unit)
-    return JobPlan(
-        kind=kind,
-        plan=plan,
-        points=points,
-        units_by_point=units_by_point,
-        unique_units=list(unique.values()),
-    )
+    return JobPlan(kind=kind, work=plan_sweep(plan))
 
 
 def job_key(
@@ -125,7 +109,7 @@ class Job:
     @property
     def total_units(self) -> int:
         """Distinct work units of this job."""
-        return len(self.job_plan.unique_units)
+        return len(self.job_plan.work.unique_units)
 
     @property
     def finished(self) -> bool:
@@ -139,7 +123,7 @@ class Job:
             "kind": self.kind,
             "name": self.name,
             "state": self.state,
-            "points": len(self.job_plan.points),
+            "points": len(self.job_plan.work.points),
             "total_units": self.total_units,
             "cached_units": self.cached_units,
             "computed_units": self.computed_units,

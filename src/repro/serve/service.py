@@ -31,13 +31,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._codec import DecodeError, decode_fields
 from repro.obs import current_observer
-from repro.obs.metrics import MetricsRegistry, summarize_values
-from repro.serve.jobs import Job, JobPlan, plan_job
+from repro.obs.metrics import MetricsRegistry
+from repro.serve.jobs import Job, plan_job
 from repro.serve.quota import QuotaConfig, QuotaRegistry
 from repro.spec.canon import unit_key
-from repro.spec.runner import ExperimentResult
 from repro.spec.scenario import ScenarioSpec, SpecError
-from repro.sweep.engine import PointOutcome, SweepResult, SweepUnit, assemble_point
+from repro.sweep.engine import SweepUnit, assemble, resolve
+# Re-exported: benchmark harnesses wrap ``repro.serve.service.assemble_point``
+# by name; envelopes assemble in ``repro.sweep.engine.assemble``.
+from repro.sweep.engine import assemble_point  # noqa: F401
 from repro.sweep.plan import SweepPlan
 from repro.sweep.presets import builtin_plans, get_plan
 from repro.sweep.store import ResultStore
@@ -140,7 +142,6 @@ class ResultService:
         self._queued_units = 0
         self._draining = False
         self._started_at = time.time()
-        self._unit_wall_clocks: List[float] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -240,21 +241,10 @@ class ResultService:
 
         # Resolve every unit against the store before admitting the job, so
         # quota only charges what actually computes.
-        results: Dict[str, Dict] = {}
-        misses: List[SweepUnit] = []
-        healed = 0
-        for unit in job_plan.unique_units:
-            if unit.hash in self.store:
-                cached = self.store.load(unit.hash, strict=False)
-                if cached is not None:
-                    results[unit.hash] = cached
-                    continue
-                healed += 1  # present but corrupt: recompute and overwrite
-            misses.append(unit)
+        results, misses, healed = resolve(job_plan.work, self.store)
         self._count("serve.units.cache_hit", len(results))
         self._count("serve.units.cache_miss", len(misses))
-        if healed:
-            self._count("serve.units.self_heal", healed)
+        self._count("serve.units.self_heal", healed)
 
         if misses:
             decision = self.quotas.admit_job(token, len(misses))
@@ -358,7 +348,6 @@ class ResultService:
                     self._gauge_queue_depth()
                     self._count("serve.units.computed")
                     wall_clock = float(result_dict.get("wall_clock_s", 0.0))
-                    self._unit_wall_clocks.append(wall_clock)
                     self._observe("serve.unit_wall_clock_s", wall_clock)
                     job.publish(
                         {
@@ -399,8 +388,19 @@ class ResultService:
         computed_hashes: set,
     ) -> None:
         try:
-            job.result = self._assemble(
-                job.job_plan, job, results, wall_clock_s, computed_hashes
+            sweep = assemble(
+                job.job_plan.work,
+                results,
+                computed_hashes,
+                backend=self.config.backend,
+                jobs=self.config.jobs,
+                corrupt=job.healed_units,
+                wall_clock_s=wall_clock_s,
+            )
+            job.result = (
+                sweep.outcomes[0].result.to_dict()
+                if job.kind == "run"
+                else sweep.to_dict()
             )
         except (SpecError, KeyError, ValueError) as err:
             self._fail(job, f"envelope assembly failed: {err}")
@@ -424,59 +424,6 @@ class ResultService:
         job.finished_s = time.time()
         self._count("serve.jobs.failed")
         job.publish({"event": "failed", "job": job.id, "state": "failed", "error": error})
-
-    def _assemble(
-        self,
-        job_plan: JobPlan,
-        job: Job,
-        results: Dict[str, Dict],
-        wall_clock_s: float,
-        computed_hashes: set,
-    ) -> Dict[str, object]:
-        """Rebuild the response envelope exactly as the CLI paths do."""
-        outcomes: List[PointOutcome] = []
-        for point in job_plan.points:
-            units = job_plan.units_by_point[point.index]
-            hashes = [unit.hash for unit in units]
-            unit_results = [ExperimentResult.from_dict(results[h]) for h in hashes]
-            merged = assemble_point(point, units, unit_results)
-            cached = sum(1 for h in hashes if h not in computed_hashes)
-            outcomes.append(
-                PointOutcome(
-                    point=point,
-                    result=merged,
-                    unit_hashes=hashes,
-                    cached_units=cached,
-                    computed_units=len(hashes) - cached,
-                )
-            )
-        if job_plan.kind == "run":
-            return outcomes[0].result.to_dict()
-        unit_timing = {}
-        if job.computed_units:
-            recent = self._unit_wall_clocks[-job.computed_units :]
-            summary = summarize_values(recent)
-            unit_timing[self.config.backend] = {
-                "count": summary["count"],
-                "total_s": summary["total"],
-                "mean_s": summary["mean"],
-                "p50_s": summary["p50"],
-                "p90_s": summary["p90"],
-                "p99_s": summary["p99"],
-                "max_s": summary["max"],
-            }
-        sweep = SweepResult(
-            plan=job_plan.plan,
-            outcomes=outcomes,
-            backend=self.config.backend,
-            jobs=self.config.jobs,
-            computed_units=job.computed_units,
-            cached_units=job.cached_units,
-            corrupt_units=job.healed_units,
-            wall_clock_s=wall_clock_s,
-            unit_timing=unit_timing,
-        )
-        return sweep.to_dict()
 
     # ------------------------------------------------------------------
     # Metrics

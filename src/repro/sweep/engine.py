@@ -19,13 +19,17 @@ where it stopped and an identical re-run performs zero simulation work.
 Point envelopes are reassembled from their units with
 :func:`repro.spec.runner.merge_replication_results`, which is bit-identical
 to running the point directly — the backend choice never changes results.
+
+:func:`run_sweep` is :func:`plan_sweep` -> :func:`resolve` -> compute ->
+:func:`assemble`; the results service runs the same plan, resolve and
+assemble steps around its own asynchronous compute step.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs import current_observer
 from repro.obs.metrics import summarize_values
@@ -40,10 +44,14 @@ from repro.sweep.worker import execute_unit
 
 __all__ = [
     "SweepUnit",
+    "SweepWork",
     "PointOutcome",
     "SweepResult",
+    "assemble",
     "assemble_point",
+    "plan_sweep",
     "plan_units",
+    "resolve",
     "run_sweep",
     "format_sweep",
     "format_store_summary",
@@ -233,95 +241,145 @@ def run_sweep(
     with obs.span(
         "sweep.run", plan=plan.name, backend=executor.name, jobs=jobs
     ) as sweep_span:
-        points = plan.points()
-        units_by_point: Dict[int, List[SweepUnit]] = {
-            point.index: plan_units(point) for point in points
-        }
-        # Deduplicate by content hash: a grid over the replication count (or
-        # repeated points) shares units, which must compute exactly once.
-        unique: Dict[str, SweepUnit] = {}
-        for units in units_by_point.values():
-            for unit in units:
-                unique.setdefault(unit.hash, unit)
-
-        results: Dict[str, Dict[str, object]] = {}
-        corrupt = 0
-        misses: List[SweepUnit] = []
-        for key_hash, unit in unique.items():
-            if store is not None:
-                if key_hash in store:
-                    cached = store.load(key_hash, strict=False)
-                    if cached is not None:
-                        results[key_hash] = cached
-                        obs.count("sweep.units.cache_hit")
-                        continue
-                    corrupt += 1  # present but invalid: recompute and overwrite
-                    obs.count("sweep.units.self_heal")
-                misses.append(unit)
-            else:
-                misses.append(unit)
+        work = plan_sweep(plan)
+        results, misses, corrupt = resolve(work, store)
+        if results:
+            obs.count("sweep.units.cache_hit", len(results))
+        if corrupt:
+            obs.count("sweep.units.self_heal", corrupt)
         obs.count("sweep.units.cache_miss", len(misses))
         obs.gauge("sweep.jobs", jobs)
         obs.gauge("sweep.queue_depth", len(misses))
 
-        unit_timing: Dict[str, Dict[str, float]] = {}
         if misses:
             payloads = [unit.payload() for unit in misses]
             computed = fan_out(executor, _run_unit, payloads, jobs)
-            unit_wall_clocks = []
             for unit, result_dict in zip(misses, computed):
                 results[unit.hash] = result_dict
                 wall_clock = float(result_dict.get("wall_clock_s", 0.0))
-                unit_wall_clocks.append(wall_clock)
                 obs.observe("sweep.unit_wall_clock_s", wall_clock)
                 if store is not None:
                     store.put(
                         unit.hash, unit_key(unit.spec, unit.replication), result_dict
                     )
-            summary = summarize_values(unit_wall_clocks)
-            unit_timing[executor.name] = {
-                "count": summary["count"],
-                "total_s": summary["total"],
-                "mean_s": summary["mean"],
-                "p50_s": summary["p50"],
-                "p90_s": summary["p90"],
-                "p99_s": summary["p99"],
-                "max_s": summary["max"],
-            }
 
-        computed_hashes = {unit.hash for unit in misses}
-        outcomes: List[PointOutcome] = []
-        for point in points:
-            units = units_by_point[point.index]
-            hashes = [unit.hash for unit in units]
-            unit_results = [
-                ExperimentResult.from_dict(results[key_hash]) for key_hash in hashes
-            ]
-            merged = assemble_point(point, units, unit_results)
-            outcomes.append(
-                PointOutcome(
-                    point=point,
-                    result=merged,
-                    unit_hashes=hashes,
-                    cached_units=sum(1 for h in hashes if h not in computed_hashes),
-                    computed_units=sum(1 for h in hashes if h in computed_hashes),
-                )
-            )
-        sweep_span.set_attrs(
-            points=len(points),
-            computed=len(computed_hashes),
-            cached=len(unique) - len(computed_hashes),
+        sweep = assemble(
+            work,
+            results,
+            {unit.hash for unit in misses},
+            backend=executor.name,
+            jobs=jobs,
+            corrupt=corrupt,
+            wall_clock_s=time.perf_counter() - started_at,
         )
+        sweep_span.set_attrs(
+            points=sweep.num_points,
+            computed=sweep.computed_units,
+            cached=sweep.cached_units,
+        )
+    return sweep
 
-    return SweepResult(
+
+@dataclass(frozen=True)
+class SweepWork:
+    """A plan expanded into points and content-hash-deduplicated units."""
+
+    plan: SweepPlan
+    points: List[SweepPoint]
+    units_by_point: Dict[int, List[SweepUnit]]
+    #: Distinct units, in first-seen order.
+    unique_units: List[SweepUnit]
+
+
+def plan_sweep(plan: SweepPlan) -> SweepWork:
+    """Expand ``plan``; units shared between points are planned once."""
+    points = plan.points()
+    units_by_point = {point.index: plan_units(point) for point in points}
+    unique: Dict[str, SweepUnit] = {}
+    for point in points:
+        for unit in units_by_point[point.index]:
+            unique.setdefault(unit.hash, unit)
+    return SweepWork(
         plan=plan,
+        points=points,
+        units_by_point=units_by_point,
+        unique_units=list(unique.values()),
+    )
+
+
+def resolve(
+    work: SweepWork, store: Optional[ResultStore]
+) -> Tuple[Dict[str, Dict[str, object]], List[SweepUnit], int]:
+    """Look the unique units of ``work`` up in ``store`` (``None``: all miss).
+
+    Returns ``(results, misses, corrupt)``: stored envelopes by hash, the
+    units to compute, and how many of those had a corrupt entry.
+    """
+    results: Dict[str, Dict[str, object]] = {}
+    misses: List[SweepUnit] = []
+    corrupt = 0
+    for unit in work.unique_units:
+        if store is not None and unit.hash in store:
+            cached = store.load(unit.hash, strict=False)
+            if cached is not None:
+                results[unit.hash] = cached
+                continue
+            corrupt += 1
+        misses.append(unit)
+    return results, misses, corrupt
+
+
+def assemble(
+    work: SweepWork,
+    results: Dict[str, Dict[str, object]],
+    computed_hashes: Set[str],
+    *,
+    backend: str,
+    jobs: int,
+    corrupt: int,
+    wall_clock_s: float,
+) -> SweepResult:
+    """Build the :class:`SweepResult` of ``work`` from every unit's envelope.
+
+    ``unit_timing`` summarizes the units in ``computed_hashes`` only.  One
+    assembly for ``repro sweep`` and the results service keeps a served
+    envelope bit-identical to the CLI's.
+    """
+    outcomes: List[PointOutcome] = []
+    for point in work.points:
+        units = work.units_by_point[point.index]
+        hashes = [unit.hash for unit in units]
+        unit_results = [ExperimentResult.from_dict(results[h]) for h in hashes]
+        computed = sum(1 for h in hashes if h in computed_hashes)
+        outcomes.append(
+            PointOutcome(
+                point=point,
+                result=assemble_point(point, units, unit_results),
+                unit_hashes=hashes,
+                cached_units=len(hashes) - computed,
+                computed_units=computed,
+            )
+        )
+    unit_timing: Dict[str, Dict[str, float]] = {}
+    wall_clocks = [
+        float(results[unit.hash].get("wall_clock_s", 0.0))
+        for unit in work.unique_units
+        if unit.hash in computed_hashes
+    ]
+    if wall_clocks:
+        summary = summarize_values(wall_clocks)
+        unit_timing[backend] = {"count": summary["count"]}
+        for key in ("total", "mean", "p50", "p90", "p99", "max"):
+            unit_timing[backend][f"{key}_s"] = summary[key]
+    return SweepResult(
+        plan=work.plan,
         outcomes=outcomes,
-        backend=executor.name,
+        backend=backend,
         jobs=jobs,
         computed_units=len(computed_hashes),
-        cached_units=len(unique) - len(computed_hashes),
+        cached_units=len(work.unique_units) - len(computed_hashes),
         corrupt_units=corrupt,
-        wall_clock_s=time.perf_counter() - started_at,
+        wall_clock_s=wall_clock_s,
         unit_timing=unit_timing,
     )
 
@@ -329,12 +387,7 @@ def run_sweep(
 def assemble_point(
     point: SweepPoint, units: List[SweepUnit], unit_results: List[ExperimentResult]
 ) -> ExperimentResult:
-    """Rebuild one point's scenario envelope from its unit envelopes.
-
-    Public because the results service reassembles envelopes the same way;
-    keeping one code path is what makes served results bit-identical to
-    the CLI's.
-    """
+    """Rebuild one point's scenario envelope from its unit envelopes."""
     if units[0].replication is None:
         result = unit_results[0]
         # Echo the point's actual spec (the unit form normalizes jobs).

@@ -155,3 +155,6 @@ class TestTraceSummarize:
         bad.write_text('{"kind": "header", "schema": "other/v1"}\n')
         with pytest.raises(SystemExit, match="unsupported trace schema"):
             main(["trace", "summarize", str(bad)])
+        bad.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(SystemExit, match="line 1: not UTF-8 text"):
+            main(["trace", "summarize", str(bad)])

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     TRACE_SCHEMA,
@@ -174,6 +176,76 @@ class TestValidation:
         )
         with pytest.raises(TraceError, match="histogram summary missing"):
             read_trace(path)
+
+
+SPAN = json.dumps(
+    {
+        "kind": "span",
+        "id": 0,
+        "parent": None,
+        "name": "x",
+        "start_s": 0.0,
+        "end_s": 1.0,
+        "attrs": {},
+    }
+)
+
+
+HISTOGRAM = json.dumps(
+    {
+        "kind": "histogram",
+        "name": "h",
+        "summary": {"count": 2, "total": 3.0, "min": 1.0, "max": 2.0, "mean": 1.5,
+                    "p50": 1.5, "p90": 2.0, "p99": 2.0},
+    }
+)
+
+
+class TestUntrustedBytes:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"\xff\xfe", "line 2: not UTF-8 text"),
+            (b'{"kind": "counter", "name": "x", "value": ' + b"1" * 5000 + b"}",
+             "line 2: invalid JSON"),
+            (b"[" * 100000, "line 2: JSON nested too deeply"),
+            (SPAN.replace('"start_s": 0.0', '"start_s": ' + "1" * 400).encode(),
+             "line 2: span start_s: expected a finite number"),
+            (HISTOGRAM.replace('"mean": 1.5', '"mean": "x"').encode(),
+             "line 2: histogram mean: expected a number"),
+        ],
+        ids=["not-utf8", "long-integer", "nested", "float-overflow", "histogram-text"],
+    )
+    def test_undecodable_line_is_a_trace_error_naming_it(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(HEADER.encode() + b"\n" + line + b"\n")
+        with pytest.raises(TraceError, match=message):
+            read_trace(path)
+
+
+trace_lines = st.lists(
+    st.sampled_from(
+        [HEADER.encode(), SPAN.encode(), b'{"kind": "counter", "name": "x", "value": 1}',
+         b'{"kind": "gauge", "name": "g", "value": 1e999}', b"\xff\xfe", b"1" * 5000,
+         HISTOGRAM.encode(), HISTOGRAM.replace('"count": 2', '"count": "x"').encode(),
+         b"[" * 3000, b"{}", b"NaN", b'{"kind": "span"}', b""]
+    )
+    | st.binary(max_size=24),
+    max_size=6,
+).map(b"\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=trace_lines)
+def test_any_byte_file_is_a_trace_or_a_trace_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_bytes(data)
+    try:
+        trace = read_trace(path)
+    except TraceError:
+        return
+    assert trace.header["schema"] == TRACE_SCHEMA
+    assert summarize_trace_file(path).startswith("trace summary")
 
 
 class TestSummarize:

@@ -19,8 +19,8 @@ class TestPlanJob:
     def test_run_plan_is_one_point(self, run_plan):
         job_plan = plan_job("run", run_plan)
         assert job_plan.kind == "run"
-        assert len(job_plan.points) == 1
-        assert len(job_plan.unique_units) == 1
+        assert len(job_plan.work.points) == 1
+        assert len(job_plan.work.unique_units) == 1
 
     def test_unknown_kind_rejected(self, run_plan):
         with pytest.raises(ValueError, match="kind"):
@@ -32,8 +32,8 @@ class TestPlanJob:
         )
         job_plan = plan_job("sweep", plan)
         # Point 1 (2 reps) shares replication 0 with point 0.
-        assert len(job_plan.points) == 2
-        assert len(job_plan.unique_units) == 2
+        assert len(job_plan.work.points) == 2
+        assert len(job_plan.work.unique_units) == 2
 
     def test_key_is_deterministic_and_kind_scoped(self, run_plan):
         a = plan_job("run", run_plan)

@@ -6,7 +6,9 @@ gates instead of sleeps, invocation counters instead of timing.
 """
 
 import asyncio
+import copy
 import json
+import threading
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.serve import (
 )
 from repro.spec import apply_overrides, run_scenario
 from repro.sweep import ResultStore, SweepPlan, run_sweep
+from repro.sweep.engine import plan_sweep
 
 from serve_helpers import CountingRunner, GatedRunner
 
@@ -28,6 +31,15 @@ def _config(tmp_path, **kwargs):
     kwargs.setdefault("backend", "thread")
     kwargs.setdefault("jobs", 2)
     return ServiceConfig(**kwargs)
+
+
+async def _wait_for(condition):
+    """Poll ``condition`` on the event loop until it holds."""
+    for _ in range(6000):
+        if condition():
+            return
+        await asyncio.sleep(0.01)
+    raise TimeoutError("condition never held")
 
 
 async def _settle(service):
@@ -297,24 +309,6 @@ class TestEnvelopes:
         assert list(served) == list(direct)
 
     def test_served_sweep_envelope_matches_run_sweep(self, tmp_path, tiny_spec):
-        plan_payload = {
-            "base": tiny_spec.to_dict(),
-            "grid": {"seed": [11, 12]},
-            "name": "tiny-sweep",
-        }
-
-        async def scenario():
-            service = ResultService(_config(tmp_path / "served"))
-            job, _ = await service.submit_sweep(plan_payload)
-            await _settle(service)
-            assert job.state == "done"
-            await service.drain()
-            return job.result
-
-        served = asyncio.run(scenario())
-        plan = SweepPlan.from_grid("tiny-sweep", tiny_spec, {"seed": [11, 12]})
-        direct = run_sweep(plan, store=str(tmp_path / "direct")).to_dict()
-
         def points(envelope):
             cleaned = []
             for point in envelope["points"]:
@@ -323,9 +317,87 @@ class TestEnvelopes:
                 cleaned.append(entry)
             return cleaned
 
-        assert points(served) == points(direct)
-        assert served["plan"] == direct["plan"]
-        assert served["stats"]["computed"] == direct["stats"]["computed"] == 2
+        def corrupt(store, key_hash):
+            path = ResultStore(store).path_for(key_hash)
+            path.write_text(path.read_text()[:30])  # torn write
+
+        # A grid over the seed computes two units into empty stores; a grid
+        # over the replication count shares replication 0 between its
+        # points, and that unit's entry is corrupt in a warm store.
+        for name, grid, broken in (
+            ("seeds", {"seed": [11, 12]}, False),
+            ("reps", {"replication.replications": [1, 2]}, True),
+        ):
+            plan = SweepPlan.from_grid(name, tiny_spec, grid)
+            served_store = str(tmp_path / name / "served")
+            direct_store = str(tmp_path / name / "direct")
+            if broken:
+                shared = plan_sweep(plan).units_by_point[0][0].hash
+                for store in (served_store, direct_store):
+                    run_sweep(plan, store=store)
+                    corrupt(store, shared)
+
+            async def scenario():
+                service = ResultService(_config(tmp_path, store=served_store))
+                job, _ = await service.submit_sweep(
+                    {"base": tiny_spec.to_dict(), "grid": grid, "name": name}
+                )
+                await _settle(service)
+                assert job.state == "done"
+                await service.drain()
+                return job.result
+
+            served = asyncio.run(scenario())
+            direct = run_sweep(plan, store=direct_store).to_dict()
+
+            assert points(served) == points(direct)
+            assert served["plan"] == direct["plan"]
+            for key in ("computed", "cached", "corrupt", "counters"):
+                assert served["stats"][key] == direct["stats"][key], (name, key)
+            expected = (1, 1, 1) if broken else (2, 0, 0)
+            assert (
+                served["stats"]["computed"],
+                served["stats"]["cached"],
+                served["stats"]["corrupt"],
+            ) == expected
+
+    def test_unit_timing_covers_only_the_jobs_own_units(
+        self, tmp_path, tiny_spec, tiny_result
+    ):
+        # Each unit blocks on its own gate and reports a fixed wall clock:
+        # job A's two 1 s units finish around job B's one 100 s unit.
+        gates = {seed: threading.Event() for seed in (11, 12, 13)}
+        wall_clock = {11: 1.0, 12: 1.0, 13: 100.0}
+
+        def runner(payload):
+            seed = payload[0]["seed"]
+            if not gates[seed].wait(timeout=60):
+                raise TimeoutError(f"gate of seed {seed} never opened")
+            result = copy.deepcopy(tiny_result)
+            result["wall_clock_s"] = wall_clock[seed]
+            return result
+
+        def sweep(seeds):
+            return {"base": tiny_spec.to_dict(), "grid": {"seed": seeds}}
+
+        async def scenario():
+            service = ResultService(_config(tmp_path, jobs=3), unit_runner=runner)
+            job_a, _ = await service.submit_sweep(sweep([11, 12]))
+            job_b, _ = await service.submit_sweep(sweep([13]))
+            gates[11].set()
+            await _wait_for(lambda: job_a.computed_units == 1)
+            gates[13].set()
+            await _wait_for(lambda: job_b.state == "done")
+            gates[12].set()
+            await _settle(service)
+            await service.drain()
+            return job_a.result, job_b.result
+
+        result_a, result_b = asyncio.run(scenario())
+        timing_a = result_a["stats"]["unit_timing"]["thread"]
+        timing_b = result_b["stats"]["unit_timing"]["thread"]
+        assert (timing_a["count"], timing_a["total_s"]) == (2, 2.0)
+        assert (timing_b["count"], timing_b["total_s"]) == (1, 100.0)
 
     def test_sweep_by_builtin_plan_name_is_accepted(self, tmp_path):
         from repro.spec import SpecError
