@@ -36,9 +36,6 @@ from repro.api import ChannelAccessSystem
 from repro.channels import (
     ChannelState,
     GaussianChannel,
-    BernoulliChannel,
-    UniformChannel,
-    ConstantChannel,
     PAPER_RATES_KBPS,
 )
 from repro.core import (
@@ -79,7 +76,6 @@ from repro.sim import (
     PeriodicSimulator,
     Simulator,
     TimingConfig,
-    replication_rngs,
 )
 from repro.spec import (
     ChannelSpec,
@@ -102,9 +98,6 @@ __all__ = [
     "ChannelAccessSystem",
     "ChannelState",
     "GaussianChannel",
-    "BernoulliChannel",
-    "UniformChannel",
-    "ConstantChannel",
     "PAPER_RATES_KBPS",
     "CombinatorialUCBPolicy",
     "LLRPolicy",
@@ -132,7 +125,6 @@ __all__ = [
     "RobustPTASSolver",
     "IndependentSet",
     "BatchResult",
-    "replication_rngs",
     "PeriodicSimulator",
     "Simulator",
     "TimingConfig",

@@ -61,8 +61,8 @@ class ChannelAccessSystem:
     -----
     Each :meth:`simulate` / :meth:`simulate_periodic` call draws from its own
     random stream: the ``k``-th run on a system consumes child ``k`` spawned
-    from the system seed (the exact streams
-    :func:`repro.sim.batch.replication_rngs` produces), so run ``k`` is
+    from the system seed (the streams of
+    :func:`repro.sim.batch.child_seed_sequences`), so run ``k`` is
     bit-reproducible regardless of how long earlier runs were, and a
     sequential ``simulate`` call matches replication 0 of
     :meth:`simulate_batch` exactly.  *Behaviour change (intentional):*
@@ -199,7 +199,7 @@ class ChannelAccessSystem:
         return a fresh policy instance; each replication gets its own random
         stream spawned from this system's seed, so the batch is reproducible
         and replication 0 matches a sequential :meth:`simulate`-style run
-        driven by ``repro.sim.replication_rngs(seed, 1)[0]``.
+        driven by ``numpy.random.default_rng(child_seed_sequences(seed, 1)[0])``.
 
         ``backend`` picks the executor (see :mod:`repro.sim.backends`):
         ``"serial"``, ``"thread"`` (the default when ``jobs > 1``; GIL-bound

@@ -10,33 +10,16 @@ the :class:`ChannelState` container that holds the per-(node, channel) mean
 matrix and draws rewards round by round.
 """
 
-from repro.channels.models import (
-    ChannelModel,
-    GaussianChannel,
-    TruncatedGaussianChannel,
-    BernoulliChannel,
-    UniformChannel,
-    ConstantChannel,
-)
-from repro.channels.catalog import (
-    PAPER_RATES_KBPS,
-    normalized_paper_rates,
-    paper_channel_models,
-)
+from repro.channels.models import ChannelModel, GaussianChannel
+from repro.channels.catalog import PAPER_RATES_KBPS
 from repro.channels.dynamics import AdversarialChannel, GilbertElliottChannel
 from repro.channels.state import ChannelState
 
 __all__ = [
     "ChannelModel",
     "GaussianChannel",
-    "TruncatedGaussianChannel",
-    "BernoulliChannel",
-    "UniformChannel",
-    "ConstantChannel",
     "GilbertElliottChannel",
     "AdversarialChannel",
     "PAPER_RATES_KBPS",
-    "normalized_paper_rates",
-    "paper_channel_models",
     "ChannelState",
 ]

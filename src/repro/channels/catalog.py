@@ -4,7 +4,8 @@ Section V: "We set 8 types of channels with data rates (units kbps) 150, 225,
 300, 450, 600, 900, 1200, and 1350 respectively.  Each channel evolves as a
 distinct i.i.d Gaussian stochastic process over time."
 
-The catalogue here reproduces those rates and builds Gaussian channel models
+The catalogue here reproduces those rates and draws them onto a network;
+:class:`~repro.channels.state.ChannelState` builds Gaussian channel models
 around them.  A relative standard deviation is configurable (the paper does
 not state the variance; 5% of the mean is the default and the experiments are
 insensitive to this choice because all policies see the same draws).
@@ -12,17 +13,13 @@ insensitive to this choice because all policies see the same draws).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-from repro.channels.models import ChannelModel, GaussianChannel
 
 __all__ = [
     "PAPER_RATES_KBPS",
     "DEFAULT_RELATIVE_STD",
-    "normalized_paper_rates",
-    "paper_channel_models",
     "assign_rates_to_network",
 ]
 
@@ -31,37 +28,6 @@ PAPER_RATES_KBPS: Sequence[float] = (150.0, 225.0, 300.0, 450.0, 600.0, 900.0, 1
 
 #: Default relative standard deviation of the Gaussian rate processes.
 DEFAULT_RELATIVE_STD = 0.05
-
-
-def normalized_paper_rates() -> List[float]:
-    """The paper's rates scaled into ``[0, 1]`` by the maximum rate.
-
-    The regret analysis assumes rewards in ``[0, 1]``; dividing by the largest
-    catalogue rate (1350 kbps) preserves the ordering and relative gaps used
-    in the throughput experiments.
-    """
-    top = max(PAPER_RATES_KBPS)
-    return [rate / top for rate in PAPER_RATES_KBPS]
-
-
-def paper_channel_models(
-    relative_std: float = DEFAULT_RELATIVE_STD,
-    normalized: bool = False,
-) -> List[ChannelModel]:
-    """Gaussian channel models for the 8 paper rate classes.
-
-    Parameters
-    ----------
-    relative_std:
-        Standard deviation of each Gaussian expressed as a fraction of its
-        mean rate.
-    normalized:
-        When ``True``, means are scaled into ``[0, 1]``.
-    """
-    if relative_std < 0:
-        raise ValueError(f"relative_std must be non-negative, got {relative_std}")
-    rates = normalized_paper_rates() if normalized else list(PAPER_RATES_KBPS)
-    return [GaussianChannel(rate, rate * relative_std) for rate in rates]
 
 
 def assign_rates_to_network(

@@ -74,11 +74,6 @@ class GilbertElliottChannel(ChannelModel):
         pi_good = self._p_bg / (self._p_gb + self._p_bg)
         return pi_good * self._good_rate + (1.0 - pi_good) * self._bad_rate
 
-    @property
-    def in_good_state(self) -> bool:
-        """Current state of the chain (observable for tests / debugging)."""
-        return self._in_good_state
-
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         if size is None:
             return self._step(rng)
@@ -117,11 +112,6 @@ class AdversarialChannel(ChannelModel):
     @property
     def mean(self) -> float:
         return float(np.mean(self._gains))
-
-    @property
-    def sequence_length(self) -> int:
-        """Length of the committed gain sequence."""
-        return len(self._gains)
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         if size is None:

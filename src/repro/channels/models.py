@@ -3,8 +3,7 @@
 Every model represents an i.i.d. process over rounds with a fixed mean; the
 learning policies never see the model, only the samples observed after a
 transmission.  Means can be expressed in any unit (the paper uses kbps for
-the throughput experiments and values in ``[0, 1]`` for the analysis); the
-:mod:`repro.channels.catalog` module provides the normalisation helpers.
+the throughput experiments and values in ``[0, 1]`` for the analysis).
 """
 
 from __future__ import annotations
@@ -14,14 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "ChannelModel",
-    "GaussianChannel",
-    "TruncatedGaussianChannel",
-    "BernoulliChannel",
-    "UniformChannel",
-    "ConstantChannel",
-]
+__all__ = ["ChannelModel", "GaussianChannel"]
 
 
 class ChannelModel(abc.ABC):
@@ -95,101 +87,3 @@ class GaussianChannel(ChannelModel):
 
     def gaussian_params(self) -> Tuple[float, float]:
         return (self._mean, self._std)
-
-
-class TruncatedGaussianChannel(ChannelModel):
-    """Gaussian process truncated (by clipping) to a ``[low, high]`` interval.
-
-    Useful when rewards must stay inside ``[0, 1]`` as assumed by the regret
-    bounds of Theorem 1.  Note the reported :attr:`mean` is the mean of the
-    *untruncated* Gaussian; with symmetric clipping margins the bias is
-    negligible for the std values used in the experiments.
-    """
-
-    def __init__(self, mean: float, std: float, low: float = 0.0, high: float = 1.0) -> None:
-        if std < 0:
-            raise ValueError(f"std must be non-negative, got {std}")
-        if low >= high:
-            raise ValueError(f"low must be < high, got [{low}, {high}]")
-        if not (low <= mean <= high):
-            raise ValueError(f"mean {mean} outside [{low}, {high}]")
-        self._mean = float(mean)
-        self._std = float(std)
-        self._low = float(low)
-        self._high = float(high)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def bounds(self) -> tuple:
-        """The ``(low, high)`` clipping interval."""
-        return (self._low, self._high)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        draws = rng.normal(self._mean, self._std, size=size)
-        clipped = np.clip(draws, self._low, self._high)
-        return clipped if size is not None else float(clipped)
-
-
-class BernoulliChannel(ChannelModel):
-    """Bernoulli channel: the channel is either fully available or not.
-
-    This is the classical model of the single-hop opportunistic-access
-    literature the paper builds on; we provide it for the property-based
-    tests and the regret-bound sanity checks where rewards in ``{0, 1}``
-    make the analysis exact.
-    """
-
-    def __init__(self, mean: float) -> None:
-        if not (0.0 <= mean <= 1.0):
-            raise ValueError(f"Bernoulli mean must be in [0, 1], got {mean}")
-        self._mean = float(mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        draws = rng.binomial(1, self._mean, size=size)
-        return draws.astype(float) if size is not None else float(draws)
-
-
-class UniformChannel(ChannelModel):
-    """Uniform channel quality on ``[low, high]``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if low > high:
-            raise ValueError(f"low must be <= high, got [{low}, {high}]")
-        self._low = float(low)
-        self._high = float(high)
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self._low + self._high)
-
-    @property
-    def bounds(self) -> tuple:
-        """The ``(low, high)`` support of the uniform distribution."""
-        return (self._low, self._high)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        draws = rng.uniform(self._low, self._high, size=size)
-        return draws if size is not None else float(draws)
-
-
-class ConstantChannel(ChannelModel):
-    """Deterministic channel, convenient for unit tests and oracles."""
-
-    def __init__(self, value: float) -> None:
-        self._value = float(value)
-
-    @property
-    def mean(self) -> float:
-        return self._value
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        if size is None:
-            return self._value
-        return np.full(size, self._value, dtype=float)

@@ -9,7 +9,7 @@ and the learning policies, so a strategy (an independent set of ``H``) can be
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -141,17 +141,6 @@ class ChannelState:
         self._check(node, channel)
         return self._models[node][channel]
 
-    def arm_index(self, node: int, channel: int) -> int:
-        """Flat arm index of a (node, channel) pair."""
-        self._check(node, channel)
-        return node * self._num_channels + channel
-
-    def arm_to_pair(self, arm: int) -> tuple:
-        """Inverse of :meth:`arm_index`."""
-        if not (0 <= arm < self.num_arms):
-            raise ValueError(f"arm {arm} out of range [0, {self.num_arms})")
-        return divmod(arm, self._num_channels)
-
     def _check(self, node: int, channel: int) -> None:
         if not (0 <= node < self._num_nodes):
             raise ValueError(f"node {node} out of range [0, {self._num_nodes})")
@@ -194,33 +183,6 @@ class ChannelState:
         return np.array(
             [self._flat_models[arm].sample(rng) for arm in arms], dtype=float
         )
-
-    def sample_assignment(
-        self, assignment: Mapping[int, int], rng: np.random.Generator
-    ) -> Dict[int, float]:
-        """Draw observations for a ``{node: channel}`` strategy.
-
-        Returns a ``{node: observed_rate}`` map; only nodes present in the
-        assignment transmit and observe anything.
-        """
-        nodes = list(assignment)
-        arms = np.array(
-            [self.arm_index(node, assignment[node]) for node in nodes],
-            dtype=np.int64,
-        )
-        values = self.sample_arm_array(arms, rng)
-        return {node: float(value) for node, value in zip(nodes, values)}
-
-    def sample_arms(
-        self, arms: Iterable[int], rng: np.random.Generator
-    ) -> Dict[int, float]:
-        """Draw observations for a set of flat arm indices (dict API)."""
-        arm_list = [int(arm) for arm in arms]
-        for arm in arm_list:
-            if not (0 <= arm < self.num_arms):
-                raise ValueError(f"arm {arm} out of range [0, {self.num_arms})")
-        values = self.sample_arm_array(np.array(arm_list, dtype=np.int64), rng)
-        return {arm: float(value) for arm, value in zip(arm_list, values)}
 
     def expected_reward_arms(self, arms: np.ndarray) -> float:
         """Expected throughput of a set of arms (vectorized gather)."""

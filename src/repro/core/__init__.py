@@ -31,10 +31,9 @@ from repro.core.policies import (
 from repro.core.regret import (
     RegretTracker,
     cumulative_regret,
-    beta_regret,
     practical_regret,
 )
-from repro.core.bounds import theorem1_regret_bound, theorem5_practical_regret_bound
+from repro.core.bounds import theorem1_regret_bound
 
 __all__ = [
     "Strategy",
@@ -48,8 +47,6 @@ __all__ = [
     "EpsilonGreedyPolicy",
     "RegretTracker",
     "cumulative_regret",
-    "beta_regret",
     "practical_regret",
     "theorem1_regret_bound",
-    "theorem5_practical_regret_bound",
 ]

@@ -1,4 +1,4 @@
-"""Theoretical regret bounds (Theorem 1 and Theorem 5 of the paper).
+"""Theoretical regret bound (Theorem 1 of the paper).
 
 Theorem 1 (quoting the paper, originally from Zhou & Li's combinatorial-MAB
 analysis): for a beta-approximation learning policy,
@@ -7,11 +7,9 @@ analysis): for a beta-approximation learning policy,
                      + (sqrt(e K) + 16/(e beta) (1 + N) N^3) n^{2/3}
                      + (1/beta) (1 + 4 sqrt(K N^2) / (e beta^2)) N^2 K n^{5/6}
 
-independent of Delta_{beta,min}.  Theorem 5 is the "practical" variant where
-the achieved throughput is scaled by ``theta = t_d / t_a`` and the
-approximation ratio becomes ``theta * alpha``.
+independent of Delta_{beta,min}.
 
-These bounds are loose (the constants are large); they are included so the
+The bound is loose (the constants are large); it is included so the
 experiments can verify that measured beta-regret stays below the guarantee,
 which is experiment E8 of DESIGN.md.
 """
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["theorem1_regret_bound", "theorem5_practical_regret_bound"]
+__all__ = ["theorem1_regret_bound"]
 
 
 def theorem1_regret_bound(
@@ -62,42 +60,3 @@ def theorem1_regret_bound(
     )
     return constant_term + mid_term + tail_term
 
-
-def theorem5_practical_regret_bound(
-    horizon: int,
-    num_nodes: int,
-    num_arms: int,
-    alpha: float,
-    theta: float,
-) -> float:
-    """Evaluate the Theorem 5 upper bound on practical regret.
-
-    ``alpha`` is the approximation ratio of the strategy-decision algorithm
-    and ``theta = t_d / t_a`` the fraction of a round spent transmitting; the
-    effective approximation ratio becomes ``beta = theta * alpha``.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
-    if num_nodes <= 0 or num_arms <= 0:
-        raise ValueError("num_nodes and num_arms must be positive")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
-    n = float(horizon)
-    big_n = float(num_nodes)
-    big_k = float(num_arms)
-    theta_alpha = theta * alpha
-    constant_term = big_n * big_k / alpha
-    mid_term = (
-        theta * math.sqrt(math.e * big_k)
-        + 16.0 / (math.e * alpha) * (1.0 + big_n) * big_n ** 3
-    ) * n ** (2.0 / 3.0)
-    tail_term = (
-        (1.0 / alpha)
-        * (1.0 + 4.0 * math.sqrt(big_k * big_n ** 2) / (math.e * theta_alpha ** 2))
-        * big_n ** 2
-        * big_k
-        * n ** (5.0 / 6.0)
-    )
-    return constant_term + mid_term + tail_term

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "cumulative_regret",
-    "beta_regret",
     "practical_regret",
     "RegretTracker",
 ]
@@ -47,19 +46,6 @@ def cumulative_regret(optimal_value: float, rewards: Sequence[float]) -> np.ndar
     rewards_arr = _as_array(rewards)
     rounds = np.arange(1, rewards_arr.size + 1, dtype=float)
     return rounds * float(optimal_value) - np.cumsum(rewards_arr)
-
-
-def beta_regret(
-    optimal_value: float, rewards: Sequence[float], beta: float
-) -> np.ndarray:
-    """Cumulative beta-regret trace against the benchmark ``R_1 / beta``.
-
-    Negative values mean the policy outperforms the ``1/beta`` fraction of the
-    optimum, which is what Fig. 7(b) of the paper shows.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return cumulative_regret(float(optimal_value) / float(beta), rewards)
 
 
 def practical_regret(
@@ -124,24 +110,9 @@ class RegretTracker:
         rewards = self.observed_rewards if use_observed else self.expected_rewards
         return cumulative_regret(self._require_optimum(), rewards)
 
-    def beta_regret_trace(self, beta: float, use_observed: bool = False) -> np.ndarray:
-        """Cumulative beta-regret per round."""
-        rewards = self.observed_rewards if use_observed else self.expected_rewards
-        return beta_regret(self._require_optimum(), rewards, beta)
-
     def practical_regret_trace(
         self, beta: float = 1.0, use_observed: bool = False
     ) -> np.ndarray:
         """Cumulative practical regret per round (throughput scaled by theta)."""
         rewards = self.observed_rewards if use_observed else self.expected_rewards
         return practical_regret(self._require_optimum(), rewards, self.theta, beta)
-
-    def average_throughput(self, use_observed: bool = True) -> np.ndarray:
-        """Running average of the effective (theta-scaled) throughput."""
-        rewards = _as_array(
-            self.observed_rewards if use_observed else self.expected_rewards
-        )
-        if rewards.size == 0:
-            return rewards
-        rounds = np.arange(1, rewards.size + 1, dtype=float)
-        return np.cumsum(rewards * self.theta) / rounds

@@ -15,7 +15,6 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.graph.extended import ExtendedConflictGraph
-from repro.mwis.base import IndependentSet
 
 __all__ = ["Strategy"]
 
@@ -84,12 +83,6 @@ class Strategy:
             return np.empty(0, dtype=np.int64)
         pairs = np.asarray(self.assignment, dtype=np.int64)
         return pairs[:, 0] * graph.num_channels + pairs[:, 1]
-
-    def to_independent_set(self, graph: ExtendedConflictGraph) -> IndependentSet:
-        """The strategy as an :class:`IndependentSet` of ``H`` with zero weight
-        placeholders (weights are supplied separately by the caller)."""
-        vertices = graph.assignment_to_independent_set(self.as_dict())
-        return IndependentSet(vertices=frozenset(vertices), weight=0.0)
 
     def is_feasible(self, graph: ExtendedConflictGraph) -> bool:
         """``True`` when the assignment is conflict free on ``H``."""

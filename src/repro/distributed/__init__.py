@@ -58,7 +58,6 @@ from repro.distributed.costs import (
     RoundCosts,
     theoretical_message_bound,
     theoretical_space_bound,
-    theoretical_enumeration_bound,
 )
 
 __all__ = [
@@ -89,5 +88,4 @@ __all__ = [
     "RoundCosts",
     "theoretical_message_bound",
     "theoretical_space_bound",
-    "theoretical_enumeration_bound",
 ]

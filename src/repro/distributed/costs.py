@@ -18,7 +18,6 @@ can be checked experimentally (experiment E6 of DESIGN.md).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -28,7 +27,6 @@ __all__ = [
     "RoundCosts",
     "theoretical_message_bound",
     "theoretical_space_bound",
-    "theoretical_enumeration_bound",
 ]
 
 
@@ -75,11 +73,6 @@ class ComputationCosts:
         """Largest local instance solved in the round."""
         return max(self.candidate_set_sizes, default=0)
 
-    @property
-    def total_candidate_vertices(self) -> int:
-        """Summed sizes of all local instances (proxy for total work)."""
-        return sum(self.candidate_set_sizes)
-
 
 @dataclass
 class RoundCosts:
@@ -115,25 +108,3 @@ def theoretical_space_bound(neighborhood_size: int) -> int:
         raise ValueError("neighborhood_size must be non-negative")
     return neighborhood_size
 
-
-def theoretical_enumeration_bound(
-    num_master_nodes: int, num_channels: int, r: int
-) -> float:
-    """Eq. (8) of the paper: the number of enumerations of a LocalLeader is at
-    most ``(m e / (2r+1)^2)^{rho_r}`` with ``rho_r = M (2r+1)^2``.
-
-    Returns ``inf`` when the bound overflows a float; callers should treat the
-    value as an upper bound, not an estimate.
-    """
-    if num_master_nodes < 0 or num_channels <= 0 or r < 0:
-        raise ValueError("invalid arguments to theoretical_enumeration_bound")
-    if num_master_nodes == 0:
-        return 1.0
-    base = num_master_nodes * math.e / ((2 * r + 1) ** 2)
-    exponent = num_channels * (2 * r + 1) ** 2
-    if base <= 0:
-        return 1.0
-    try:
-        return float(max(1.0, base) ** exponent)
-    except OverflowError:
-        return float("inf")

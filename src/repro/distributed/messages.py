@@ -46,19 +46,12 @@ class Message:
     sender: int
     hop_limit: int
 
-    def payload_size(self) -> int:
-        """Abstract payload size in scalar fields, used for cost accounting."""
-        return 1
-
 
 @dataclass(frozen=True)
 class WeightBroadcast(Message):
     """A vertex announces its freshly updated estimated weight (WB phase)."""
 
     weight: float = 0.0
-
-    def payload_size(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,6 @@ class LeaderDeclaration(Message):
 
     weight: float = 0.0
     mini_round: int = 0
-
-    def payload_size(self) -> int:
-        return 2
 
 
 @dataclass(frozen=True)
@@ -82,10 +72,6 @@ class StatusDetermination(Message):
 
     decisions: Mapping[int, bool] = field(default_factory=dict)
     mini_round: int = 0
-
-    def payload_size(self) -> int:
-        # One (vertex id, decision bit) pair per determined vertex.
-        return max(1, len(self.decisions))
 
 
 @dataclass(frozen=True)
@@ -103,6 +89,3 @@ class Accusation(Message):
     accused: int = 0
     reason: str = ""
     mini_round: int = 0
-
-    def payload_size(self) -> int:
-        return 2

@@ -101,16 +101,6 @@ class VertexAgent:
             else:
                 self.heard[vertex] = weight
 
-    def observe_status(self, vertex: int, status: VertexStatus) -> None:
-        """Record a status determination for a vertex in the knowledge horizon.
-
-        A terminal status drops the vertex from :attr:`undecided` for good,
-        so a Winner or Loser is never downgraded; other statuses (and
-        vertices outside the horizon) change nothing.
-        """
-        if status.is_decided:
-            self.undecided.discard(vertex)
-
     def mark(self, status: VertexStatus) -> None:
         """Set this vertex's own status."""
         if self.status.is_decided and status != self.status:

@@ -30,7 +30,6 @@ from repro.dynamics.events import (
     NodeArrival,
     NodeDeparture,
     TopologyEvent,
-    event_from_dict,
     periodic_flap_schedule,
     poisson_churn_schedule,
     random_waypoint_schedule,
@@ -41,7 +40,6 @@ from repro.dynamics.graph import (
     ExtendedDelta,
     GraphDelta,
     index_frame,
-    replay_schedule,
 )
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "LinkFlap",
     "MobilityStep",
     "EventSchedule",
-    "event_from_dict",
     "poisson_churn_schedule",
     "periodic_flap_schedule",
     "random_waypoint_schedule",
@@ -59,7 +56,6 @@ __all__ = [
     "ExtendedDelta",
     "DynamicTopology",
     "DynamicExtendedGraph",
-    "replay_schedule",
     "index_frame",
     "DynamicStrategyEngine",
     "DynamicStrategySolver",

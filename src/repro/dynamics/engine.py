@@ -53,11 +53,6 @@ class EventReport:
     active_nodes: int
     num_edges: int
 
-    @property
-    def changed_topology(self) -> bool:
-        """``True`` when at least one conflict edge changed."""
-        return self.touched_vertices > 0
-
 
 class DynamicStrategySolver(MWISSolver):
     """MWIS solver running Algorithm 3 on the engine's live topology.
@@ -74,9 +69,6 @@ class DynamicStrategySolver(MWISSolver):
         self._engine = engine
         self._previous_strategy: Optional[Set[int]] = None
         self._last_result: Optional[ProtocolResult] = None
-        #: ``True`` while the next decision is a forced full re-convergence.
-        self._invalidated = True
-        self._last_reconvergence = False
         #: Total protocol decisions run (lets callers detect rounds in which
         #: a policy decided without invoking the protocol at all).
         self.num_solves = 0
@@ -86,11 +78,6 @@ class DynamicStrategySolver(MWISSolver):
         """Full protocol result of the most recent decision."""
         return self._last_result
 
-    @property
-    def was_reconvergence(self) -> bool:
-        """Whether the latest decision followed an invalidation."""
-        return self._last_reconvergence
-
     def invalidate(self) -> None:
         """Drop the previous-strategy memory: the topology changed.
 
@@ -98,7 +85,6 @@ class DynamicStrategySolver(MWISSolver):
         (first-round behaviour) and re-converges from scratch.
         """
         self._previous_strategy = None
-        self._invalidated = True
 
     def reset(self) -> None:
         """Policy-facing reset (start of a new run)."""
@@ -123,8 +109,6 @@ class DynamicStrategySolver(MWISSolver):
         )
         winners = set(result.independent_set.vertices) & active
         self._last_result = result
-        self._last_reconvergence = self._invalidated
-        self._invalidated = False
         self.num_solves += 1
         self._previous_strategy = winners
         return IndependentSet.from_iterable(winners, weights)

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro._codec import DecodeError, check_fields, tagged_union
+from repro._codec import check_fields, tagged_union
 from repro.graph.conflict_graph import ConflictGraph
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "LinkFlap",
     "MobilityStep",
     "EventSchedule",
-    "event_from_dict",
     "poisson_churn_schedule",
     "periodic_flap_schedule",
     "random_waypoint_schedule",
@@ -77,7 +76,7 @@ class TopologyEvent:
                 )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (inverse of :func:`event_from_dict`)."""
+        """JSON-ready representation; a ``trace`` dynamics spec decodes it back."""
         data: Dict[str, object] = {"type": self.type_name}
         for name, value in sorted(self.__dict__.items()):
             data[name] = value
@@ -150,17 +149,9 @@ EVENT_TYPES: Dict[str, Type[TopologyEvent]] = {
 }
 
 
-_decode_event = tagged_union(TopologyEvent, EVENT_TYPES, "event")
-
-
-def event_from_dict(data, path: str = "event") -> TopologyEvent:
-    """Deserialize one event dict, raising ``SpecError`` with ``path``."""
-    from repro.spec.scenario import SpecError  # the spec layer imports this module
-
-    try:
-        return _decode_event(data, path)
-    except DecodeError as err:
-        raise SpecError(str(err)) from None
+# Makes ``TopologyEvent`` a field type the codec decodes by its ``type`` key
+# (``DynamicsSpec.trace``).
+tagged_union(TopologyEvent, EVENT_TYPES, "event")
 
 
 class EventSchedule:
@@ -210,7 +201,7 @@ class EventSchedule:
         return list(self._by_round.get(round_index, ()))
 
     def to_dicts(self) -> List[Dict[str, object]]:
-        """JSON-ready event list (each entry inverts via :func:`event_from_dict`)."""
+        """JSON-ready event list, one :meth:`TopologyEvent.to_dict` per event."""
         return [event.to_dict() for event in self._events]
 
     def content_hash(self) -> str:

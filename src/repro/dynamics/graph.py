@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.dynamics.events import (
-    EventSchedule,
     LinkFlap,
     MobilityStep,
     NodeArrival,
@@ -47,7 +46,6 @@ __all__ = [
     "ExtendedDelta",
     "DynamicTopology",
     "DynamicExtendedGraph",
-    "replay_schedule",
     "index_frame",
 ]
 
@@ -62,20 +60,6 @@ class GraphDelta:
 
     added_edges: FrozenSet[Tuple[int, int]] = frozenset()
     removed_edges: FrozenSet[Tuple[int, int]] = frozenset()
-
-    @property
-    def touched_nodes(self) -> Set[int]:
-        """Endpoints of every changed edge."""
-        nodes: Set[int] = set()
-        for u, v in self.added_edges | self.removed_edges:
-            nodes.add(u)
-            nodes.add(v)
-        return nodes
-
-    @property
-    def is_empty(self) -> bool:
-        """``True`` when the event changed no edges."""
-        return not self.added_edges and not self.removed_edges
 
     def merge(self, other: "GraphDelta") -> "GraphDelta":
         """Combine two sequential deltas (an add then a remove cancels)."""
@@ -127,11 +111,6 @@ class DynamicTopology:
         """Number of channels ``M``."""
         return self._num_channels
 
-    @property
-    def is_geometric(self) -> bool:
-        """``True`` when edges follow the unit-disk rule on positions."""
-        return self._positions is not None
-
     def is_active(self, node: int) -> bool:
         """Whether ``node`` is currently part of the network."""
         self._check_node(node)
@@ -150,11 +129,6 @@ class DynamicTopology:
     def num_edges(self) -> int:
         """Number of current conflict edges."""
         return sum(len(n) for n in self._adjacency) // 2
-
-    def position_of(self, node: int) -> Optional[Point]:
-        """Current position of ``node`` (``None`` on combinatorial graphs)."""
-        self._check_node(node)
-        return self._positions[node] if self._positions is not None else None
 
     def adjacency_sets(self) -> List[Set[int]]:
         """A copy of the current adjacency structure of ``G``."""
@@ -279,13 +253,6 @@ class DynamicTopology:
             return GraphDelta(removed_edges=frozenset({key}))
         raise ValueError(f"unknown topology event {type(event).__name__}")
 
-    def apply_all(self, events: Iterable[TopologyEvent]) -> GraphDelta:
-        """Apply a batch of events, returning the merged delta."""
-        merged = GraphDelta()
-        for event in events:
-            merged = merged.merge(self.apply(event))
-        return merged
-
 
 @dataclass
 class ExtendedDelta:
@@ -372,10 +339,6 @@ class DynamicExtendedGraph:
             raise ValueError(f"vertex {vertex} out of range [0, {self._num_vertices})")
         return vertex // self._m
 
-    def masters(self) -> List[int]:
-        """The per-vertex master assignment."""
-        return [vertex // self._m for vertex in range(self._num_vertices)]
-
     def active_vertices(self) -> Set[int]:
         """Vertices whose master node is currently active."""
         active: Set[int] = set()
@@ -421,16 +384,6 @@ class DynamicExtendedGraph:
                 f"incremental extended graph diverged from a fresh rebuild at "
                 f"vertices {diverged[:10]}{'...' if len(diverged) > 10 else ''}"
             )
-
-
-def replay_schedule(
-    base: ConflictGraph, schedule: EventSchedule
-) -> DynamicTopology:
-    """Apply a whole schedule to a fresh topology (testing convenience)."""
-    topology = DynamicTopology(base)
-    for event in schedule:
-        topology.apply(event)
-    return topology
 
 
 def index_frame(num_nodes: int, num_channels: int) -> ExtendedConflictGraph:

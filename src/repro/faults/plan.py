@@ -193,11 +193,6 @@ class FaultPlan:
         return dict(self._byzantine)
 
     @property
-    def faulty_vertices(self) -> frozenset:
-        """All vertices carrying any fault."""
-        return frozenset(fault.vertex for fault in self._faults)
-
-    @property
     def num_faults(self) -> int:
         """Total number of faulty vertices."""
         return len(self._faults)

@@ -9,6 +9,16 @@ The mitigation mode hardens the protocol along two axes:
   always hold identical weight knowledge (both primed from the same truth,
   both hearing the same WB broadcasts) and consistent status knowledge (an
   LB deciding a shared-horizon vertex reaches both at the same barrier).
+  That argument does not cover crashes, and the claim fails for them: the
+  vertices a crashed leader blocks all fall silent, and
+  ``FaultyVertexProtocol.end_mini_round`` counts silence over the whole
+  undecided horizon, not only over blockers as :meth:`QuorumState.end_mini_round`
+  says, so neighbours suspect each other in the same mini-round and elect
+  themselves together.  On the triangle ``[{1, 2}, {0, 2}, {0, 1}]`` with
+  weights ``[3, 2, 1]``, ``r = 1``, ``CrashFault(vertex=0, mini_round=1,
+  phase="LD")`` and ``QuorumConfig(threshold=2)`` on a ``SimulatedTransport``
+  the run returns winners ``{1, 2}`` with ``independent=False``; without
+  quorum it stalls with no winners.
   Direct evidence excludes the sender locally and is broadcast as an
   ``Accusation``; remote vertices exclude the accused once a DLS-style
   quorum of *distinct* accusers is reached (``accept_vote`` in the DLS

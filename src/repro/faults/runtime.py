@@ -286,8 +286,9 @@ class FaultyVertexProtocol(VertexProtocol):
         Tracking *every* undecided, unexcluded (2r+1)-hop neighbour (not
         just this vertex's current blockers) keeps the suspicion state
         symmetric across honest vertices in a shared horizon — the property
-        that makes the ``not-leader`` evidence check sound on a lossless
-        transport.
+        meant to make the ``not-leader`` evidence check sound on a lossless
+        transport.  With a crash it also lets blocked neighbours, silent
+        while they wait, suspect each other (see :mod:`repro.faults.quorum`).
         """
         state = self.quorum_state
         if state is None or self._controller.is_crashed(self.vertex):
@@ -337,7 +338,11 @@ class FaultyVertexProtocol(VertexProtocol):
     ) -> Optional[str]:
         """Evidence that an LB is corrupt, or ``None`` when it checks out.
 
-        Two checks, both sound on a lossless transport:
+        Two checks, meant to be sound on a lossless transport.  They are
+        not when a vertex crashes: see :mod:`repro.faults.quorum` for the
+        smallest known case, where honest neighbours elect themselves
+        together.
+
 
         * ``dependent-winners`` — the LB crowns two adjacent Winners, which
           no honest LMWIS can emit.

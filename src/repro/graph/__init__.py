@@ -15,25 +15,17 @@ This subpackage provides:
 * :mod:`repro.graph.topology` -- topology generators (random, linear, grid...).
 """
 
-from repro.graph.geometry import Point, grid_cell_keys, pairwise_distances
+from repro.graph.geometry import Point, grid_cell_keys
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph, VirtualVertex
 from repro.graph.neighborhoods import (
     NeighborhoodTable,
-    all_r_hop_neighborhoods,
     hop_distances,
     r_hop_neighborhood,
     r_hop_neighborhood_arrays,
-    hop_distance,
-    eccentricity,
     protocol_radii,
 )
-from repro.graph.unit_disk import (
-    build_unit_disk_graph,
-    unit_disk_edge_array,
-    unit_disk_edges,
-    unit_disk_edges_naive,
-)
+from repro.graph.unit_disk import unit_disk_edge_array, unit_disk_edges_naive
 from repro.graph.topology import (
     random_network,
     linear_network,
@@ -45,23 +37,17 @@ from repro.graph.topology import (
 
 __all__ = [
     "Point",
-    "pairwise_distances",
     "ConflictGraph",
     "ExtendedConflictGraph",
     "VirtualVertex",
     "grid_cell_keys",
     "hop_distances",
-    "hop_distance",
     "r_hop_neighborhood",
     "r_hop_neighborhood_arrays",
-    "all_r_hop_neighborhoods",
     "NeighborhoodTable",
     "protocol_radii",
-    "eccentricity",
-    "unit_disk_edges",
     "unit_disk_edge_array",
     "unit_disk_edges_naive",
-    "build_unit_disk_graph",
     "random_network",
     "linear_network",
     "grid_network",

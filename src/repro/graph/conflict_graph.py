@@ -142,23 +142,6 @@ class ConflictGraph:
         # hands its own H to every caller in that process.
         return {k: v for k, v in self.__dict__.items() if k != "_extended_graph"}
 
-    @classmethod
-    def from_adjacency(
-        cls,
-        adjacency: Sequence[Set[int]],
-        num_channels: int,
-        positions: Optional[Sequence[Point]] = None,
-    ) -> "ConflictGraph":
-        """Build a graph from a neighbour-set list (as produced by
-        :func:`repro.graph.unit_disk.build_unit_disk_graph`)."""
-        edges = [
-            (i, j)
-            for i, neighbors in enumerate(adjacency)
-            for j in neighbors
-            if i < j
-        ]
-        return cls(len(adjacency), edges, num_channels, positions=positions)
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -222,29 +205,11 @@ class ConflictGraph:
         self._check_node(node)
         return int(self._indptr[node + 1] - self._indptr[node])
 
-    def degrees(self) -> np.ndarray:
-        """All node degrees as one int64 array."""
-        return np.diff(self._indptr)
-
     def average_degree(self) -> float:
         """Average degree ``d`` of the graph (0 for an empty graph)."""
         if self._num_nodes == 0:
             return 0.0
         return 2.0 * self.num_edges / self._num_nodes
-
-    def max_degree(self) -> int:
-        """Maximum degree over all nodes."""
-        if self._num_nodes == 0:
-            return 0
-        return int(np.diff(self._indptr).max(initial=0))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        """Return ``True`` when ``i`` and ``j`` conflict."""
-        self._check_node(i)
-        self._check_node(j)
-        row = self._row(i)
-        slot = int(np.searchsorted(row, j))
-        return slot < len(row) and int(row[slot]) == j
 
     def _check_node(self, node: int) -> None:
         if not (0 <= node < self._num_nodes):
@@ -287,33 +252,6 @@ class ConflictGraph:
     def is_connected(self) -> bool:
         """Return ``True`` when the graph has a single connected component."""
         return len(self.connected_components()) <= 1
-
-    def subgraph(self, nodes: Iterable[int]) -> Tuple["ConflictGraph", Dict[int, int]]:
-        """Return the induced subgraph and the old-id -> new-id mapping.
-
-        Channel count and (when available) positions are preserved.
-        """
-        selected = sorted(set(nodes))
-        for node in selected:
-            self._check_node(node)
-        if not selected:
-            raise ValueError("subgraph() requires at least one node")
-        mapping = {old: new for new, old in enumerate(selected)}
-        lookup = np.full(self._num_nodes, -1, dtype=np.int64)
-        lookup[selected] = np.arange(len(selected), dtype=np.int64)
-        kept = self._edge_array[
-            (lookup[self._edge_array[:, 0]] >= 0)
-            & (lookup[self._edge_array[:, 1]] >= 0)
-        ]
-        positions = (
-            [self._positions[node] for node in selected]
-            if self._positions is not None
-            else None
-        )
-        sub = ConflictGraph(
-            len(selected), lookup[kept], self._num_channels, positions=positions
-        )
-        return sub, mapping
 
     def adjacency_sets(self) -> List[Set[int]]:
         """The adjacency structure as per-node Python sets (a fresh copy).

@@ -31,7 +31,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Sequence,
     Set,
     Tuple,
 )
@@ -213,14 +212,6 @@ class ExtendedConflictGraph:
         """Number of edges of ``H``."""
         return int(self._edge_array.shape[0])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Return ``True`` when virtual vertices ``u`` and ``v`` conflict."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        row = self._row(u)
-        slot = int(np.searchsorted(row, v))
-        return slot < len(row) and int(row[slot]) == v
-
     def adjacency_sets(self) -> List[Set[int]]:
         """The adjacency of ``H`` as per-vertex Python sets (a fresh copy).
 
@@ -301,14 +292,6 @@ class ExtendedConflictGraph:
                 r, NeighborhoodTable(self.adjacency_sets(), protocol_radii(r))
             )
         return table
-
-    def weight_of(self, vertices: Iterable[int], weights: Sequence[float]) -> float:
-        """Summed weight ``W(I)`` of a vertex set under a flat weight vector."""
-        total = 0.0
-        for vertex in vertices:
-            self._check_vertex(vertex)
-            total += float(weights[vertex])
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

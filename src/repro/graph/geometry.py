@@ -8,20 +8,12 @@ Euclidean distance between the centres is at most twice the disk radius
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "Point",
-    "euclidean",
-    "pairwise_distances",
-    "bounding_box",
-    "points_to_array",
-    "grid_cell_keys",
-]
+__all__ = ["Point", "points_to_array", "grid_cell_keys"]
 
 
 @dataclass(frozen=True, order=True)
@@ -35,22 +27,6 @@ class Point:
     x: float
     y: float
 
-    def distance_to(self, other: "Point") -> float:
-        """Return the Euclidean distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point translated by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return the coordinates as a plain ``(x, y)`` tuple."""
-        return (self.x, self.y)
-
-
-def euclidean(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return a.distance_to(b)
 
 
 def points_to_array(points: Sequence[Point]) -> np.ndarray:
@@ -91,29 +67,3 @@ def grid_cell_keys(coords: np.ndarray, cell_size: float) -> Tuple[np.ndarray, in
     stride = int(cy.max()) + 3
     return cx * stride + (cy + 1), stride
 
-
-def pairwise_distances(points: Sequence[Point]) -> np.ndarray:
-    """Return the full ``(n, n)`` matrix of Euclidean distances.
-
-    The computation is vectorised with numpy; for the network sizes used in
-    the paper (up to a few hundred nodes) this is instantaneous.
-    """
-    arr = points_to_array(points)
-    if arr.shape[0] == 0:
-        return np.zeros((0, 0), dtype=float)
-    diff = arr[:, None, :] - arr[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
-
-
-def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
-    """Return the axis-aligned bounding box of ``points``.
-
-    Returns a ``(lower_left, upper_right)`` pair.  Raises ``ValueError`` for
-    an empty input because an empty bounding box is not meaningful.
-    """
-    pts: List[Point] = list(points)
-    if not pts:
-        raise ValueError("bounding_box() requires at least one point")
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return Point(min(xs), min(ys)), Point(max(xs), max(ys))

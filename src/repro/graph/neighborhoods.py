@@ -40,26 +40,15 @@ from repro.graph.extended import ExtendedConflictGraph
 
 __all__ = [
     "hop_distances",
-    "hop_distance",
     "r_hop_neighborhood",
-    "all_r_hop_neighborhoods",
     "r_hop_neighborhood_arrays",
     "protocol_radii",
     "NeighborhoodTable",
-    "eccentricity",
-    "graph_diameter",
 ]
 
 AdjacencyLike = Union[Sequence[Set[int]], ConflictGraph, ExtendedConflictGraph]
 
 _CSRGraph = (ConflictGraph, ExtendedConflictGraph)
-
-
-def _adjacency(graph: AdjacencyLike) -> Sequence[Set[int]]:
-    """Normalise the supported graph representations to adjacency sets."""
-    if isinstance(graph, _CSRGraph):
-        return graph.adjacency_sets()
-    return graph
 
 
 def _size(graph: AdjacencyLike) -> int:
@@ -129,15 +118,6 @@ def hop_distances(graph: AdjacencyLike, source: int) -> Dict[int, int]:
     return distances
 
 
-def hop_distance(graph: AdjacencyLike, source: int, target: int) -> float:
-    """Hop distance ``d(source, target)``; ``inf`` when disconnected."""
-    n = _size(graph)
-    if not (0 <= target < n):
-        raise ValueError(f"target {target} out of range [0, {n})")
-    distances = hop_distances(graph, source)
-    return float(distances.get(target, float("inf")))
-
-
 def r_hop_neighborhood(graph: AdjacencyLike, vertex: int, r: int) -> Set[int]:
     """The r-hop neighbourhood ``J_r(vertex)`` *including* the vertex itself.
 
@@ -156,16 +136,6 @@ def r_hop_neighborhood(graph: AdjacencyLike, vertex: int, r: int) -> Set[int]:
     return _layered_balls(graph, vertex, [r])[0]
 
 
-def all_r_hop_neighborhoods(graph: AdjacencyLike, r: int) -> List[Set[int]]:
-    """Return ``J_r(v)`` for every vertex ``v`` of the graph."""
-    if isinstance(graph, _CSRGraph):
-        return [
-            r_hop_neighborhood(graph, vertex, r) for vertex in range(_size(graph))
-        ]
-    adjacency = _adjacency(graph)
-    return [r_hop_neighborhood(adjacency, vertex, r) for vertex in range(len(adjacency))]
-
-
 def r_hop_neighborhood_arrays(
     graph: Union[ConflictGraph, ExtendedConflictGraph], r: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,8 +144,8 @@ def r_hop_neighborhood_arrays(
     Returns ``(offsets, members)``: the (sorted) members of ``J_r(v)`` are
     ``members[offsets[v]:offsets[v + 1]]``.  This is the large-``n`` bulk
     form — no per-vertex Python set is created.  Only CSR-backed graphs are
-    supported; raw adjacency-set consumers keep
-    :func:`all_r_hop_neighborhoods`.
+    supported; raw adjacency-set consumers call
+    :func:`r_hop_neighborhood` per vertex.
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
@@ -339,21 +309,3 @@ class NeighborhoodTable:
                         "fresh rebuild"
                     )
 
-
-def eccentricity(graph: AdjacencyLike, vertex: int) -> float:
-    """Maximum hop distance from ``vertex`` to any reachable vertex.
-
-    Returns ``inf`` when some vertex of the graph is unreachable.
-    """
-    distances = hop_distances(graph, vertex)
-    if len(distances) < _size(graph):
-        return float("inf")
-    return float(max(distances.values(), default=0))
-
-
-def graph_diameter(graph: AdjacencyLike) -> float:
-    """Diameter (maximum eccentricity); ``inf`` for disconnected graphs."""
-    n = _size(graph)
-    if not n:
-        return 0.0
-    return max(eccentricity(graph, vertex) for vertex in range(n))

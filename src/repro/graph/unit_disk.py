@@ -31,19 +31,13 @@ element.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.geometry import Point, grid_cell_keys, points_to_array
 
-__all__ = [
-    "unit_disk_edges",
-    "unit_disk_edge_array",
-    "unit_disk_edges_naive",
-    "build_unit_disk_graph",
-    "DEFAULT_CONFLICT_RADIUS",
-]
+__all__ = ["unit_disk_edge_array", "unit_disk_edges_naive", "DEFAULT_CONFLICT_RADIUS"]
 
 #: Conflict radius implied by the paper's unit-disk model (two unit disks
 #: intersect when their centres are within distance 2).
@@ -168,34 +162,3 @@ def unit_disk_edges_naive(
         (np.concatenate(rows), np.concatenate(cols)), axis=1
     ).astype(np.int64)
 
-
-def unit_disk_edges(
-    points: Sequence[Point], radius: float = DEFAULT_CONFLICT_RADIUS
-) -> List[Tuple[int, int]]:
-    """Return the edge list of the unit-disk graph over ``points``.
-
-    Edges are returned as ``(i, j)`` index pairs with ``i < j``.  Nodes at
-    distance exactly ``radius`` are considered in conflict (closed disk),
-    matching the paper's ``||u, v|| <= 2`` convention.  Built on the
-    spatial-grid path; see :func:`unit_disk_edge_array` for the array form
-    used at scale.
-    """
-    return [
-        (int(i), int(j)) for i, j in unit_disk_edge_array(points, radius=radius)
-    ]
-
-
-def build_unit_disk_graph(
-    points: Sequence[Point], radius: float = DEFAULT_CONFLICT_RADIUS
-) -> List[Set[int]]:
-    """Return the adjacency structure of the unit-disk graph over ``points``.
-
-    The result is a list of neighbour sets indexed by node id; it is the raw
-    representation consumed by :class:`repro.graph.conflict_graph.ConflictGraph`.
-    """
-    n = len(points)
-    adjacency: List[Set[int]] = [set() for _ in range(n)]
-    for i, j in unit_disk_edge_array(points, radius=radius).tolist():
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    return adjacency

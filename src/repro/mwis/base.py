@@ -62,10 +62,6 @@ class IndependentSet:
     def __contains__(self, vertex: int) -> bool:
         return vertex in self.vertices
 
-    def as_sorted_list(self) -> list:
-        """Vertices in ascending order (deterministic output for tests)."""
-        return sorted(self.vertices)
-
 
 class MWISSolver(abc.ABC):
     """Interface of every MWIS solver in the library.

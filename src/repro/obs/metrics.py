@@ -82,10 +82,6 @@ class MetricsRegistry:
         """Current value of counter ``name`` (``default`` if never counted)."""
         return self._counters.get(name, default)
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        """Latest value of gauge ``name`` (``default`` if never set)."""
-        return self._gauges.get(name, default)
-
     def histogram_values(self, name: str) -> List[float]:
         """Copy of the raw observations recorded for histogram ``name``."""
         return list(self._histograms.get(name, []))

@@ -26,10 +26,6 @@ __all__ = ["JOB_SCHEMA", "Job", "JobPlan", "job_key", "plan_job"]
 #: Schema identifier hashed into every job key.
 JOB_SCHEMA = "repro.serve-job/v1"
 
-#: Lifecycle states.  ``queued -> running -> done | failed``; jobs whose
-#: units are all cache hits are born ``done``.
-JOB_STATES = ("queued", "running", "done", "failed")
-
 
 @dataclass(frozen=True)
 class JobPlan:
@@ -91,6 +87,9 @@ class Job:
     owner: str  # client token that created the job
     job_plan: JobPlan
     created_s: float
+    #: ``queued -> running -> done | failed``.  A job whose units are all
+    #: store hits passes through ``running`` to ``done`` inside the submit
+    #: call and publishes no ``queued`` or ``running`` event.
     state: str = "queued"
     started_s: Optional[float] = None
     finished_s: Optional[float] = None

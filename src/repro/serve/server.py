@@ -26,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.serve.http import (
     EventStream,
@@ -305,16 +305,6 @@ class ServerThread:
         self._ready.set()
         await self._shutdown.wait()
         await server.stop()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """``(host, port)`` of the bound socket."""
-        return self.host, self.port
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        return f"http://{self.host}:{self.port}"
 
     def stop(self) -> None:
         """Signal shutdown, drain the service, and join the thread."""

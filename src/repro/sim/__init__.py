@@ -35,7 +35,7 @@ from repro.sim.backends import (
     ensure_picklable,
     resolve_backend,
 )
-from repro.sim.batch import BatchResult, replication_rngs
+from repro.sim.batch import BatchResult
 from repro.sim.dynamic import DynamicRunResult, DynamicSimulator, EventBatchRecord
 from repro.sim.periodic import PeriodicSimulator, PeriodicResult
 from repro.sim.results import SimulationResult, StepTrace
@@ -52,7 +52,6 @@ __all__ = [
     "ensure_picklable",
     "resolve_backend",
     "BatchResult",
-    "replication_rngs",
     "DynamicSimulator",
     "DynamicRunResult",
     "EventBatchRecord",

@@ -12,14 +12,14 @@ so replication ``i`` is reproducible in isolation no matter how many
 replications run or how they are scheduled across workers.  A
 single-replication batch reproduces a sequential :class:`~repro.sim.engine.Simulator`
 run bit for bit when the simulator is handed the matching spawned stream
-(see :func:`replication_rngs`).  This module holds the stream derivation,
+(see :func:`child_seed_sequences`).  This module holds the stream derivation,
 the one-replication worker and the batch result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.obs import current_observer
 from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
 
-__all__ = ["BatchResult", "child_seed_sequences", "replication_rngs"]
+__all__ = ["BatchResult", "child_seed_sequences"]
 
 
 def child_seed_sequences(
@@ -60,44 +60,12 @@ def child_seed_sequences(
     ]
 
 
-def replication_rngs(
-    seed: Optional[int], replications: int, first: int = 0
-) -> List[np.random.Generator]:
-    """Independent generator streams, one per replication.
-
-    Streams are spawned from ``np.random.SeedSequence(seed)``, so replication
-    ``i`` always sees the same stream regardless of the total replication
-    count or of how replications are spread over jobs.  A batch consumes
-    exactly these streams — and so does each successive
-    :meth:`repro.api.ChannelAccessSystem.simulate` call — which makes a
-    single replication reproducible with the sequential simulator::
-
-        rng = replication_rngs(seed, replications=1)[0]
-        trace = Simulator(graph, channels, rng=rng).run(policy, n)
-
-    ``first`` shifts the window: ``replication_rngs(seed, 1, first=i)[0]``
-    is exactly the stream replication ``i`` of a larger batch would see,
-    which is how sweep work units re-run a single replication in isolation.
-    """
-    if replications <= 0:
-        raise ValueError(f"replications must be positive, got {replications}")
-    return [
-        np.random.default_rng(child)
-        for child in child_seed_sequences(seed, replications, first=first)
-    ]
-
-
 @dataclass
 class BatchResult:
     """Aggregate of ``R`` independent :class:`SimulationResult` traces."""
 
     policy_name: str
     results: List[SimulationResult] = field(default_factory=list)
-
-    @property
-    def num_replications(self) -> int:
-        """Number of replications ``R``."""
-        return len(self.results)
 
     @property
     def num_rounds(self) -> int:
@@ -107,14 +75,6 @@ class BatchResult:
     def expected_reward_matrix(self) -> np.ndarray:
         """Per-round expected throughputs, shape ``(R, num_rounds)``."""
         return np.stack([r.expected_rewards() for r in self.results])
-
-    def observed_reward_matrix(self) -> np.ndarray:
-        """Per-round observed throughputs, shape ``(R, num_rounds)``."""
-        return np.stack([r.observed_rewards() for r in self.results])
-
-    def mean_expected_rewards(self) -> np.ndarray:
-        """Replication-averaged per-round expected throughput."""
-        return self.expected_reward_matrix().mean(axis=0)
 
     def mean_regret_trace(self) -> np.ndarray:
         """Replication-averaged cumulative (ideal) regret trace.

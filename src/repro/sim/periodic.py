@@ -52,11 +52,6 @@ class PeriodicResult:
         """Number of simulated periods."""
         return len(self.trace)
 
-    @property
-    def num_slots(self) -> int:
-        """Total number of simulated time slots."""
-        return self.num_periods * self.period_slots
-
     def actual_throughputs(self) -> np.ndarray:
         """Per-period actual throughput R_P(z)."""
         return self.trace.column("observed")

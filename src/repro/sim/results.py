@@ -11,9 +11,8 @@ columns filled once per step; :class:`SimulationResult`,
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -107,12 +106,3 @@ class SimulationResult:
     def total_wall_clock(self) -> float:
         """Total measured wall-clock seconds across all rounds."""
         return float(np.nansum(self.round_durations()))
-
-    def strategy_play_counts(self) -> Dict[Strategy, int]:
-        """How many times each distinct strategy was played."""
-        return dict(Counter(self.trace.strategies))
-
-    def average_expected_throughput(self) -> float:
-        """Mean per-round expected throughput over the whole run."""
-        rewards = self.expected_rewards()
-        return float(rewards.mean()) if rewards.size else 0.0

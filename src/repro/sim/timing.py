@@ -69,13 +69,6 @@ class TimingConfig:
         """Effective-throughput factor ``theta = t_d / t_a``."""
         return self.data_transmission_ms / self.round_ms
 
-    # ------------------------------------------------------------------
-    # Throughput scaling
-    # ------------------------------------------------------------------
-    def effective_throughput(self, reward: float) -> float:
-        """Per-round throughput corrected for the time spent on learning."""
-        return self.theta * reward
-
     def period_efficiency(self, period_slots: int) -> float:
         """Effective-throughput factor of a ``y``-slot update period.
 
@@ -97,16 +90,6 @@ class TimingConfig:
     def paper_defaults(cls) -> "TimingConfig":
         """The Table II values used by all paper experiments."""
         return cls()
-
-    @classmethod
-    def ideal(cls) -> "TimingConfig":
-        """No learning overhead (``theta`` approaches 1): zero-cost decisions."""
-        return cls(
-            local_broadcast_ms=0.0,
-            local_computation_ms=0.0,
-            data_transmission_ms=1000.0,
-            decision_mini_rounds=0,
-        )
 
 
 def table2_report(timing: Optional[TimingConfig] = None) -> Dict[str, float]:

@@ -6,42 +6,12 @@ import pytest
 from repro.channels.catalog import (
     PAPER_RATES_KBPS,
     assign_rates_to_network,
-    normalized_paper_rates,
-    paper_channel_models,
 )
 
 
 class TestPaperRates:
     def test_exact_catalogue_values(self):
         assert tuple(PAPER_RATES_KBPS) == (150.0, 225.0, 300.0, 450.0, 600.0, 900.0, 1200.0, 1350.0)
-
-    def test_normalized_rates_bounds(self):
-        rates = normalized_paper_rates()
-        assert max(rates) == pytest.approx(1.0)
-        assert min(rates) == pytest.approx(150.0 / 1350.0)
-
-    def test_normalization_preserves_order(self):
-        rates = normalized_paper_rates()
-        assert rates == sorted(rates)
-
-
-class TestPaperChannelModels:
-    def test_eight_models_with_matching_means(self):
-        models = paper_channel_models()
-        assert len(models) == 8
-        assert [m.mean for m in models] == list(PAPER_RATES_KBPS)
-
-    def test_normalized_models(self):
-        models = paper_channel_models(normalized=True)
-        assert max(m.mean for m in models) == pytest.approx(1.0)
-
-    def test_relative_std_applied(self):
-        models = paper_channel_models(relative_std=0.1)
-        assert models[0].std == pytest.approx(15.0)
-
-    def test_invalid_relative_std(self):
-        with pytest.raises(ValueError):
-            paper_channel_models(relative_std=-0.1)
 
 
 class TestAssignRates:

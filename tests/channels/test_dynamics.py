@@ -66,9 +66,6 @@ class TestAdversarialChannel:
         with pytest.raises(ValueError):
             AdversarialChannel([1.0, -2.0])
 
-    def test_sequence_length(self):
-        assert AdversarialChannel([1.0, 1.0, 1.0]).sequence_length == 3
-
 
 class TestPoliciesUnderNonIIDChannels:
     def test_learning_still_runs_and_stays_feasible(self, rng):

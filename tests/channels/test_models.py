@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channels.models import (
-    BernoulliChannel,
-    ConstantChannel,
-    GaussianChannel,
-    TruncatedGaussianChannel,
-    UniformChannel,
-)
+from repro.channels.models import GaussianChannel
 
 
 class TestGaussianChannel:
@@ -35,61 +29,3 @@ class TestGaussianChannel:
             GaussianChannel(-1.0, 1.0)
         with pytest.raises(ValueError):
             GaussianChannel(1.0, -1.0)
-
-
-class TestTruncatedGaussianChannel:
-    def test_samples_stay_in_bounds(self, rng):
-        channel = TruncatedGaussianChannel(0.5, 0.5, low=0.0, high=1.0)
-        samples = channel.sample(rng, size=2000)
-        assert (samples >= 0.0).all() and (samples <= 1.0).all()
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            TruncatedGaussianChannel(0.5, 0.1, low=1.0, high=0.0)
-        with pytest.raises(ValueError):
-            TruncatedGaussianChannel(2.0, 0.1, low=0.0, high=1.0)
-
-    def test_bounds_property(self):
-        assert TruncatedGaussianChannel(0.5, 0.1).bounds == (0.0, 1.0)
-
-
-class TestBernoulliChannel:
-    def test_mean_property(self):
-        assert BernoulliChannel(0.3).mean == 0.3
-
-    def test_samples_are_binary(self, rng):
-        samples = BernoulliChannel(0.5).sample(rng, size=500)
-        assert set(np.unique(samples)).issubset({0.0, 1.0})
-
-    def test_sample_mean_converges(self, rng):
-        samples = BernoulliChannel(0.7).sample(rng, size=20000)
-        assert np.mean(samples) == pytest.approx(0.7, abs=0.02)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            BernoulliChannel(1.5)
-        with pytest.raises(ValueError):
-            BernoulliChannel(-0.1)
-
-
-class TestUniformChannel:
-    def test_mean_is_midpoint(self):
-        assert UniformChannel(2.0, 6.0).mean == 4.0
-
-    def test_samples_in_support(self, rng):
-        samples = UniformChannel(2.0, 6.0).sample(rng, size=1000)
-        assert (samples >= 2.0).all() and (samples <= 6.0).all()
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            UniformChannel(5.0, 1.0)
-
-
-class TestConstantChannel:
-    def test_scalar_and_vector_samples(self, rng):
-        channel = ConstantChannel(3.5)
-        assert channel.sample(rng) == 3.5
-        assert (channel.sample(rng, size=10) == 3.5).all()
-
-    def test_mean(self):
-        assert ConstantChannel(7.0).mean == 7.0

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.channels.models import ConstantChannel, GaussianChannel
+from repro.channels.models import GaussianChannel
 from repro.channels.state import ChannelState
 
 
 def constant_state(means):
-    """Build a ChannelState of ConstantChannel models from a nested list."""
-    return ChannelState([[ConstantChannel(value) for value in row] for row in means])
+    """Build a ChannelState of zero-variance Gaussians from a nested list."""
+    return ChannelState([[GaussianChannel(value, 0.0) for value in row] for row in means])
 
 
 class TestConstruction:
@@ -21,7 +21,7 @@ class TestConstruction:
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
-            ChannelState([[ConstantChannel(1.0)], [ConstantChannel(1.0), ConstantChannel(2.0)]])
+            constant_state([[1.0], [1.0, 2.0]])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -50,19 +50,10 @@ class TestMeansAndIndexing:
         state = constant_state([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(state.mean_matrix().reshape(-1), state.mean_vector())
 
-    def test_arm_index_roundtrip(self):
-        state = constant_state([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        for node in range(2):
-            for channel in range(3):
-                arm = state.arm_index(node, channel)
-                assert state.arm_to_pair(arm) == (node, channel)
-
     def test_out_of_range(self):
         state = constant_state([[1.0]])
         with pytest.raises(ValueError):
             state.mean(5, 0)
-        with pytest.raises(ValueError):
-            state.arm_to_pair(99)
 
     def test_mean_matrix_is_copy(self):
         state = constant_state([[1.0, 2.0]])
@@ -76,15 +67,10 @@ class TestSampling:
         state = constant_state([[5.0, 7.0]])
         assert state.sample(0, 1, rng) == 7.0
 
-    def test_sample_assignment(self, rng):
-        state = constant_state([[1.0, 2.0], [3.0, 4.0]])
-        observations = state.sample_assignment({0: 1, 1: 0}, rng)
-        assert observations == {0: 2.0, 1: 3.0}
-
     def test_sample_arms(self, rng):
         state = constant_state([[1.0, 2.0], [3.0, 4.0]])
-        observations = state.sample_arms([0, 3], rng)
-        assert observations == {0: 1.0, 3: 4.0}
+        observations = state.sample_arm_array(np.array([0, 3]), rng)
+        assert list(observations) == [1.0, 4.0]
 
     def test_expected_reward(self):
         state = constant_state([[1.0, 2.0], [3.0, 4.0]])

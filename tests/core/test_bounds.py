@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bounds import theorem1_regret_bound, theorem5_practical_regret_bound
+from repro.core.bounds import theorem1_regret_bound
 
 
 class TestTheorem1Bound:
@@ -38,28 +38,6 @@ class TestTheorem1Bound:
             theorem1_regret_bound(10, 3, 9, 0.5)
 
 
-class TestTheorem5Bound:
-    def test_reduces_towards_theorem1_when_theta_is_one(self):
-        practical = theorem5_practical_regret_bound(1000, 5, 15, alpha=1.0, theta=1.0)
-        ideal = theorem1_regret_bound(1000, 5, 15, beta=1.0)
-        assert practical == pytest.approx(ideal)
-
-    def test_smaller_theta_gives_larger_bound(self):
-        # Less transmission time means a worse effective approximation ratio
-        # theta * alpha, which inflates the bound's tail term.
-        half = theorem5_practical_regret_bound(1000, 5, 15, alpha=1.5, theta=0.5)
-        full = theorem5_practical_regret_bound(1000, 5, 15, alpha=1.5, theta=1.0)
-        assert half > full
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            theorem5_practical_regret_bound(10, 3, 9, alpha=0.5, theta=0.5)
-        with pytest.raises(ValueError):
-            theorem5_practical_regret_bound(10, 3, 9, alpha=1.0, theta=0.0)
-        with pytest.raises(ValueError):
-            theorem5_practical_regret_bound(-5, 3, 9, alpha=1.0, theta=0.5)
-
-
 class TestBoundVersusSimulation:
     def test_measured_beta_regret_below_theorem1_bound(self, rng):
         # E8: on a tiny instance the measured cumulative beta-regret must stay
@@ -80,6 +58,7 @@ class TestBoundVersusSimulation:
         result = system.simulate(
             system.paper_policy(r=1), num_rounds=50, optimal_value=optimum
         )
-        measured = result.tracker.beta_regret_trace(beta=1.0)[-1]
+        # At beta = 1 the beta-regret is the plain cumulative regret.
+        measured = result.tracker.regret_trace()[-1]
         bound = theorem1_regret_bound(50, num_nodes=5, num_arms=10, beta=1.0)
         assert measured <= bound

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.estimators import WeightEstimator
-from repro.core.regret import beta_regret, cumulative_regret, practical_regret
+from repro.core.regret import cumulative_regret, practical_regret
 from repro.core.strategy import Strategy
 
 
@@ -76,15 +76,9 @@ def test_regret_trace_is_additive_over_rounds(rewards, optimum):
         max_size=30,
     ),
     optimum=st.floats(min_value=1.0, max_value=100.0, allow_nan=False),
-    beta=st.floats(min_value=1.0, max_value=10.0, allow_nan=False),
     theta=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
 )
-def test_beta_and_practical_regret_are_consistent_shifts(rewards, optimum, beta, theta):
-    plain = cumulative_regret(optimum, rewards)
-    beta_trace = beta_regret(optimum, rewards, beta)
-    rounds = np.arange(1, len(rewards) + 1)
-    # beta-regret differs from plain regret exactly by the benchmark shift.
-    assert np.allclose(plain - beta_trace, rounds * optimum * (1 - 1 / beta), atol=1e-8)
+def test_practical_regret_is_regret_of_scaled_throughput(rewards, optimum, theta):
     practical = practical_regret(optimum, rewards, theta=theta, beta=1.0)
     scaled = cumulative_regret(optimum, [theta * r for r in rewards])
     assert np.allclose(practical, scaled, atol=1e-8)

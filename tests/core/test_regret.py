@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.regret import (
     RegretTracker,
-    beta_regret,
     cumulative_regret,
     practical_regret,
 )
@@ -26,22 +25,6 @@ class TestCumulativeRegret:
 
     def test_empty_rewards(self):
         assert cumulative_regret(5.0, []).size == 0
-
-
-class TestBetaRegret:
-    def test_negative_when_beating_benchmark(self):
-        trace = beta_regret(10.0, [8.0, 8.0], beta=2.0)
-        assert np.allclose(trace, [-3.0, -6.0])
-
-    def test_beta_one_equals_plain_regret(self):
-        rewards = [4.0, 6.0, 5.0]
-        assert np.allclose(
-            beta_regret(7.0, rewards, beta=1.0), cumulative_regret(7.0, rewards)
-        )
-
-    def test_invalid_beta(self):
-        with pytest.raises(ValueError):
-            beta_regret(10.0, [1.0], beta=0.0)
 
 
 class TestPracticalRegret:
@@ -77,22 +60,8 @@ class TestRegretTracker:
         assert np.allclose(tracker.regret_trace(use_observed=True), [2.5, 2.0])
         assert np.allclose(tracker.practical_regret_trace(), [6.0, 11.0])
 
-    def test_beta_regret_trace(self):
-        tracker = RegretTracker(optimal_value=10.0)
-        tracker.record(8.0, 8.0)
-        assert np.allclose(tracker.beta_regret_trace(beta=2.0), [-3.0])
-
-    def test_average_throughput(self):
-        tracker = RegretTracker(optimal_value=None, theta=0.5)
-        tracker.record(10.0, 8.0)
-        tracker.record(10.0, 12.0)
-        assert np.allclose(tracker.average_throughput(), [4.0, 5.0])
-
     def test_missing_optimum_raises(self):
         tracker = RegretTracker()
         tracker.record(1.0, 1.0)
         with pytest.raises(ValueError):
             tracker.regret_trace()
-
-    def test_empty_average(self):
-        assert RegretTracker().average_throughput().size == 0

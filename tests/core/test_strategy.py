@@ -82,7 +82,3 @@ class TestFeasibility:
         # Nodes 0 and 2 are not adjacent in the path, so they may share.
         assert Strategy.from_assignment({0: 0, 2: 0}).is_feasible(path_extended)
 
-    def test_to_independent_set(self, path_extended):
-        strategy = Strategy.from_assignment({0: 0, 2: 1, 4: 0})
-        independent_set = strategy.to_independent_set(path_extended)
-        assert len(independent_set.vertices) == 3

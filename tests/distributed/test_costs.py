@@ -1,14 +1,11 @@
 """Tests for repro.distributed.costs."""
 
-import math
-
 import pytest
 
 from repro.distributed.costs import (
     CommunicationCosts,
     ComputationCosts,
     RoundCosts,
-    theoretical_enumeration_bound,
     theoretical_message_bound,
     theoretical_space_bound,
 )
@@ -38,12 +35,10 @@ class TestComputationCosts:
             local_mwis_calls=3, candidate_set_sizes=[5, 2, 9], mini_rounds=2
         )
         assert costs.max_candidate_set_size == 9
-        assert costs.total_candidate_vertices == 16
 
     def test_empty_defaults(self):
         costs = ComputationCosts()
         assert costs.max_candidate_set_size == 0
-        assert costs.total_candidate_vertices == 0
 
 
 class TestRoundCosts:
@@ -68,17 +63,3 @@ class TestTheoreticalBounds:
         assert theoretical_space_bound(17) == 17
         with pytest.raises(ValueError):
             theoretical_space_bound(-1)
-
-    def test_enumeration_bound_grows_with_m(self):
-        small = theoretical_enumeration_bound(5, 3, 2)
-        large = theoretical_enumeration_bound(50, 3, 2)
-        assert large >= small
-
-    def test_enumeration_bound_edge_cases(self):
-        assert theoretical_enumeration_bound(0, 3, 2) == 1.0
-        assert theoretical_enumeration_bound(1000, 10, 2) == math.inf or \
-            theoretical_enumeration_bound(1000, 10, 2) > 1e100
-
-    def test_enumeration_bound_invalid(self):
-        with pytest.raises(ValueError):
-            theoretical_enumeration_bound(5, 0, 2)

@@ -1,11 +1,6 @@
 """Tests for repro.distributed.messages."""
 
-from repro.distributed.messages import (
-    LeaderDeclaration,
-    Message,
-    StatusDetermination,
-    WeightBroadcast,
-)
+from repro.distributed.messages import LeaderDeclaration, WeightBroadcast
 
 
 class TestMessages:
@@ -14,25 +9,10 @@ class TestMessages:
         assert message.sender == 3
         assert message.hop_limit == 5
         assert message.weight == 1.25
-        assert message.payload_size() == 1
 
     def test_leader_declaration_fields(self):
         message = LeaderDeclaration(sender=1, hop_limit=5, weight=2.0, mini_round=3)
         assert message.mini_round == 3
-        assert message.payload_size() == 2
-
-    def test_status_determination_payload_counts_decisions(self):
-        message = StatusDetermination(
-            sender=0, hop_limit=7, decisions={1: True, 2: False, 3: False}
-        )
-        assert message.payload_size() == 3
-
-    def test_status_determination_empty_decisions(self):
-        message = StatusDetermination(sender=0, hop_limit=7, decisions={})
-        assert message.payload_size() == 1
-
-    def test_base_message_payload(self):
-        assert Message(sender=0, hop_limit=1).payload_size() == 1
 
     def test_messages_are_immutable(self):
         message = WeightBroadcast(sender=0, hop_limit=1, weight=1.0)

@@ -112,7 +112,6 @@ def scenarios(draw):
     steps = draw(
         st.lists(
             st.one_of(
-                st.tuples(st.just("status"), vertex_ids, statuses),
                 st.tuples(st.just("weight"), vertex_ids, st.sampled_from(LEVELS)),
                 st.tuples(st.just("truth"), vertex_ids),
                 st.tuples(st.just("mark"), statuses),
@@ -162,10 +161,7 @@ def test_undecided_set_matches_full_status_rescan(scenario):
         assert_agrees(agent, reference, exclude)
     for step in steps:
         kind = step[0]
-        if kind == "status":
-            agent.observe_status(step[1], step[2])
-            reference.observe_status(step[1], step[2])
-        elif kind == "weight":
+        if kind == "weight":
             agent.observe_weight(step[1], step[2])
             reference.observe_weight(step[1], step[2])
         elif kind == "truth":

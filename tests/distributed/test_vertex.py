@@ -38,19 +38,6 @@ class TestVertexAgentKnowledge:
         agent.observe_weight(99, 3.5)
         assert agent.known_weight(99) is None
 
-    def test_observe_status_updates_candidates(self, agent):
-        agent.observe_status(1, VertexStatus.WINNER)
-        assert 1 not in agent.undecided
-
-    def test_observe_status_never_downgrades_terminal(self, agent):
-        agent.observe_status(1, VertexStatus.WINNER)
-        agent.observe_status(1, VertexStatus.CANDIDATE)
-        assert 1 not in agent.undecided
-
-    def test_observe_status_outside_horizon_ignored(self, agent):
-        agent.observe_status(99, VertexStatus.WINNER)
-        assert 99 not in agent.undecided
-
 
 class TestVertexAgentMarking:
     def test_mark_updates_own_status_and_knowledge(self, agent):
@@ -97,7 +84,7 @@ class TestLocalMaximum:
     def test_decided_neighbors_are_ignored(self, agent):
         weights = {0: 1.0, 1: 9.0, 2: 5.0, 3: 3.0, 4: 0.5}
         agent.prime(weights)
-        agent.observe_status(1, VertexStatus.LOSER)
+        agent.undecided.discard(1)
         assert agent.is_local_maximum()
 
     def test_non_candidate_is_never_local_maximum(self, agent):
@@ -111,10 +98,9 @@ class TestCandidateSets:
         assert agent.candidate_set_r() == {1, 2, 3}
 
     def test_candidate_set_r_excludes_decided(self, agent):
-        agent.observe_status(1, VertexStatus.WINNER)
-        agent.observe_status(3, VertexStatus.LOSER)
+        agent.undecided -= {1, 3}
         assert agent.candidate_set_r() == {2}
 
     def test_undecided_excludes_self_and_decided(self, agent):
-        agent.observe_status(4, VertexStatus.LOSER)
+        agent.undecided.discard(4)
         assert agent.undecided == {0, 1, 3}

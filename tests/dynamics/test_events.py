@@ -9,12 +9,17 @@ from repro.dynamics.events import (
     MobilityStep,
     NodeArrival,
     NodeDeparture,
-    event_from_dict,
     periodic_flap_schedule,
     poisson_churn_schedule,
     random_waypoint_schedule,
 )
 from repro.graph.topology import connected_random_network, ring_network
+from repro.spec.scenario import DynamicsSpec
+
+
+def decode_event(entry):
+    """One event decoded the way a ``trace`` dynamics spec decodes it."""
+    return DynamicsSpec(kind="trace", trace=(entry,)).trace[0]
 
 
 class TestEventModel:
@@ -27,7 +32,7 @@ class TestEventModel:
             MobilityStep(round_index=9, node=1, x=0.25, y=0.75),
         ]
         for event in events:
-            rebuilt = event_from_dict(event.to_dict())
+            rebuilt = decode_event(event.to_dict())
             assert rebuilt == event
 
     def test_round_index_must_be_positive(self):
@@ -44,11 +49,11 @@ class TestEventModel:
 
     def test_unknown_event_type_is_named(self):
         with pytest.raises(ValueError, match="unknown event type"):
-            event_from_dict({"type": "meteor-strike", "round_index": 1})
+            decode_event({"type": "meteor-strike", "round_index": 1})
 
     def test_non_string_event_type_is_named(self):
         with pytest.raises(ValueError, match="unknown event type"):
-            event_from_dict({"type": ["node-departure"], "round_index": 1})
+            decode_event({"type": ["node-departure"], "round_index": 1})
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf")])
     def test_non_finite_coordinates_rejected(self, x):
@@ -59,7 +64,7 @@ class TestEventModel:
 
     def test_unknown_field_is_named(self):
         with pytest.raises(ValueError, match="unknown field"):
-            event_from_dict(
+            decode_event(
                 {"type": "node-departure", "round_index": 1, "node": 0, "speed": 3}
             )
 
@@ -86,7 +91,7 @@ class TestEventSchedule:
                 LinkFlap(round_index=4, u=0, v=1, up=True),
             ]
         )
-        rebuilt = EventSchedule(event_from_dict(entry) for entry in schedule.to_dicts())
+        rebuilt = EventSchedule(decode_event(entry) for entry in schedule.to_dicts())
         assert rebuilt == schedule
         assert rebuilt.content_hash() == schedule.content_hash()
         different = EventSchedule([NodeDeparture(round_index=2, node=2)])

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from repro.dynamics.events import LinkFlap, MobilityStep, NodeArrival, NodeDeparture
-from repro.dynamics.graph import DynamicExtendedGraph, DynamicTopology
+from repro.dynamics.graph import DynamicExtendedGraph, DynamicTopology, GraphDelta
 from repro.graph.extended import ExtendedConflictGraph
-from repro.graph.neighborhoods import NeighborhoodTable, all_r_hop_neighborhoods
+from repro.graph.neighborhoods import NeighborhoodTable, r_hop_neighborhood
 from repro.graph.topology import random_network, ring_network
 
 
@@ -21,12 +21,13 @@ def random_event(topology: DynamicTopology, rng: np.random.Generator, round_inde
     """Draw one applicable random event for the current topology state."""
     active = topology.active_nodes()
     departed = [n for n in range(topology.num_nodes) if not topology.is_active(n)]
+    geometric = topology.to_conflict_graph().positions is not None
     choices = []
     if len(active) > 1:
         choices.append("depart")
     if departed:
         choices.append("arrive")
-    if topology.is_geometric:
+    if geometric:
         choices.append("move")
     choices.append("flap")
     kind = choices[int(rng.integers(0, len(choices)))]
@@ -35,7 +36,7 @@ def random_event(topology: DynamicTopology, rng: np.random.Generator, round_inde
         return NodeDeparture(round_index=round_index, node=int(rng.choice(active)))
     if kind == "arrive":
         node = int(rng.choice(departed))
-        if topology.is_geometric:
+        if geometric:
             x, y = rng.uniform(0.0, side, size=2)
             return NodeArrival(round_index=round_index, node=node, x=float(x), y=float(y))
         return NodeArrival(round_index=round_index, node=node)
@@ -60,11 +61,14 @@ def assert_matches_fresh_build(topology, extended, table):
     fresh = ExtendedConflictGraph(snapshot)
     assert extended.adjacency == fresh.adjacency_sets()
     assert snapshot.adjacency_sets() == topology.adjacency_sets()
-    assert extended.masters() == [fresh.master_of(v) for v in fresh.vertices()]
+    assert [extended.master_of(v) for v in range(extended.num_vertices)] == [
+        fresh.master_of(v) for v in fresh.vertices()
+    ]
     for radius in table.radii:
-        assert table.balls(radius) == all_r_hop_neighborhoods(
-            fresh.adjacency_sets(), radius
-        )
+        adjacency = fresh.adjacency_sets()
+        assert table.balls(radius) == [
+            r_hop_neighborhood(adjacency, v, radius) for v in range(len(adjacency))
+        ]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -111,7 +115,7 @@ def test_flapped_link_stays_down_until_restored():
     topology.apply(LinkFlap(round_index=1, u=0, v=1, up=False))
     assert 1 not in topology.adjacency_sets()[0]
     # Redundant flap-down is a no-op delta.
-    assert topology.apply(LinkFlap(round_index=2, u=0, v=1, up=False)).is_empty
+    assert topology.apply(LinkFlap(round_index=2, u=0, v=1, up=False)) == GraphDelta()
     delta = topology.apply(LinkFlap(round_index=3, u=0, v=1, up=True))
     assert delta.added_edges == frozenset({(0, 1)})
     assert 1 in topology.adjacency_sets()[0]

@@ -33,7 +33,7 @@ def test_protocol_after_churn_matches_fresh_run_on_new_topology(r, seed):
             NodeDeparture(round_index=1, node=leaving),
         ]
     )
-    assert report.changed_topology
+    assert report.touched_vertices > 0
 
     live = engine.protocol.run(weights)
     adjacency = [set(neighbors) for neighbors in engine.extended.adjacency]

@@ -46,7 +46,6 @@ class TestGeneration:
     def test_zero_fractions_mean_empty_plan(self):
         plan = make_plan(crash=0.0, byz=0.0)
         assert plan.num_faults == 0
-        assert plan.faulty_vertices == frozenset()
 
     def test_mixed_behavior_round_robins_all_behaviors(self):
         plan = make_plan(n=40, crash=0.0, byz=0.3, behavior="mixed")

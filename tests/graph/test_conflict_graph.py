@@ -34,14 +34,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConflictGraph(2, [], num_channels=1, positions=[Point(0, 0)])
 
-    def test_from_adjacency(self):
-        adjacency = [{1}, {0, 2}, {1}]
-        graph = ConflictGraph.from_adjacency(adjacency, num_channels=2)
-        assert graph.num_nodes == 3
-        assert graph.num_edges == 2
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(0, 2)
-
 
 class TestAccessors:
     def test_neighbors_and_degree(self, path_graph):
@@ -49,9 +41,8 @@ class TestAccessors:
         assert path_graph.neighbors(2) == frozenset({1, 3})
         assert path_graph.degree(2) == 2
 
-    def test_average_and_max_degree(self, path_graph):
+    def test_average_degree(self, path_graph):
         assert path_graph.average_degree() == pytest.approx(8 / 5)
-        assert path_graph.max_degree() == 2
 
     def test_edges_iteration_is_canonical(self, path_graph):
         edges = list(path_graph.edges())
@@ -96,18 +87,6 @@ class TestStructure:
     def test_is_connected(self, path_graph):
         assert path_graph.is_connected()
         assert not ConflictGraph(3, [(0, 1)], 1).is_connected()
-
-    def test_subgraph_preserves_edges_and_channels(self, path_graph):
-        sub, mapping = path_graph.subgraph([1, 2, 3])
-        assert sub.num_nodes == 3
-        assert sub.num_channels == path_graph.num_channels
-        assert sub.has_edge(mapping[1], mapping[2])
-        assert sub.has_edge(mapping[2], mapping[3])
-        assert sub.num_edges == 2
-
-    def test_subgraph_empty_raises(self, path_graph):
-        with pytest.raises(ValueError):
-            path_graph.subgraph([])
 
     def test_adjacency_sets_is_a_copy(self, path_graph):
         adjacency = path_graph.adjacency_sets()

@@ -22,22 +22,22 @@ class TestConstruction:
         v00 = triangle_extended.vertex_index(0, 0)
         v01 = triangle_extended.vertex_index(0, 1)
         v02 = triangle_extended.vertex_index(0, 2)
-        assert triangle_extended.has_edge(v00, v01)
-        assert triangle_extended.has_edge(v00, v02)
-        assert triangle_extended.has_edge(v01, v02)
+        assert v01 in triangle_extended.neighbors(v00)
+        assert v02 in triangle_extended.neighbors(v00)
+        assert v02 in triangle_extended.neighbors(v01)
 
     def test_same_channel_conflict_edges(self, triangle_extended):
         v00 = triangle_extended.vertex_index(0, 0)
         v10 = triangle_extended.vertex_index(1, 0)
         v11 = triangle_extended.vertex_index(1, 1)
-        assert triangle_extended.has_edge(v00, v10)
-        assert not triangle_extended.has_edge(v00, v11)
+        assert v10 in triangle_extended.neighbors(v00)
+        assert v11 not in triangle_extended.neighbors(v00)
 
     def test_non_conflicting_masters_not_connected(self, path_extended):
         # Nodes 0 and 2 do not conflict in the path graph.
         v00 = path_extended.vertex_index(0, 0)
         v20 = path_extended.vertex_index(2, 0)
-        assert not path_extended.has_edge(v00, v20)
+        assert v20 not in path_extended.neighbors(v00)
 
 
 class TestIndexing:
@@ -103,11 +103,6 @@ class TestIndependentSets:
         ]
         with pytest.raises(ValueError):
             triangle_extended.independent_set_to_assignment(vertices)
-
-    def test_weight_of(self, path_extended):
-        weights = list(range(path_extended.num_vertices))
-        vertices = [0, 3, 7]
-        assert path_extended.weight_of(vertices, weights) == 10.0
 
     def test_independence_number_limited_by_channels(self):
         # A clique of 4 users with only 2 channels: at most 2 users transmit.

@@ -1,65 +1,14 @@
 """Tests for repro.graph.geometry."""
 
-import numpy as np
-import pytest
-
-from repro.graph.geometry import (
-    Point,
-    bounding_box,
-    euclidean,
-    pairwise_distances,
-    points_to_array,
-)
+from repro.graph.geometry import Point, points_to_array
 
 
 class TestPoint:
-    def test_distance_to_is_euclidean(self):
-        assert Point(0.0, 0.0).distance_to(Point(3.0, 4.0)) == pytest.approx(5.0)
-
-    def test_distance_is_symmetric(self):
-        a, b = Point(1.5, -2.0), Point(-0.5, 7.0)
-        assert a.distance_to(b) == pytest.approx(b.distance_to(a))
-
-    def test_distance_to_self_is_zero(self):
-        p = Point(2.0, 3.0)
-        assert p.distance_to(p) == 0.0
-
-    def test_translated_moves_both_coordinates(self):
-        assert Point(1.0, 2.0).translated(0.5, -1.0) == Point(1.5, 1.0)
-
-    def test_as_tuple(self):
-        assert Point(1.0, 2.0).as_tuple() == (1.0, 2.0)
-
     def test_points_are_hashable_and_equal_by_value(self):
         assert len({Point(1.0, 2.0), Point(1.0, 2.0), Point(3.0, 4.0)}) == 2
 
-    def test_euclidean_function_matches_method(self):
-        a, b = Point(0.0, 1.0), Point(1.0, 0.0)
-        assert euclidean(a, b) == pytest.approx(a.distance_to(b))
 
-
-class TestPairwiseDistances:
-    def test_shape_and_diagonal(self):
-        points = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 2.0)]
-        dist = pairwise_distances(points)
-        assert dist.shape == (3, 3)
-        assert np.allclose(np.diag(dist), 0.0)
-
-    def test_matches_manual_computation(self):
-        points = [Point(0.0, 0.0), Point(3.0, 4.0)]
-        dist = pairwise_distances(points)
-        assert dist[0, 1] == pytest.approx(5.0)
-        assert dist[1, 0] == pytest.approx(5.0)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        points = [Point(float(x), float(y)) for x, y in rng.uniform(0, 10, (15, 2))]
-        dist = pairwise_distances(points)
-        assert np.allclose(dist, dist.T)
-
-    def test_empty_input(self):
-        assert pairwise_distances([]).shape == (0, 0)
-
+class TestPointsToArray:
     def test_points_to_array_roundtrip(self):
         points = [Point(1.0, 2.0), Point(3.0, 4.0)]
         arr = points_to_array(points)
@@ -69,17 +18,3 @@ class TestPairwiseDistances:
     def test_points_to_array_empty(self):
         assert points_to_array([]).shape == (0, 2)
 
-
-class TestBoundingBox:
-    def test_simple_box(self):
-        low, high = bounding_box([Point(1.0, 5.0), Point(-2.0, 3.0), Point(0.0, 7.0)])
-        assert low == Point(-2.0, 3.0)
-        assert high == Point(1.0, 7.0)
-
-    def test_single_point_box(self):
-        low, high = bounding_box([Point(2.0, 2.0)])
-        assert low == high == Point(2.0, 2.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_box([])

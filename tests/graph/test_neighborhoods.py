@@ -3,14 +3,7 @@
 import pytest
 
 from repro.graph.conflict_graph import ConflictGraph
-from repro.graph.neighborhoods import (
-    all_r_hop_neighborhoods,
-    eccentricity,
-    graph_diameter,
-    hop_distance,
-    hop_distances,
-    r_hop_neighborhood,
-)
+from repro.graph.neighborhoods import hop_distances, r_hop_neighborhood
 
 
 class TestHopDistances:
@@ -18,12 +11,9 @@ class TestHopDistances:
         distances = hop_distances(path_graph, 0)
         assert distances == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
-    def test_hop_distance_symmetric(self, path_graph):
-        assert hop_distance(path_graph, 0, 3) == hop_distance(path_graph, 3, 0) == 3
-
-    def test_disconnected_is_infinite(self):
+    def test_unreachable_vertices_are_omitted(self):
         graph = ConflictGraph(3, [(0, 1)], num_channels=1)
-        assert hop_distance(graph, 0, 2) == float("inf")
+        assert hop_distances(graph, 0) == {0: 0, 1: 1}
 
     def test_source_out_of_range(self, path_graph):
         with pytest.raises(ValueError):
@@ -56,28 +46,8 @@ class TestRHopNeighborhood:
         with pytest.raises(ValueError):
             r_hop_neighborhood(path_graph, 0, -1)
 
-    def test_all_neighborhoods_shape(self, path_graph):
-        hoods = all_r_hop_neighborhoods(path_graph, 1)
-        assert len(hoods) == path_graph.num_nodes
-        assert hoods[0] == {0, 1}
-
     def test_extended_graph_same_master_vertices_are_one_hop(self, triangle_extended):
         v00 = triangle_extended.vertex_index(0, 0)
         v01 = triangle_extended.vertex_index(0, 1)
         assert v01 in r_hop_neighborhood(triangle_extended, v00, 1)
 
-
-class TestEccentricityAndDiameter:
-    def test_path_eccentricity(self, path_graph):
-        assert eccentricity(path_graph, 0) == 4
-        assert eccentricity(path_graph, 2) == 2
-
-    def test_path_diameter(self, path_graph):
-        assert graph_diameter(path_graph) == 4
-
-    def test_disconnected_diameter_is_infinite(self):
-        graph = ConflictGraph(3, [(0, 1)], num_channels=1)
-        assert graph_diameter(graph) == float("inf")
-
-    def test_empty_adjacency_diameter(self):
-        assert graph_diameter([]) == 0.0

@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 from repro.graph.geometry import Point
 from repro.graph.unit_disk import (
     DEFAULT_CONFLICT_RADIUS,
-    build_unit_disk_graph,
     unit_disk_edge_array,
-    unit_disk_edges,
     unit_disk_edges_naive,
 )
+
+
+def unit_disk_edges(points, radius=DEFAULT_CONFLICT_RADIUS):
+    """The grid builder's edges as a list of ``(i, j)`` tuples."""
+    return [tuple(pair) for pair in unit_disk_edge_array(points, radius=radius).tolist()]
 
 
 class TestUnitDiskEdges:
@@ -46,27 +49,6 @@ class TestUnitDiskEdges:
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):
             unit_disk_edges([Point(0.0, 0.0)], radius=0.0)
-
-
-class TestBuildUnitDiskGraph:
-    def test_adjacency_is_symmetric(self):
-        points = [Point(0.0, 0.0), Point(1.0, 0.0), Point(5.0, 5.0)]
-        adjacency = build_unit_disk_graph(points, radius=2.0)
-        assert 1 in adjacency[0]
-        assert 0 in adjacency[1]
-        assert adjacency[2] == set()
-
-    def test_line_topology_adjacency(self):
-        points = [Point(float(i), 0.0) for i in range(5)]
-        adjacency = build_unit_disk_graph(points, radius=1.0)
-        assert adjacency[0] == {1}
-        assert adjacency[2] == {1, 3}
-
-    def test_no_self_loops(self):
-        points = [Point(0.0, 0.0), Point(0.0, 0.0)]
-        adjacency = build_unit_disk_graph(points, radius=1.0)
-        assert 0 not in adjacency[0]
-        assert 1 in adjacency[0]
 
 
 class TestGridBuilderMatchesNaive:

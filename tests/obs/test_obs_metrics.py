@@ -47,7 +47,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.gauge("depth", 3)
         registry.gauge("depth", 9)
-        assert registry.gauge_value("depth") == 9
+        assert registry.snapshot()["gauges"] == {"depth": 9}
 
     def test_histograms_keep_raw_observations(self):
         registry = MetricsRegistry()
@@ -76,7 +76,7 @@ class TestMetricsRegistry:
         right.observe("h", 1.0)
         left.merge(right)
         assert left.counter_value("a") == 3
-        assert left.gauge_value("g") == 5
+        assert left.snapshot()["gauges"] == {"g": 5}
         assert left.histogram_values("h") == [1.0]
 
     def test_reset_clears_everything(self):
@@ -86,7 +86,7 @@ class TestMetricsRegistry:
         registry.observe("h", 1.0)
         registry.reset()
         assert registry.counter_value("a") == 0
-        assert registry.gauge_value("g") == 0.0
+        assert registry.snapshot()["gauges"] == {}
         assert registry.histogram_values("h") == []
 
     def test_locked_registry_behaves_identically(self):

@@ -96,7 +96,7 @@ class TestTracingObserver:
         observer.observe("latency", 0.5)
         observer.observe("latency", 1.5)
         assert observer.metrics.counter_value("hits") == 3
-        assert observer.metrics.gauge_value("depth") == 7
+        assert observer.metrics.snapshot()["gauges"] == {"depth": 7}
         assert observer.metrics.histogram_values("latency") == [0.5, 1.5]
 
     def test_activate_reparents_spans_across_threads(self):

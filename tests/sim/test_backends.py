@@ -128,7 +128,7 @@ class TestBatchProcessBackend:
             replications=2,
             jobs=2,
         )
-        assert batch.num_replications == 2
+        assert len(batch.results) == 2
 
 
 class TestFirstReplication:

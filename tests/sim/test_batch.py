@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import ChannelAccessSystem
-from repro.channels.models import BernoulliChannel, GaussianChannel
+from repro.channels.models import ChannelModel, GaussianChannel
 from repro.channels.state import ChannelState
 from repro.core.policies import CombinatorialUCBPolicy, LLRPolicy
 from repro.graph.conflict_graph import ConflictGraph
 from repro.mwis.exact import ExactMWISSolver
-from repro.sim.batch import child_seed_sequences, replication_rngs
+from repro.sim.batch import child_seed_sequences
 from repro.sim.engine import Simulator
 
 
@@ -37,20 +37,19 @@ def _ucb_factory(extended):
     )
 
 
+def _streams(seed, count):
+    return [np.random.default_rng(child) for child in child_seed_sequences(seed, count)]
+
+
 class TestReplicationRngs:
     def test_streams_are_deterministic_and_independent_of_count(self):
-        first_of_one = replication_rngs(7, 1)[0]
-        first_of_three = replication_rngs(7, 3)[0]
+        first_of_one = _streams(7, 1)[0]
+        first_of_three = _streams(7, 3)[0]
         assert first_of_one.normal() == first_of_three.normal()
 
     def test_distinct_replications_get_distinct_streams(self):
-        rngs = replication_rngs(7, 4)
-        draws = {rng.normal() for rng in rngs}
+        draws = {rng.normal() for rng in _streams(7, 4)}
         assert len(draws) == 4
-
-    def test_invalid_replication_count_rejected(self):
-        with pytest.raises(ValueError):
-            replication_rngs(0, 0)
 
     def test_child_derivation_matches_spawn_without_mutation(self):
         root = np.random.SeedSequence(7)
@@ -83,7 +82,7 @@ class TestBatchMatchesSequential:
             _ucb_factory(extended), num_rounds=40, replications=1
         )
         sequential = Simulator(
-            extended, system.channels, rng=replication_rngs(seed, 1)[0]
+            extended, system.channels, rng=_streams(seed, 1)[0]
         ).run(_ucb_factory(extended)(0), num_rounds=40)
         (ours,) = batch.results
         assert ours.trace.strategies == sequential.trace.strategies
@@ -99,21 +98,39 @@ class TestBatchMatchesSequential:
         threaded = system.simulate_batch(
             factory, num_rounds=25, replications=4, jobs=4
         )
-        assert np.array_equal(
-            serial.observed_reward_matrix(), threaded.observed_reward_matrix()
-        )
+        for ours, theirs in zip(serial.results, threaded.results):
+            assert np.array_equal(ours.observed_rewards(), theirs.observed_rewards())
         assert np.array_equal(
             serial.expected_reward_matrix(), threaded.expected_reward_matrix()
         )
 
 
-class TestDictAndArraySamplingAgree:
+class _Coin(ChannelModel):
+    """A law without Gaussian parameters, so ChannelState samples per arm."""
+
+    def __init__(self, p):
+        self._p = p
+
+    @property
+    def mean(self):
+        return self._p
+
+    def sample(self, rng, size=None):
+        return float(rng.random() < self._p)
+
+
+def _scalar_draws(channels, arms, rng):
+    """The reference: one scalar draw per arm from its own model, in order."""
+    return [channels.sample(*divmod(arm, channels.num_channels), rng) for arm in arms]
+
+
+class TestArraySamplingMatchesScalarDraws:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         data=st.data(),
     )
-    def test_gaussian_fast_path_matches_dict_api(self, seed, data):
+    def test_gaussian_fast_path_matches_scalar_draws(self, seed, data):
         means = np.arange(1.0, 13.0).reshape(4, 3)
         channels = ChannelState.from_mean_matrix(means, relative_std=0.3)
         arms = data.draw(
@@ -124,24 +141,24 @@ class TestDictAndArraySamplingAgree:
                 unique=True,
             )
         )
-        by_dict = channels.sample_arms(arms, np.random.default_rng(seed))
+        by_scalar = _scalar_draws(channels, arms, np.random.default_rng(seed))
         by_array = channels.sample_arm_array(
             np.array(arms, dtype=np.int64), np.random.default_rng(seed)
         )
-        assert [by_dict[arm] for arm in arms] == list(by_array)
+        assert by_scalar == list(by_array)
 
     def test_non_gaussian_models_fall_back_to_per_arm_sampling(self):
         channels = ChannelState(
             [
-                [BernoulliChannel(0.4), GaussianChannel(2.0, 0.1)],
-                [GaussianChannel(3.0, 0.2), BernoulliChannel(0.9)],
+                [_Coin(0.4), GaussianChannel(2.0, 0.1)],
+                [GaussianChannel(3.0, 0.2), _Coin(0.9)],
             ]
         )
-        by_dict = channels.sample_arms([0, 1, 2, 3], np.random.default_rng(11))
+        by_scalar = _scalar_draws(channels, range(4), np.random.default_rng(11))
         by_array = channels.sample_arm_array(
             np.arange(4, dtype=np.int64), np.random.default_rng(11)
         )
-        assert [by_dict[arm] for arm in range(4)] == list(by_array)
+        assert by_scalar == list(by_array)
 
     def test_out_of_range_arm_rejected(self):
         channels = ChannelState.from_mean_matrix(np.ones((2, 2)))
@@ -160,12 +177,9 @@ class TestBatchResultAggregation:
             replications=3,
             optimal_value=13.0,
         )
-        assert batch.num_replications == 3
+        assert len(batch.results) == 3
         assert batch.num_rounds == 30
         assert batch.expected_reward_matrix().shape == (3, 30)
-        assert batch.mean_expected_rewards() == pytest.approx(
-            batch.expected_reward_matrix().mean(axis=0)
-        )
         assert batch.mean_regret_trace().shape == (30,)
         assert batch.total_wall_clock() > 0.0
 

@@ -116,20 +116,19 @@ class TestSimulatorValidation:
 
 
 class TestSimulationResultHelpers:
-    def test_strategy_play_counts(self, tiny_environment, rng):
+    def test_oracle_plays_one_strategy(self, tiny_environment, rng):
         extended, channels = tiny_environment
         oracle = OraclePolicy(extended, channels.mean_vector())
         simulator = Simulator(extended, channels, rng=rng)
         result = simulator.run(oracle, num_rounds=7)
-        counts = result.strategy_play_counts()
-        assert sum(counts.values()) == 7
-        assert len(counts) == 1
+        assert len(result.trace.strategies) == 7
+        assert len(set(result.trace.strategies)) == 1
 
-    def test_average_expected_throughput(self, tiny_environment, rng):
+    def test_oracle_expected_throughput_is_optimal(self, tiny_environment, rng):
         extended, channels = tiny_environment
         oracle = OraclePolicy(extended, channels.mean_vector())
         simulator = Simulator(extended, channels, rng=rng)
         result = simulator.run(oracle, num_rounds=5)
-        assert result.average_expected_throughput() == pytest.approx(
+        assert result.expected_rewards().mean() == pytest.approx(
             oracle.optimal_value()
         )

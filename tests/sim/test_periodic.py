@@ -29,7 +29,6 @@ class TestPeriodicSimulator:
         policy = CombinatorialUCBPolicy(extended, solver=ExactMWISSolver())
         result = simulator.run(policy, num_periods=12)
         assert result.num_periods == 12
-        assert result.num_slots == 60
 
     def test_invalid_arguments(self, environment, rng):
         extended, channels = environment

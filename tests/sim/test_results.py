@@ -54,16 +54,8 @@ class TestSimulationResult:
         assert estimates[0] == 3.0
         assert np.isnan(estimates[1])
 
-    def test_strategy_play_counts(self):
-        result = SimulationResult(policy_name="p", trace=make_trace([1.0, 1.0, 1.0]))
-        counts = result.strategy_play_counts()
-        # Rounds 1 and 3 play {0: 1}, round 2 plays {0: 0}.
-        assert counts[Strategy.from_assignment({0: 1})] == 2
-        assert counts[Strategy.from_assignment({0: 0})] == 1
-
-    def test_average_expected_throughput_empty(self):
+    def test_empty_trace_has_zero_wall_clock(self):
         result = SimulationResult(policy_name="p", trace=StepTrace(0))
-        assert result.average_expected_throughput() == 0.0
         assert result.total_wall_clock() == 0.0
 
     def test_tracker_views_the_trace(self):

@@ -23,10 +23,6 @@ class TestPaperDefaults:
     def test_theta_is_one_half(self):
         assert TimingConfig.paper_defaults().theta == pytest.approx(0.5)
 
-    def test_effective_throughput(self):
-        timing = TimingConfig.paper_defaults()
-        assert timing.effective_throughput(1000.0) == pytest.approx(500.0)
-
     def test_period_efficiencies_match_paper(self):
         # Section V-C: 1/2, 9/10, 19/20, 39/40 for y = 1, 5, 10, 20.
         timing = TimingConfig.paper_defaults()
@@ -52,9 +48,6 @@ class TestValidationAndVariants:
     def test_period_slots_must_be_positive(self):
         with pytest.raises(ValueError):
             TimingConfig.paper_defaults().period_efficiency(0)
-
-    def test_ideal_timing_has_theta_one(self):
-        assert TimingConfig.ideal().theta == pytest.approx(1.0)
 
     def test_custom_timing(self):
         timing = TimingConfig(

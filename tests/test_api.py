@@ -1,5 +1,8 @@
 """Tests for the high-level ChannelAccessSystem facade and package exports."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -23,9 +26,19 @@ class TestPackageSurface:
     def test_version_string(self):
         assert repro.__version__ == "1.0.0"
 
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize(
+        "module_name",
+        ["repro"]
+        + [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith(".__main__")
+        ],
+    )
+    def test_all_exports_resolve(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module_name}.{name}"
 
 
 class TestSystemFactories:
