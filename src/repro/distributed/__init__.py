@@ -5,8 +5,6 @@ Implements the distributed strategy-decision machinery of the paper:
 * :mod:`repro.distributed.messages` -- control messages exchanged on the
   common control channel (weight broadcast, LocalLeader declaration, status
   determination).
-* :mod:`repro.distributed.vertex` -- per-vertex protocol state (statuses
-  Candidate / LocalLeader / Winner / Loser and local knowledge).
 * :mod:`repro.distributed.transport` -- the :class:`Transport` interface all
   protocol messages travel through, plus :class:`SimulatedTransport`, the
   synchronous oracle network with k-hop broadcast and per-vertex cost
@@ -14,7 +12,8 @@ Implements the distributed strategy-decision machinery of the paper:
 * :mod:`repro.distributed.serialize` -- the versioned JSON wire codec for
   control messages.
 * :mod:`repro.distributed.runtime` -- the message-driven
-  :class:`VertexProtocol` state machine, the :class:`ProtocolEngine` driver
+  :class:`VertexProtocol` state machine (statuses Candidate / LocalLeader /
+  Winner / Loser and local knowledge), the :class:`ProtocolEngine` driver
   and the real :class:`AsyncioTransport`.
 * :mod:`repro.distributed.ptas` -- the distributed robust PTAS (Algorithm 3).
 * :mod:`repro.distributed.framework` -- the per-round strategy decision
@@ -31,7 +30,6 @@ from repro.distributed.messages import (
     LeaderDeclaration,
     StatusDetermination,
 )
-from repro.distributed.vertex import VertexStatus, VertexAgent
 from repro.distributed.transport import Transport, SimulatedTransport
 from repro.distributed.serialize import (
     WIRE_SCHEMA,
@@ -45,6 +43,7 @@ from repro.distributed.runtime import (
     AsyncioTransport,
     ProtocolEngine,
     VertexProtocol,
+    VertexStatus,
 )
 from repro.distributed.ptas import (
     DistributedRobustPTAS,
@@ -76,7 +75,6 @@ __all__ = [
     "message_to_frame",
     "frame_to_message",
     "VertexStatus",
-    "VertexAgent",
     "VertexProtocol",
     "ProtocolEngine",
     "DistributedRobustPTAS",

@@ -2,9 +2,9 @@
 
 This module splits the protocol into the two halves a real deployment has:
 
-* :class:`VertexProtocol` -- the per-vertex state machine.  It owns one
-  :class:`~repro.distributed.vertex.VertexAgent` (status + local knowledge)
-  and advances through the phases of a mini-round -- LocalLeader
+* :class:`VertexProtocol` -- the per-vertex state machine.  It holds the
+  vertex's :class:`VertexStatus` and its local knowledge of the (2r+1)-hop
+  horizon, and advances through the phases of a mini-round -- LocalLeader
   selection/declaration (LS/LD), local MWIS (LMWIS), local broadcast of
   determinations (LB) -- emitting and consuming only the typed messages of
   :mod:`repro.distributed.messages` through a
@@ -29,6 +29,7 @@ the equivalence contract the transport tests pin down.
 from __future__ import annotations
 
 import asyncio
+import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -43,13 +44,13 @@ from repro.distributed.messages import (
 )
 from repro.distributed.serialize import decode_message, encode_message
 from repro.distributed.transport import Transport
-from repro.distributed.vertex import VertexAgent, VertexStatus
 from repro.graph.neighborhoods import NeighborhoodTable
 from repro.mwis.base import Adjacency, IndependentSet, MWISSolver, is_independent
 from repro.mwis.local import solve_local_mwis
 from repro.obs import current_observer
 
 __all__ = [
+    "VertexStatus",
     "MiniRoundRecord",
     "ProtocolResult",
     "VertexProtocol",
@@ -60,6 +61,28 @@ __all__ = [
 
 #: Latency distributions :class:`AsyncioTransport` can impose on deliveries.
 LATENCY_KINDS = ("none", "uniform", "exponential")
+
+
+class VertexStatus(enum.Enum):
+    """Status of a virtual vertex during Algorithm 3.
+
+    * ``CANDIDATE`` -- not yet decided, still eligible to become a Winner;
+    * ``LOCAL_LEADER`` -- a Candidate that is the maximum-weight Candidate in
+      its (2r+1)-hop neighbourhood for the current mini-round;
+    * ``WINNER`` -- included in the final independent set (will access a
+      channel);
+    * ``LOSER`` -- permanently excluded.
+    """
+
+    CANDIDATE = "candidate"
+    LOCAL_LEADER = "local_leader"
+    WINNER = "winner"
+    LOSER = "loser"
+
+    @property
+    def is_decided(self) -> bool:
+        """``True`` for terminal statuses (Winner or Loser)."""
+        return self in (VertexStatus.WINNER, VertexStatus.LOSER)
 
 
 @dataclass(frozen=True)
@@ -117,6 +140,13 @@ class _DictWeights:
         return self._length
 
 
+class _Unprimed:
+    """The weights of a vertex that was never primed: 0.0 for every vertex."""
+
+    def __getitem__(self, vertex: int) -> float:
+        return 0.0
+
+
 class VertexProtocol:
     """The per-vertex state machine of Algorithm 3.
 
@@ -126,6 +156,13 @@ class VertexProtocol:
     knowledge.  All graph structure the vertex uses (its r / r+1 / 2r+1-hop
     neighbourhoods and the adjacency needed for the local MWIS) corresponds
     to what a deployed node would discover once during neighbourhood setup.
+
+    The local knowledge covers the (2r+1)-hop neighbourhood: the estimated
+    weights (primed with the newest weights when a strategy decision starts,
+    then updated only through received announcements) and the set of
+    vertices not yet known to be a Winner or Loser.  Keeping the knowledge
+    local, instead of reading global state, is what makes the simulation
+    faithful to a distributed implementation.
 
     Parameters
     ----------
@@ -140,7 +177,10 @@ class VertexProtocol:
         Adjacency sets of ``H`` (read-only; used for the local MWIS and the
         Winner-neighbour Loser rule).
     hood_r, hood_r1, hood_2r1:
-        This vertex's r-, (r+1)- and (2r+1)-hop neighbourhoods.
+        This vertex's r-, (r+1)- and (2r+1)-hop neighbourhoods: the set a
+        LocalLeader computes its local MWIS over, the reach of the
+        Winner-neighbour Loser rule and the knowledge horizon of the
+        LocalLeader election.  All are kept by reference and never mutated.
     local_solver:
         Solver for the local MWIS instances; ``None`` means exact enumeration.
     """
@@ -156,8 +196,19 @@ class VertexProtocol:
         hood_2r1: Set[int],
         local_solver: Optional[MWISSolver] = None,
     ) -> None:
+        if vertex not in hood_2r1 or vertex not in hood_r:
+            raise ValueError("neighbourhoods must contain the vertex itself")
         self.vertex = vertex
-        self.agent = VertexAgent(vertex, neighborhood_2r1=hood_2r1, neighborhood_r=hood_r)
+        self.neighborhood_r = hood_r
+        self.neighborhood_2r1 = hood_2r1
+        self.status = VertexStatus.CANDIDATE
+        #: The decision's weights by vertex id, shared by all vertices, never mutated.
+        self.primed: Sequence[float] = _Unprimed()
+        #: Horizon announcements heard since :meth:`prime` that differ from it.
+        self.heard: Dict[int, float] = {}
+        #: The (2r+1)-hop neighbourhood minus self, minus every vertex known
+        #: to be a Winner or Loser.  Terminal statuses are never re-added.
+        self.undecided: Set[int] = hood_2r1 - {vertex}
         self._transport = transport
         self._r = r
         self._adjacency = adjacency
@@ -168,7 +219,7 @@ class VertexProtocol:
         self.last_candidate_set_size = 0
 
     # ------------------------------------------------------------------
-    # Knowledge seeding and WB phase
+    # Local knowledge
     # ------------------------------------------------------------------
     def prime(self, weights: Sequence[float]) -> None:
         """Seed the (2r+1)-hop weight knowledge Algorithm 3 starts from.
@@ -180,14 +231,86 @@ class VertexProtocol:
         every vertex keeps a reference to the same vector (it reads only its
         horizon's entries), so the caller must not mutate it.
         """
-        self.agent.prime(weights)
+        self.primed = weights
 
+    def observe_weight(self, vertex: int, weight: float) -> None:
+        """Record a weight announcement for a vertex in the knowledge horizon.
+
+        Announcements from outside the (2r+1)-hop neighbourhood are ignored,
+        mirroring the fact that such messages would never reach this vertex
+        in the real protocol.
+        """
+        if vertex in self.neighborhood_2r1:
+            weight = float(weight)
+            if weight == self.primed[vertex]:
+                self.heard.pop(vertex, None)
+            else:
+                self.heard[vertex] = weight
+
+    def mark(self, status: VertexStatus) -> None:
+        """Set this vertex's own status."""
+        if self.status.is_decided and status != self.status:
+            raise ValueError(
+                f"vertex {self.vertex} already decided as {self.status.value}; "
+                f"cannot re-mark as {status.value}"
+            )
+        self.status = status
+
+    def known_weight(self, vertex: int, default: Optional[float] = None) -> Optional[float]:
+        """The last weight known for ``vertex``; ``default`` outside the horizon."""
+        if vertex not in self.neighborhood_2r1:
+            return default
+        return self.heard.get(vertex, self.primed[vertex])
+
+    def own_weight(self) -> float:
+        """The weight this vertex currently announces for itself."""
+        return self.heard.get(self.vertex, self.primed[self.vertex])
+
+    def candidate_set_r(self, exclude: Optional[Set[int]] = None) -> Set[int]:
+        """``A_r(v)``: Candidate vertices (including self) in the r-hop
+        neighbourhood, according to local knowledge.
+
+        ``exclude`` removes vertices (other than self) from the set, used by
+        fault-mitigation runs so excluded senders never receive Winner slots.
+        """
+        candidates = self.neighborhood_r & self.undecided
+        if exclude:
+            candidates -= exclude
+        candidates.add(self.vertex)
+        return candidates
+
+    def is_local_maximum(self, exclude: Optional[Set[int]] = None) -> bool:
+        """Line 3 of Algorithm 3: is this vertex the maximum-weight Candidate
+        of its (2r+1)-hop neighbourhood?
+
+        Ties are broken by vertex id (smaller id wins) so that the election is
+        a strict total order even with equal weights — without this, two
+        adjacent equal-weight vertices could both become leaders and the
+        output could lose independence.  ``exclude`` names vertices the
+        election ignores (fault-mitigation runs pass the suspected and
+        evidence-excluded ones).  Stops at the first heavier Candidate.
+        """
+        if self.status != VertexStatus.CANDIDATE:
+            return False
+        heard = self.heard
+        primed = self.primed
+        own = (self.own_weight(), -self.vertex)
+        for other in self.undecided:
+            if (heard.get(other, primed[other]), -other) > own and (
+                not exclude or other not in exclude
+            ):
+                return False
+        return True
+
+    # ------------------------------------------------------------------
+    # WB phase
+    # ------------------------------------------------------------------
     def announce_weight(self) -> WeightBroadcast:
         """WB phase: broadcast this vertex's current weight within 2r+1 hops."""
         message = WeightBroadcast(
             sender=self.vertex,
             hop_limit=2 * self._r + 1,
-            weight=self.agent.own_weight(),
+            weight=self.own_weight(),
         )
         self._transport.broadcast(message, phase="WB")
         return message
@@ -197,16 +320,15 @@ class VertexProtocol:
     # ------------------------------------------------------------------
     def begin_mini_round(self, mini_round: int) -> Optional[LeaderDeclaration]:
         """LS + LD: declare LocalLeader when locally maximum among Candidates."""
-        agent = self.agent
-        if agent.status != VertexStatus.CANDIDATE:
+        if self.status != VertexStatus.CANDIDATE:
             return None
-        if not agent.is_local_maximum(exclude=self._election_exclusions()):
+        if not self.is_local_maximum(exclude=self._election_exclusions()):
             return None
-        agent.mark(VertexStatus.LOCAL_LEADER)
+        self.mark(VertexStatus.LOCAL_LEADER)
         message = LeaderDeclaration(
             sender=self.vertex,
             hop_limit=2 * self._r + 1,
-            weight=agent.own_weight(),
+            weight=self.own_weight(),
             mini_round=mini_round,
         )
         self._transport.broadcast(message, phase="LD")
@@ -224,15 +346,14 @@ class VertexProtocol:
         applied to this vertex's own state immediately (the leader does not
         hear its own broadcast).
         """
-        agent = self.agent
-        if agent.status != VertexStatus.LOCAL_LEADER:
+        if self.status != VertexStatus.LOCAL_LEADER:
             return None
-        candidate_set = agent.candidate_set_r(exclude=self._election_exclusions())
+        candidate_set = self.candidate_set_r(exclude=self._election_exclusions())
         winners = self._choose_winners(candidate_set)
         winner_neighbors: Set[int] = set()
         for winner in winners:
             winner_neighbors |= self._adjacency[winner]
-        removal = candidate_set | (winner_neighbors & self._hood_r1 & agent.undecided)
+        removal = candidate_set | (winner_neighbors & self._hood_r1 & self.undecided)
         losers = removal - winners
         self.last_candidate_set_size = len(candidate_set)
         decisions: Dict[int, bool] = {vertex: True for vertex in winners}
@@ -244,10 +365,10 @@ class VertexProtocol:
             mini_round=mini_round,
         )
         self._transport.broadcast(message, phase="LB")
-        agent.mark(
+        self.mark(
             VertexStatus.WINNER if decisions[self.vertex] else VertexStatus.LOSER
         )
-        agent.undecided.difference_update(decisions)
+        self.undecided.difference_update(decisions)
         return message
 
     def _election_exclusions(self) -> Optional[Set[int]]:
@@ -256,9 +377,8 @@ class VertexProtocol:
 
     def _choose_winners(self, candidate_set: Set[int]) -> Set[int]:
         """LMWIS: the Winners this LocalLeader picks from ``A_r(v)``."""
-        agent = self.agent
         local_weights = {
-            vertex: agent.known_weight(vertex, 0.0) for vertex in candidate_set
+            vertex: self.known_weight(vertex, 0.0) for vertex in candidate_set
         }
         solution = solve_local_mwis(
             self._adjacency,
@@ -282,27 +402,21 @@ class VertexProtocol:
         Status determinations naming this vertex also mark it (unless it is
         already decided — possible only when a lossy transport let a leader
         act on stale knowledge; terminal statuses are never overwritten), and
-        every vertex they name leaves :attr:`VertexAgent.undecided`.
+        every vertex they name leaves :attr:`undecided`.
         Leader declarations need no handler: elections are decided from the
         weight knowledge, the declaration itself is informational.
         """
-        agent = self.agent
         if isinstance(message, StatusDetermination):
             decisions = message.decisions
-            if agent.vertex in decisions and not agent.status.is_decided:
-                agent.mark(
+            if self.vertex in decisions and not self.status.is_decided:
+                self.mark(
                     VertexStatus.WINNER
-                    if decisions[agent.vertex]
+                    if decisions[self.vertex]
                     else VertexStatus.LOSER
                 )
-            agent.undecided.difference_update(decisions)
+            self.undecided.difference_update(decisions)
         elif isinstance(message, WeightBroadcast):
-            agent.observe_weight(message.sender, message.weight)
-
-    @property
-    def status(self) -> VertexStatus:
-        """Current protocol status of this vertex."""
-        return self.agent.status
+            self.observe_weight(message.sender, message.weight)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"VertexProtocol(vertex={self.vertex}, status={self.status.value})"
@@ -532,7 +646,7 @@ class ProtocolEngine:
             ),
             computation=computation,
             stored_weights_per_vertex=[
-                len(vertex.agent.neighborhood_2r1) for vertex in vertices
+                len(vertex.neighborhood_2r1) for vertex in vertices
             ],
         )
         independent_set = IndependentSet.from_iterable(winners, weights)
@@ -629,8 +743,12 @@ class AsyncioTransport(Transport):
     latency_scale:
         Scale of the latency distribution, in broadcast ticks.
     reorder:
-        Randomly permute same-time deliveries (an adversarial scheduler even
-        without latency).
+        Randomly permute same-time deliveries.  The only same-time
+        deliveries are those of one broadcast, one per recipient, so on its
+        own (or with ``"uniform"`` latency at ``latency_scale <= 1``, whose
+        delays never pass the next broadcast) it changes no recipient's
+        arrival order.  Its jitter draws share the fault stream, so with
+        drops it only changes which deliveries drop.
     drop_probability:
         Per-(message, recipient) Bernoulli drop probability.
     seed:
@@ -725,9 +843,10 @@ class AsyncioTransport(Transport):
             if not line:
                 return
             message = self._decode(line)
+            name = type(message).__name__
             self._inboxes[vertex].append(message)
-            self.delivery_trace.append((type(message).__name__, message.sender, vertex))
-            self._telemetry.count_delivered_type(type(message).__name__)
+            self.delivery_trace.append((name, message.sender, vertex))
+            self._delivered_by_type[name] += 1
             self._in_flight -= 1
 
     def _decode(self, line: bytes) -> Message:
@@ -758,7 +877,7 @@ class AsyncioTransport(Transport):
                 self._drop_probability > 0.0
                 and self._rng.random() < self._drop_probability
             ):
-                self._telemetry.count_drop()
+                self._dropped += 1
                 continue
             if self._latency == "uniform":
                 delay = float(self._rng.uniform(0.0, self._latency_scale))
@@ -771,7 +890,10 @@ class AsyncioTransport(Transport):
             self._staged.append(
                 (self._clock + delay, jitter, self._sequence, recipient, line)
             )
-            self._telemetry.count_delivery_latency(delay)
+            self._deliveries += 1
+            self._latency_total += delay
+            if delay > self._latency_max:
+                self._latency_max = delay
         self._last_recipients = len(recipients)
 
     async def _until_routed(self) -> None:
@@ -788,7 +910,7 @@ class AsyncioTransport(Transport):
             # A frame delivered after a later-sent frame to the same recipient
             # arrived out of send order (latency or reordering moved it).
             if sequence < self._last_delivered_seq[recipient]:
-                self._telemetry.count_out_of_order()
+                self._out_of_order += 1
             else:
                 self._last_delivered_seq[recipient] = sequence
             self._in_flight += 1

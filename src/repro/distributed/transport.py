@@ -25,7 +25,6 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.distributed.messages import Message
-from repro.distributed.telemetry import DeliveryTelemetry
 from repro.graph.neighborhoods import NeighborhoodTable
 
 __all__ = ["Transport", "SimulatedTransport"]
@@ -46,7 +45,10 @@ class Transport(abc.ABC):
     accounting, so protocol results stay comparable across transports: one
     originated message per broadcast, one delivery per (message, recipient)
     pair and ``max(1, hop_limit)`` mini-timeslots per broadcast, with
-    zero-hop broadcasts charging nothing.
+    zero-hop broadcasts charging nothing.  It also keeps the delivery
+    counters :meth:`telemetry_summary` reports (deliveries, drops,
+    out-of-order arrivals, virtual latency and deliveries per message type),
+    which subclasses bump as they deliver.
 
     Parameters
     ----------
@@ -69,7 +71,6 @@ class Transport(abc.ABC):
         self._neighborhoods = (
             neighborhoods if neighborhoods is not None else NeighborhoodTable(adjacency)
         )
-        self._telemetry = DeliveryTelemetry()
         self.reset_costs()
 
     # ------------------------------------------------------------------
@@ -146,12 +147,12 @@ class Transport(abc.ABC):
     @property
     def total_deliveries(self) -> int:
         """Total number of (message, recipient) deliveries (drops excluded)."""
-        return self._telemetry.deliveries
+        return self._deliveries
 
     @property
     def total_dropped(self) -> int:
         """(message, recipient) pairs lost to the drop model (0 if lossless)."""
-        return self._telemetry.dropped
+        return self._dropped
 
     def mini_timeslots(self, phase: Optional[str] = None) -> int:
         """Mini-timeslots consumed, optionally restricted to one phase."""
@@ -163,21 +164,38 @@ class Transport(abc.ABC):
         """Flat numeric delivery summary (``net_*`` keys, float values).
 
         Every transport reports the same schema — ``net_deliveries``,
-        ``net_dropped``, ``net_out_of_order``, ``net_latency_mean``,
-        ``net_latency_max`` and per-type ``net_delivered_<Type>`` counts —
-        backed by :class:`repro.distributed.telemetry.DeliveryTelemetry`
-        on the obs metrics registry.  On the instant, lossless simulated
-        transport drops, out-of-order arrivals and latency are structurally
-        zero.  The summary never enters the envelope's canonical form, so
-        recording it cannot perturb result hashes.
+        ``net_dropped``, ``net_out_of_order``, ``net_latency_mean`` /
+        ``net_latency_max`` (virtual latency over all deliveries) and one
+        ``net_delivered_<Type>`` count per message type delivered, in type
+        name order.  On the instant, lossless simulated transport drops,
+        out-of-order arrivals and latency are structurally zero.  Records
+        carry the summary only for lossy transport settings, so a lossless
+        run's envelope never sees it.
         """
-        return self._telemetry.summary()
+        deliveries = self._deliveries
+        summary: Dict[str, float] = {
+            "net_deliveries": float(deliveries),
+            "net_dropped": float(self._dropped),
+            "net_out_of_order": float(self._out_of_order),
+            "net_latency_mean": (
+                self._latency_total / deliveries if deliveries else 0.0
+            ),
+            "net_latency_max": self._latency_max,
+        }
+        for name in sorted(self._delivered_by_type):
+            summary[f"net_delivered_{name}"] = float(self._delivered_by_type[name])
+        return summary
 
     def reset_costs(self) -> None:
         """Zero all counters (inboxes and staged deliveries are kept)."""
         self._messages_sent: List[int] = [0] * self._num_vertices
-        self._telemetry.reset()
         self._mini_timeslots: Dict[str, int] = defaultdict(int)
+        self._deliveries = 0
+        self._dropped = 0
+        self._out_of_order = 0
+        self._latency_total = 0.0
+        self._latency_max = 0.0
+        self._delivered_by_type: Dict[str, int] = defaultdict(int)
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -241,10 +259,8 @@ class SimulatedTransport(Transport):
         for recipient in recipients:
             self._inboxes[recipient].append(message)
         if recipients:
-            self._telemetry.count_deliveries(len(recipients))
-            self._telemetry.count_delivered_type(
-                type(message).__name__, len(recipients)
-            )
+            self._deliveries += len(recipients)
+            self._delivered_by_type[type(message).__name__] += len(recipients)
         return len(recipients)
 
     def collect(self, vertex: int) -> List[Message]:

@@ -45,9 +45,13 @@ from repro.distributed.messages import (
     StatusDetermination,
     WeightBroadcast,
 )
-from repro.distributed.runtime import ProtocolEngine, ProtocolResult, VertexProtocol
+from repro.distributed.runtime import (
+    ProtocolEngine,
+    ProtocolResult,
+    VertexProtocol,
+    VertexStatus,
+)
 from repro.distributed.transport import Transport
-from repro.distributed.vertex import VertexAgent, VertexStatus
 from repro.faults.plan import CRASH_PHASES, FaultPlan
 from repro.faults.quorum import QuorumConfig, QuorumState, termination_bound
 from repro.graph.neighborhoods import NeighborhoodTable
@@ -162,8 +166,8 @@ class FaultController:
         fault = self.crashes.get(vertex)
         return fault is not None and self.clock >= fault.crash_time()
 
-    def fake_weight(self, agent: VertexAgent) -> float:
-        """The inflated weight Byzantine ``agent`` announces (memoized).
+    def fake_weight(self, machine: VertexProtocol) -> float:
+        """The inflated weight Byzantine ``machine`` announces (memoized).
 
         The claim exceeds the *sum* of all true weights in the vertex's
         (2r+1)-hop horizon, so it wins every election it enters and — the
@@ -172,10 +176,10 @@ class FaultController:
         the primed truth: no runtime randomness, so fault runs stay
         transport-deterministic.
         """
-        vertex = agent.vertex
+        vertex = machine.vertex
         cached = self._fake_weights.get(vertex)
         if cached is None:
-            horizon_total = sum(agent.known_weight(u) for u in self.hood_2r1[vertex])
+            horizon_total = sum(machine.known_weight(u) for u in self.hood_2r1[vertex])
             cached = horizon_total * 1.5 + 1.0
             self._fake_weights[vertex] = cached
         return cached
@@ -206,8 +210,8 @@ class FaultyVertexProtocol(VertexProtocol):
         if self.behavior is not None:
             # Observe the lie into our own knowledge first, so the base
             # broadcast announces it and our own elections believe it.
-            fake = self._controller.fake_weight(self.agent)
-            self.agent.observe_weight(self.vertex, fake)
+            fake = self._controller.fake_weight(self)
+            self.observe_weight(self.vertex, fake)
         return super().announce_weight()
 
     # ------------------------------------------------------------------
@@ -239,7 +243,6 @@ class FaultyVertexProtocol(VertexProtocol):
         if self.behavior not in ("winner-usurpation", "conflicting-decisions"):
             return super()._choose_winners(candidate_set)
         # Byzantine LB: skip the LMWIS and claim what the behavior dictates.
-        agent = self.agent
         winners: Set[int] = {self.vertex}
         if self.behavior == "conflicting-decisions":
             # Also crown the heaviest adjacent candidate: two adjacent
@@ -247,9 +250,9 @@ class FaultyVertexProtocol(VertexProtocol):
             partner = None
             partner_key = None
             for u in self._adjacency[self.vertex]:
-                if u not in agent.undecided:
+                if u not in self.undecided:
                     continue
-                key = (agent.known_weight(u, 0.0), -u)
+                key = (self.known_weight(u, 0.0), -u)
                 if partner_key is None or key > partner_key:
                     partner, partner_key = u, key
             if partner is not None:
@@ -293,10 +296,10 @@ class FaultyVertexProtocol(VertexProtocol):
         state = self.quorum_state
         if state is None or self._controller.is_crashed(self.vertex):
             return
-        if self.agent.status.is_decided:
+        if self.status.is_decided:
             state.heard.clear()
             return
-        state.end_mini_round(self.agent.undecided - state.excluded)
+        state.end_mini_round(self.undecided - state.excluded)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -320,7 +323,7 @@ class FaultyVertexProtocol(VertexProtocol):
         if isinstance(message, (WeightBroadcast, LeaderDeclaration)):
             # An honest announcement repeats the primed truth bit for bit,
             # so *any* mismatch against current knowledge is hard evidence.
-            known = self.agent.known_weight(sender)
+            known = self.known_weight(sender)
             if known is not None and float(message.weight) != known:
                 state.convict(sender, "weight-mismatch")
                 return
@@ -359,15 +362,14 @@ class FaultyVertexProtocol(VertexProtocol):
             for other in winners:
                 if other != winner and other in neighbors:
                     return "dependent-winners"
-        agent = self.agent
         sender = message.sender
-        sender_weight = agent.known_weight(sender)
+        sender_weight = self.known_weight(sender)
         if sender_weight is not None:
             sender_key = (sender_weight, -sender)
-            for u in self._controller.hood_2r1[sender] & agent.undecided:
+            for u in self._controller.hood_2r1[sender] & self.undecided:
                 if u == sender or state.ignores(u):
                     continue
-                weight = agent.known_weight(u)
+                weight = self.known_weight(u)
                 if weight is not None and (weight, -u) > sender_key:
                     return "not-leader"
         return None

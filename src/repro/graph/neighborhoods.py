@@ -1,13 +1,15 @@
 """Hop distances and r-hop neighbourhoods.
 
 The robust PTAS and its distributed variant operate on r-hop neighbourhoods
-``J_{G,r}(v) = {u : d_G(u, v) <= r}`` (Table I of the paper).  The helpers
-here accept any adjacency-set sequence *or* a CSR-backed graph
-(:class:`~repro.graph.conflict_graph.ConflictGraph`,
-:class:`~repro.graph.extended.ExtendedConflictGraph`), so they are shared by
-the original conflict graph ``G`` and the extended conflict graph ``H``.
+``J_{G,r}(v) = {u : d_G(u, v) <= r}`` (Table I of the paper).
+:func:`r_hop_neighborhood` accepts any adjacency-set sequence *or* a
+CSR-backed graph (:class:`~repro.graph.conflict_graph.ConflictGraph`,
+:class:`~repro.graph.extended.ExtendedConflictGraph`), so it is shared by
+the original conflict graph ``G`` and the extended conflict graph ``H``;
+:func:`hop_distances`, the full-BFS reference it is checked against, takes
+adjacency sets only.
 
-Two implementations sit behind one API:
+Two implementations sit behind :func:`r_hop_neighborhood`:
 
 * CSR-backed graphs run a **frontier-based BFS** entirely on numpy arrays —
   each hop gathers the concatenated neighbour rows of the whole frontier in
@@ -31,7 +33,7 @@ BFS per vertex and kept up to date in place under topology dynamics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -63,20 +65,20 @@ def _csr_bfs(
     indptr: np.ndarray,
     indices: np.ndarray,
     source: int,
-    max_hops: Optional[int] = None,
+    max_hops: int,
 ) -> np.ndarray:
     """Frontier BFS over CSR adjacency; returns the hop-distance vector.
 
     Unvisited vertices hold ``-1``.  The traversal stops after ``max_hops``
-    levels (or when the frontier empties), so truncated searches only ever
-    touch the ball they return.
+    levels (or when the frontier empties), so it only ever touches the ball
+    it returns.
     """
     n = len(indptr) - 1
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     hops = 0
-    while frontier.size and (max_hops is None or hops < max_hops):
+    while frontier.size and hops < max_hops:
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
         total = int(counts.sum())
@@ -94,19 +96,14 @@ def _csr_bfs(
     return dist
 
 
-def hop_distances(graph: AdjacencyLike, source: int) -> Dict[int, int]:
+def hop_distances(adjacency: Sequence[Set[int]], source: int) -> Dict[int, int]:
     """Breadth-first hop distances from ``source`` to every reachable vertex.
 
     The source itself is at distance 0.  Unreachable vertices are omitted.
     """
-    n = _size(graph)
+    n = len(adjacency)
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
-    if isinstance(graph, _CSRGraph):
-        dist = _csr_bfs(*graph.csr_adjacency(), source)
-        reached = np.flatnonzero(dist >= 0)
-        return dict(zip(reached.tolist(), dist[reached].tolist()))
-    adjacency = graph
     distances: Dict[int, int] = {source: 0}
     queue = deque([source])
     while queue:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 def percentile(sorted_values: List[float], q: float) -> float:
@@ -43,40 +43,30 @@ def summarize_values(values: List[float]) -> Dict[str, float]:
 class MetricsRegistry:
     """Accumulates counters, gauges, and raw histogram observations.
 
-    ``locked=True`` guards every mutation with a lock for registries
-    shared across threads; the unlocked default is for single-threaded
-    hot paths such as transport delivery loops.
+    Every mutation is guarded by a lock, so one registry can be shared
+    across threads (an observer's replications, a server's handlers).
     """
 
-    def __init__(self, locked: bool = False) -> None:
-        self._lock: Optional[threading.Lock] = threading.Lock() if locked else None
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, List[float]] = {}
 
     def count(self, name: str, value: float = 1) -> None:
         """Add ``value`` to the counter ``name``."""
-        if self._lock is None:
+        with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-        else:
-            with self._lock:
-                self._counters[name] = self._counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to its latest value."""
-        if self._lock is None:
+        with self._lock:
             self._gauges[name] = value
-        else:
-            with self._lock:
-                self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Append one observation to histogram ``name``."""
-        if self._lock is None:
+        with self._lock:
             self._histograms.setdefault(name, []).append(value)
-        else:
-            with self._lock:
-                self._histograms.setdefault(name, []).append(value)
 
     def counter_value(self, name: str, default: float = 0) -> float:
         """Current value of counter ``name`` (``default`` if never counted)."""
@@ -99,24 +89,14 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop all recorded state."""
-        if self._lock is not None:
-            with self._lock:
-                self._counters.clear()
-                self._gauges.clear()
-                self._histograms.clear()
-        else:
+        with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Deterministic, JSON-ready view: sorted names, summarized histograms."""
-        if self._lock is not None:
-            with self._lock:
-                counters = dict(self._counters)
-                gauges = dict(self._gauges)
-                histograms = {name: list(vals) for name, vals in self._histograms.items()}
-        else:
+        with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             histograms = {name: list(vals) for name, vals in self._histograms.items()}

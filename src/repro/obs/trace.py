@@ -132,7 +132,7 @@ class TracingObserver(Observer):
     """Observer that records spans and metrics for export.
 
     Thread-safe: span ids and the closed-span list are guarded by a
-    lock, and the metrics registry is created locked.  The span *stack*
+    lock, and the metrics registry locks its own mutations.  The span *stack*
     is context-local, so concurrent replications each see their own
     parent chain once re-entered via :meth:`activate`.
     """
@@ -144,7 +144,7 @@ class TracingObserver(Observer):
         self._t0 = time.perf_counter()
         self._next_id = 0
         self._spans: List[SpanRecord] = []
-        self.metrics = MetricsRegistry(locked=True)
+        self.metrics = MetricsRegistry()
 
     def _now(self) -> float:
         return time.perf_counter() - self._t0

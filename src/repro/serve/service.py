@@ -133,7 +133,7 @@ class ResultService:
         self.config = config or ServiceConfig()
         self.store = ResultStore(self.config.store)
         self.obs = observer if observer is not None else current_observer()
-        self.metrics = MetricsRegistry(locked=True)
+        self.metrics = MetricsRegistry()
         self.quotas = QuotaRegistry(config=self.config.quota, clock=quota_clock)
         self._unit_runner = unit_runner or execute_unit
         self._executor = None

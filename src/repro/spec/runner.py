@@ -559,9 +559,7 @@ def _transport_telemetry(spec: ScenarioSpec, transport) -> Dict[str, float]:
         or spec.transport.latency != "none"
         or spec.transport.reorder
     )
-    if not lossy or not hasattr(transport, "telemetry_summary"):
-        return {}
-    return dict(transport.telemetry_summary())
+    return transport.telemetry_summary() if lossy else {}
 
 
 def _run_protocol(spec: ScenarioSpec) -> ExperimentResult:

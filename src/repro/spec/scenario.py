@@ -820,6 +820,12 @@ class TransportSpec(_Spec):
     bit-identical protocol envelopes (the equivalence contract of
     ``docs/transport.md``), so flipping ``kind`` is always safe.
 
+    ``reorder`` on its own reorders nothing a recipient sees: the only
+    same-time deliveries are those of one broadcast, one per recipient.
+    It needs ``exponential`` latency, or ``uniform`` at ``latency_scale``
+    above 1, to move an arrival.  With ``drop > 0`` it only re-draws which
+    deliveries drop, since its jitter shares the fault stream.
+
     Only ``schedule.mode='protocol'`` scenarios are wired to non-simulated
     transports (the per-round and periodic regimes run the decision many
     times and stay on the oracle).

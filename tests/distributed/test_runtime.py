@@ -142,6 +142,16 @@ class TestLossyRuns:
                 if key.startswith("net_delivered_")
             }
             assert sum(per_type.values()) == summary["net_deliveries"]
+            assert list(summary) == [
+                "net_deliveries",
+                "net_dropped",
+                "net_out_of_order",
+                "net_latency_mean",
+                "net_latency_max",
+                "net_delivered_LeaderDeclaration",
+                "net_delivered_StatusDetermination",
+                "net_delivered_WeightBroadcast",
+            ]
         finally:
             transport.close()
 

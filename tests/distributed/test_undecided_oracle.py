@@ -1,7 +1,7 @@
-"""The agent's incremental knowledge against a slow oracle.
+"""A vertex machine's incremental knowledge against a slow oracle.
 
 ``ReferenceAgent`` keeps a full status map and a full weight map over the
-(2r+1)-hop horizon and re-scans them on every query; the real agent keeps
+(2r+1)-hop horizon and re-scans them on every query; ``VertexProtocol`` keeps
 the ``undecided`` set and the ``heard`` overlay over a shared ``primed``
 vector.  Random horizons, tied weights, ``exclude`` sets and random
 sequences of knowledge updates (lies, re-announced truths and announcements
@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributed.messages import StatusDetermination, WeightBroadcast
-from repro.distributed.runtime import VertexProtocol
-from repro.distributed.vertex import VertexStatus
+from repro.distributed.runtime import VertexProtocol, VertexStatus
 
 #: Vertex ids are drawn from this range; the horizon is a subset of it, so
 #: the rest exercises the outside-horizon paths.
@@ -127,16 +126,16 @@ def scenarios(draw):
     return vertex, horizon, hood_r, exclude, primed, steps
 
 
-def assert_agrees(agent, reference, exclude):
-    assert agent.status == reference.status
-    assert agent.is_local_maximum(exclude=exclude) == reference.is_local_maximum(exclude)
-    assert agent.candidate_set_r(exclude=exclude) == reference.candidate_set_r(exclude)
+def assert_agrees(protocol, reference, exclude):
+    assert protocol.status == reference.status
+    assert protocol.is_local_maximum(exclude=exclude) == reference.is_local_maximum(exclude)
+    assert protocol.candidate_set_r(exclude=exclude) == reference.candidate_set_r(exclude)
     for u in reference.horizon - {reference.vertex}:
-        assert (u not in agent.undecided) == reference.is_decided(u)
-    assert agent.undecided <= reference.horizon - {reference.vertex}
+        assert (u not in protocol.undecided) == reference.is_decided(u)
+    assert protocol.undecided <= reference.horizon - {reference.vertex}
     for u in range(UNIVERSE):
-        assert agent.known_weight(u) == reference.known_weight(u)
-    assert agent.own_weight() == reference.known_weight(reference.vertex)
+        assert protocol.known_weight(u) == reference.known_weight(u)
+    assert protocol.own_weight() == reference.known_weight(reference.vertex)
 
 
 @settings(max_examples=300, deadline=None)
@@ -152,17 +151,16 @@ def test_undecided_set_matches_full_status_rescan(scenario):
         hood_r1=horizon,
         hood_2r1=horizon,
     )
-    agent = protocol.agent
     reference = ReferenceAgent(vertex, horizon, hood_r)
-    assert_agrees(agent, reference, exclude)
+    assert_agrees(protocol, reference, exclude)
     if primed is not None:
         protocol.prime(primed)
         reference.prime(primed)
-        assert_agrees(agent, reference, exclude)
+        assert_agrees(protocol, reference, exclude)
     for step in steps:
         kind = step[0]
         if kind == "weight":
-            agent.observe_weight(step[1], step[2])
+            protocol.observe_weight(step[1], step[2])
             reference.observe_weight(step[1], step[2])
         elif kind == "truth":
             # Re-announce the primed value (after a lie, it must undo it).
@@ -174,9 +172,9 @@ def test_undecided_set_matches_full_status_rescan(scenario):
                 reference.mark(step[1])
             except ValueError:
                 with pytest.raises(ValueError):
-                    agent.mark(step[1])
+                    protocol.mark(step[1])
             else:
-                agent.mark(step[1])
+                protocol.mark(step[1])
         else:
             decisions, self_wins = step[1], step[2]
             decisions = {**decisions, vertex: self_wins}
@@ -189,4 +187,4 @@ def test_undecided_set_matches_full_status_rescan(scenario):
                 )
             )
             reference.receive_decisions(decisions)
-        assert_agrees(agent, reference, exclude)
+        assert_agrees(protocol, reference, exclude)

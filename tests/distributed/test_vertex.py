@@ -1,14 +1,27 @@
-"""Tests for repro.distributed.vertex."""
+"""Tests for the per-vertex state of repro.distributed.runtime.VertexProtocol."""
 
 import pytest
 
-from repro.distributed.vertex import VertexAgent, VertexStatus
+from repro.distributed.runtime import VertexProtocol, VertexStatus
+
+
+def make_vertex(vertex, hood_2r1, hood_r):
+    """A vertex machine with no transport: only its local knowledge is used."""
+    return VertexProtocol(
+        vertex,
+        transport=None,
+        r=1,
+        adjacency=[],
+        hood_r=hood_r,
+        hood_r1=hood_2r1,
+        hood_2r1=hood_2r1,
+    )
 
 
 @pytest.fixture
 def agent():
-    """Agent for vertex 2 with a small knowledge horizon."""
-    return VertexAgent(2, neighborhood_2r1={0, 1, 2, 3, 4}, neighborhood_r={1, 2, 3})
+    """Vertex 2 with a small knowledge horizon."""
+    return make_vertex(2, hood_2r1={0, 1, 2, 3, 4}, hood_r={1, 2, 3})
 
 
 class TestVertexStatus:
@@ -19,7 +32,7 @@ class TestVertexStatus:
         assert not VertexStatus.LOCAL_LEADER.is_decided
 
 
-class TestVertexAgentKnowledge:
+class TestVertexKnowledge:
     def test_initial_state(self, agent):
         assert agent.status == VertexStatus.CANDIDATE
         assert agent.undecided == {0, 1, 3, 4}
@@ -28,7 +41,7 @@ class TestVertexAgentKnowledge:
 
     def test_neighbourhoods_must_contain_self(self):
         with pytest.raises(ValueError):
-            VertexAgent(5, neighborhood_2r1={0, 1}, neighborhood_r={5})
+            make_vertex(5, hood_2r1={0, 1}, hood_r={5})
 
     def test_observe_weight_inside_horizon(self, agent):
         agent.observe_weight(1, 3.5)
@@ -39,7 +52,7 @@ class TestVertexAgentKnowledge:
         assert agent.known_weight(99) is None
 
 
-class TestVertexAgentMarking:
+class TestVertexMarking:
     def test_mark_updates_own_status_and_knowledge(self, agent):
         agent.mark(VertexStatus.WINNER)
         assert agent.status == VertexStatus.WINNER
@@ -73,8 +86,8 @@ class TestLocalMaximum:
         assert not agent.is_local_maximum()
 
     def test_ties_broken_by_vertex_id(self):
-        low_id = VertexAgent(0, {0, 1}, {0, 1})
-        high_id = VertexAgent(1, {0, 1}, {0, 1})
+        low_id = make_vertex(0, {0, 1}, {0, 1})
+        high_id = make_vertex(1, {0, 1}, {0, 1})
         for agent in (low_id, high_id):
             agent.observe_weight(0, 2.0)
             agent.observe_weight(1, 2.0)

@@ -1,10 +1,14 @@
 """Pinned fault-run envelopes.
 
 The sha256 of the comparable ``faults-quick`` envelope (``wall_clock_s`` and
-``spec`` removed, canonical JSON) in four arms.  Any change to the fault
+``spec`` removed, canonical JSON) in five arms.  Any change to the fault
 runtime that moves a single result bit — a mini-round record, a cost
 counter, a fault metric — changes a digest.  The asyncio arm shares the
 default arm's digest: the transport-equivalence contract covers fault runs.
+The lossy arm (drops plus exponential latency) is the one whose records
+carry the transport's ``net_*`` delivery telemetry, every field non-zero,
+so it also pins how the transport counts deliveries, drops, out-of-order
+arrivals and latency.
 """
 
 import hashlib
@@ -30,6 +34,14 @@ PINNED = {
     "asyncio": (
         {"transport.kind": "asyncio"},
         "58f1a141e2b9b996f29e91bcc44ea52e2455977a0185376c357cd80e68b8b584",
+    ),
+    "asyncio-lossy": (
+        {
+            "transport.kind": "asyncio",
+            "transport.drop": 0.15,
+            "transport.latency": "exponential",
+        },
+        "35107a6c4aa25e06321b88d8477a3d73817ab02a25fdc5a0db4d49593e6c4596",
     ),
 }
 

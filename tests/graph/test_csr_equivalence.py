@@ -25,11 +25,7 @@ from repro.dynamics.events import LinkFlap, MobilityStep, NodeArrival, NodeDepar
 from repro.dynamics.graph import DynamicTopology
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph
-from repro.graph.neighborhoods import (
-    hop_distances,
-    r_hop_neighborhood,
-    r_hop_neighborhood_arrays,
-)
+from repro.graph.neighborhoods import r_hop_neighborhood, r_hop_neighborhood_arrays
 from repro.spec.registry import get_scenario, list_scenarios
 
 PRESETS = list_scenarios()
@@ -82,7 +78,6 @@ def assert_neighborhood_paths_agree(graph: ConflictGraph, r: int) -> None:
     """CSR frontier BFS vs the pure-Python Sequence[Set] traversal."""
     adjacency = reference_adjacency(graph)
     for source in range(graph.num_nodes):
-        assert hop_distances(graph, source) == hop_distances(adjacency, source)
         assert r_hop_neighborhood(graph, source, r) == r_hop_neighborhood(
             adjacency, source, r
         )

@@ -8,16 +8,16 @@ from repro.graph.neighborhoods import hop_distances, r_hop_neighborhood
 
 class TestHopDistances:
     def test_path_distances(self, path_graph):
-        distances = hop_distances(path_graph, 0)
+        distances = hop_distances(path_graph.adjacency_sets(), 0)
         assert distances == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
     def test_unreachable_vertices_are_omitted(self):
         graph = ConflictGraph(3, [(0, 1)], num_channels=1)
-        assert hop_distances(graph, 0) == {0: 0, 1: 1}
+        assert hop_distances(graph.adjacency_sets(), 0) == {0: 0, 1: 1}
 
     def test_source_out_of_range(self, path_graph):
         with pytest.raises(ValueError):
-            hop_distances(path_graph, 10)
+            hop_distances(path_graph.adjacency_sets(), 10)
 
     def test_works_on_raw_adjacency(self):
         adjacency = [{1}, {0, 2}, {1}]

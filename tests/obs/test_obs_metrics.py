@@ -88,10 +88,3 @@ class TestMetricsRegistry:
         assert registry.counter_value("a") == 0
         assert registry.snapshot()["gauges"] == {}
         assert registry.histogram_values("h") == []
-
-    def test_locked_registry_behaves_identically(self):
-        registry = MetricsRegistry(locked=True)
-        registry.count("a", 2)
-        registry.observe("h", 1.0)
-        assert registry.counter_value("a") == 2
-        assert registry.snapshot()["histograms"]["h"]["count"] == 1
