@@ -79,6 +79,29 @@ class TestSimulatedTransport:
         assert transport.mini_timeslots() == 0
         assert all(transport.pending(v) == 0 for v in range(5))
 
+    def test_telemetry_summary_is_lossless_and_instant_and_reset_clears_it(self):
+        transport = SimulatedTransport(path_adjacency())
+        transport.broadcast(
+            WeightBroadcast(sender=2, hop_limit=2, weight=1.0), phase="WB"
+        )
+        assert transport.telemetry_summary() == {
+            "net_deliveries": 4.0,
+            "net_dropped": 0.0,
+            "net_out_of_order": 0.0,
+            "net_latency_mean": 0.0,
+            "net_latency_max": 0.0,
+            "net_delivered_WeightBroadcast": 4.0,
+        }
+        transport.reset()
+        # The per-type counts go too, not just the totals.
+        assert transport.telemetry_summary() == {
+            "net_deliveries": 0.0,
+            "net_dropped": 0.0,
+            "net_out_of_order": 0.0,
+            "net_latency_mean": 0.0,
+            "net_latency_max": 0.0,
+        }
+
 
 class TestZeroHopBroadcast:
     """hop_limit=0 reaches nobody, so it must charge nothing.

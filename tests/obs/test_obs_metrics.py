@@ -1,5 +1,7 @@
 """The metrics registry and its deterministic summaries."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.obs import MetricsRegistry, percentile
@@ -88,3 +90,18 @@ class TestMetricsRegistry:
         assert registry.counter_value("a") == 0
         assert registry.snapshot()["gauges"] == {}
         assert registry.histogram_values("h") == []
+
+    def test_concurrent_mutations_lose_nothing(self):
+        registry = MetricsRegistry()
+
+        def burst(worker):
+            for i in range(500):
+                registry.count("a")
+                registry.observe("h", float(i))
+                registry.gauge(f"g{worker}", float(i))
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(burst, range(4)))
+        assert registry.counter_value("a") == 2000
+        assert len(registry.histogram_values("h")) == 2000
+        assert registry.snapshot()["gauges"] == {f"g{w}": 499.0 for w in range(4)}
