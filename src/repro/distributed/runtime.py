@@ -106,9 +106,10 @@ class ProtocolResult:
     costs: RoundCosts = field(default_factory=RoundCosts)
     #: ``True`` when every vertex was marked before the mini-round budget ran out.
     converged: bool = True
-    #: ``False`` when a lossy transport broke the independence invariant (a
-    #: Loser notification that never arrived left a stale Candidate eligible).
-    #: Always ``True`` on lossless transports.
+    #: ``False`` when two winners are adjacent, which only a fault run can
+    #: cause.  An honest run's winners stay independent on a lossy transport
+    #: too: a vertex that misses a Loser notification is blocked for good by
+    #: the heavier leader it never heard decide.
     independent: bool = True
 
     @property
@@ -430,6 +431,13 @@ class ProtocolEngine:
     the broadcast decisions said.  All state transitions happen inside the
     vertex machines.
 
+    An honest run skips what no vertex reads.  It declares WB and LD
+    broadcasts unread (:meth:`Transport.count_only`), so
+    ``SimulatedTransport`` counts those deliveries without queueing them;
+    its barrier drains a Winner's or Loser's inbox without handing it over;
+    and each mini-round walks only the Candidates left.  Counters and
+    telemetry are those of full delivery.
+
     It is the only driver: fault-injection runs go through it too, by
     passing a fault participant to :meth:`run` (duck-typed, so this module
     never imports :mod:`repro.faults`).  The participant supplies the six
@@ -494,7 +502,10 @@ class ProtocolEngine:
         messages_before = transport.total_messages_sent
         deliveries_before = transport.total_deliveries
         dropped_before = transport.total_dropped
-        with obs.span(
+        # An honest WB repeats the primed weight every recipient holds, and
+        # LD is informational: no honest vertex reads either.
+        unread = (WeightBroadcast, LeaderDeclaration) if faults is None else ()
+        with transport.count_only(unread), obs.span(
             "protocol.run", num_vertices=self._num_vertices, r=self._r
         ) as run_span:
             result = self._execute(
@@ -542,7 +553,17 @@ class ProtocolEngine:
             vertex.prime(values)
 
         def deliver() -> None:
-            self._deliver(transport, vertices)
+            """Phase barrier: drain every inbox into its vertex machine.
+
+            An honest Winner or Loser never reads its knowledge again, so
+            its inbox is drained unread.
+            """
+            for vertex in vertices:
+                inbox = transport.collect(vertex.vertex)
+                if faults is None and vertex.status.is_decided:
+                    continue
+                for message in inbox:
+                    vertex.receive(message)
 
         # WB phase: the previous round's strategy members announce weights.
         if broadcasting_vertices is None:
@@ -568,13 +589,10 @@ class ProtocolEngine:
         cumulative_weight = 0.0
         computation = ComputationCosts()
 
+        # The Candidates, in vertex order; only they can lead or be counted.
+        live = [vertex for vertex in vertices if vertex.status == VertexStatus.CANDIDATE]
         for mini_round in range(1, hard_limit + 1):
-            if faults is None:
-                running = any(
-                    vertex.status == VertexStatus.CANDIDATE for vertex in vertices
-                )
-            else:
-                running = faults.has_live_candidates()
+            running = bool(live) if faults is None else faults.has_live_candidates()
             if not running:
                 break
             with obs.span("protocol.mini_round", mini_round=mini_round) as round_span:
@@ -583,7 +601,7 @@ class ProtocolEngine:
                         faults.enter_phase(mini_round, "LD")
                     leaders = [
                         vertex.vertex
-                        for vertex in vertices
+                        for vertex in live
                         if vertex.begin_mini_round(mini_round) is not None
                     ]
                 new_winners: Set[int] = set()
@@ -611,9 +629,8 @@ class ProtocolEngine:
                 )
             winners |= new_winners
             cumulative_weight += sum(float(weights[v]) for v in new_winners)
-            remaining = sum(
-                1 for vertex in vertices if vertex.status == VertexStatus.CANDIDATE
-            )
+            live = [vertex for vertex in live if vertex.status == VertexStatus.CANDIDATE]
+            remaining = len(live)
             records.append(
                 MiniRoundRecord(
                     index=mini_round,
@@ -657,13 +674,6 @@ class ProtocolEngine:
             converged=converged,
             independent=independent,
         )
-
-    @staticmethod
-    def _deliver(transport: Transport, vertices: List[VertexProtocol]) -> None:
-        """Phase barrier: drain every inbox into its vertex machine."""
-        for vertex in vertices:
-            for message in transport.collect(vertex.vertex):
-                vertex.receive(message)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ paper's complexity analysis talks about (messages originated per vertex,
 total deliveries, mini-timeslots per phase).  Two implementations ship:
 
 * :class:`SimulatedTransport` -- the in-process oracle network; delivers
-  instantly, in order, losslessly.
+  instantly, in order, losslessly, and counts without queueing the frames
+  a caller declares unread (:meth:`Transport.count_only`).
 * :class:`~repro.distributed.runtime.AsyncioTransport` -- real asyncio
   streams between per-vertex tasks, with every message crossing a JSON wire
   boundary (:mod:`repro.distributed.serialize`) and configurable latency,
@@ -21,8 +22,9 @@ ProtocolResult` to the simulated one (see ``docs/transport.md``).
 from __future__ import annotations
 
 import abc
+import contextlib
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.distributed.messages import Message
 from repro.graph.neighborhoods import NeighborhoodTable
@@ -126,6 +128,17 @@ class Transport(abc.ABC):
     def collect(self, vertex: int) -> List[Message]:
         """Drain and return the inbox of ``vertex``."""
 
+    @contextlib.contextmanager
+    def count_only(self, message_types: Tuple[type, ...]) -> Iterator[None]:
+        """Within the block, no recipient reads broadcasts of ``message_types``.
+
+        A transport may then charge and count such a broadcast exactly as
+        if it delivered it -- the same messages, deliveries, per-type counts
+        and mini-timeslots -- without queueing a frame.  This base class
+        ignores the hint and delivers in full.
+        """
+        yield
+
     @abc.abstractmethod
     def pending(self, vertex: int) -> int:
         """Number of undelivered messages waiting for ``vertex``."""
@@ -212,10 +225,10 @@ class Transport(abc.ABC):
     def is_lossless(self) -> bool:
         """Whether every broadcast reaches every in-range recipient.
 
-        Lossy transports can break the protocol's independence invariant
-        (a Loser notification that never arrives leaves a stale Candidate);
-        the runtime records the violation on the result instead of raising
-        when this is ``False``.
+        On a lossy transport a vertex that misses a Loser notification stays
+        a Candidate, blocked for good, so an honest run may end unconverged.
+        The runtime raises on a dependent honest winner set only when this
+        is ``True``.
         """
         return True
 
@@ -236,6 +249,12 @@ class SimulatedTransport(Transport):
     ``O(3r+1)`` for LB, Section IV-C), and is the reference behaviour every
     other transport is tested against.  Parameters as for
     :class:`Transport`.
+
+    Inside :meth:`count_only` it queues no frame of the named types: it
+    charges and counts their ``len(ball) - 1`` deliveries and appends
+    nothing.  The honest protocol engine declares WB and LD unread, so an
+    honest simulated run counts those deliveries without queueing them; its
+    counters and telemetry are those of full delivery.
     """
 
     def __init__(
@@ -245,6 +264,16 @@ class SimulatedTransport(Transport):
     ) -> None:
         super().__init__(adjacency, neighborhoods)
         self._inboxes: List[List[Message]] = [[] for _ in range(self._num_vertices)]
+        #: Message types counted but not queued; set only inside count_only.
+        self._unread: Tuple[type, ...] = ()
+
+    @contextlib.contextmanager
+    def count_only(self, message_types: Tuple[type, ...]) -> Iterator[None]:
+        self._unread = tuple(message_types)
+        try:
+            yield
+        finally:
+            self._unread = ()
 
     def broadcast(self, message: Message, phase: str) -> int:
         """Deliver ``message`` to every vertex within its hop limit.
@@ -255,13 +284,18 @@ class SimulatedTransport(Transport):
         """
         if not self._charge(message, phase):
             return 0
-        recipients = self._recipients(message.sender, message.hop_limit)
-        for recipient in recipients:
-            self._inboxes[recipient].append(message)
-        if recipients:
-            self._deliveries += len(recipients)
-            self._delivered_by_type[type(message).__name__] += len(recipients)
-        return len(recipients)
+        if isinstance(message, self._unread):
+            ball = self._neighborhoods.balls(message.hop_limit)[message.sender]
+            delivered = len(ball) - 1
+        else:
+            recipients = self._recipients(message.sender, message.hop_limit)
+            for recipient in recipients:
+                self._inboxes[recipient].append(message)
+            delivered = len(recipients)
+        if delivered:
+            self._deliveries += delivered
+            self._delivered_by_type[type(message).__name__] += delivered
+        return delivered
 
     def collect(self, vertex: int) -> List[Message]:
         """Drain and return the inbox of ``vertex``."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 def percentile(sorted_values: List[float], q: float) -> float:
@@ -43,8 +43,9 @@ def summarize_values(values: List[float]) -> Dict[str, float]:
 class MetricsRegistry:
     """Accumulates counters, gauges, and raw histogram observations.
 
-    Every mutation is guarded by a lock, so one registry can be shared
-    across threads (an observer's replications, a server's handlers).
+    Every mutation and every read is guarded by a lock, so one registry can
+    be shared across threads (an observer's replications, a server's
+    handlers).
     """
 
     def __init__(self) -> None:
@@ -70,22 +71,36 @@ class MetricsRegistry:
 
     def counter_value(self, name: str, default: float = 0) -> float:
         """Current value of counter ``name`` (``default`` if never counted)."""
-        return self._counters.get(name, default)
+        with self._lock:
+            return self._counters.get(name, default)
 
     def histogram_values(self, name: str) -> List[float]:
         """Copy of the raw observations recorded for histogram ``name``."""
-        return list(self._histograms.get(name, []))
+        with self._lock:
+            return list(self._histograms.get(name, []))
+
+    def _copy(self) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, List[float]]]:
+        """Counters, gauges and histograms, copied under the lock."""
+        with self._lock:
+            return (
+                dict(self._counters),
+                dict(self._gauges),
+                {name: list(vals) for name, vals in self._histograms.items()},
+            )
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's state into this one (gauges: theirs win)."""
-        snapshot = other.snapshot()
-        for name, value in snapshot["counters"].items():
-            self.count(name, value)
-        for name, value in snapshot["gauges"].items():
-            self.gauge(name, value)
-        for name in other._histograms:
-            for value in other.histogram_values(name):
-                self.observe(name, value)
+        """Fold another registry's state into this one (gauges: theirs win).
+
+        ``other`` is copied under its own lock and folded in under this
+        one's; the two locks are never held together.
+        """
+        counters, gauges, histograms = other._copy()
+        with self._lock:
+            for name, value in counters.items():
+                self._counters[name] = self._counters.get(name, 0) + value
+            self._gauges.update(gauges)
+            for name, values in histograms.items():
+                self._histograms.setdefault(name, []).extend(values)
 
     def reset(self) -> None:
         """Drop all recorded state."""
@@ -96,10 +111,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Deterministic, JSON-ready view: sorted names, summarized histograms."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = {name: list(vals) for name, vals in self._histograms.items()}
+        counters, gauges, histograms = self._copy()
         return {
             "counters": {name: counters[name] for name in sorted(counters)},
             "gauges": {name: gauges[name] for name in sorted(gauges)},

@@ -1,5 +1,7 @@
 """The metrics registry and its deterministic summaries."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -105,3 +107,37 @@ class TestMetricsRegistry:
         assert registry.counter_value("a") == 2000
         assert len(registry.histogram_values("h")) == 2000
         assert registry.snapshot()["gauges"] == {f"g{w}": 499.0 for w in range(4)}
+
+    def test_merge_while_the_other_registry_is_observed(self):
+        # Merging copies ``source`` under its lock, so a concurrent observer
+        # adding new histograms cannot break the merge's iteration.
+        target, source = MetricsRegistry(), MetricsRegistry()
+        done = threading.Event()
+
+        def observe():
+            for i in range(3000):
+                source.observe(f"h{i}", float(i))
+            done.set()
+
+        def merge():
+            merges = 0
+            while not done.is_set():
+                target.merge(source)
+                merges += 1
+            return merges
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the merge too
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                merging = pool.submit(merge)
+                pool.submit(observe).result()
+                merges = merging.result()
+        finally:
+            sys.setswitchinterval(interval)
+        target.merge(source)
+        assert merges > 0
+        for i in range(3000):
+            values = target.histogram_values(f"h{i}")
+            assert values and set(values) == {float(i)}
+
