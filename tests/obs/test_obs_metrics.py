@@ -109,15 +109,15 @@ class TestMetricsRegistry:
         assert registry.snapshot()["gauges"] == {f"g{w}": 499.0 for w in range(4)}
 
     def test_merge_while_the_other_registry_is_observed(self):
-        # Merging copies ``source`` under its lock, so a concurrent observer
-        # adding new histograms cannot break the merge's iteration.
+        # Merging copies ``source`` under its lock, so observers adding new
+        # histograms meanwhile cannot break the merge's iteration.  Three
+        # threads on two cores, switching often, inside the merge too.
         target, source = MetricsRegistry(), MetricsRegistry()
         done = threading.Event()
 
-        def observe():
-            for i in range(3000):
-                source.observe(f"h{i}", float(i))
-            done.set()
+        def observe(prefix):
+            for i in range(4000):
+                source.observe(f"{prefix}{i}", float(i))
 
         def merge():
             merges = 0
@@ -127,17 +127,21 @@ class TestMetricsRegistry:
             return merges
 
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, inside the merge too
+        sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
+            with ThreadPoolExecutor(max_workers=3) as pool:
                 merging = pool.submit(merge)
-                pool.submit(observe).result()
-                merges = merging.result()
+                try:
+                    for observer in [pool.submit(observe, p) for p in "ab"]:
+                        observer.result(timeout=60)
+                finally:
+                    done.set()
+                merges = merging.result(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         target.merge(source)
         assert merges > 0
-        for i in range(3000):
-            values = target.histogram_values(f"h{i}")
-            assert values and set(values) == {float(i)}
-
+        for prefix in "ab":
+            for i in range(4000):
+                values = target.histogram_values(f"{prefix}{i}")
+                assert values and set(values) == {float(i)}
