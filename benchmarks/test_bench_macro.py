@@ -4,7 +4,9 @@ The micro benches (solvers/policies/fig*) exercise paper-scale networks of
 tens of users.  This group locks in the large-``n`` path instead — the
 cell-bucket unit-disk builder, the CSR constructions of ``G`` and ``H`` and
 the frontier-BFS r-hop sweep — at the sizes the scaling work targets
-(``docs/scaling.md``).  The committed baseline in ``benchmarks/baseline.json``
+(``docs/scaling.md``), plus the neighbourhood table build of fig8-paper's
+``H`` (|V(H)| = 1000, r = 2) that every fig8 run pays before its first
+decision.  The committed baseline in ``benchmarks/baseline.json``
 carries entries for this ``macro`` group, and the ``benchmark-trend`` CI
 job gates both scales at the same 2x median ratio as the micro groups.
 
@@ -24,7 +26,12 @@ import pytest
 
 from repro.graph.conflict_graph import ConflictGraph
 from repro.graph.extended import ExtendedConflictGraph
-from repro.graph.neighborhoods import r_hop_neighborhood_arrays
+from repro.graph.neighborhoods import (
+    NeighborhoodTable,
+    protocol_radii,
+    r_hop_neighborhood,
+    r_hop_neighborhood_arrays,
+)
 from repro.graph.topology import area_side_for_average_degree
 from repro.graph.unit_disk import (
     DEFAULT_CONFLICT_RADIUS,
@@ -85,6 +92,24 @@ def test_r_hop_arrays_10k(benchmark, graph_10k):
     assert len(offsets) == N_10K + 1
     # every 1-hop ball contains at least the vertex itself
     assert members.size >= N_10K
+
+
+@pytest.fixture(scope="module")
+def fig8_adjacency():
+    from repro.spec import get_scenario
+
+    spec = get_scenario("fig8-paper")
+    graph = spec.topology.build(np.random.default_rng(spec.seed))
+    return graph.extended_graph().adjacency_sets()
+
+
+def test_neighborhood_table_build_fig8(benchmark, fig8_adjacency):
+    radii = protocol_radii(2)
+    table = benchmark(lambda: NeighborhoodTable(fig8_adjacency, radii).build())
+    assert table.radii == radii
+    outer = table.balls(radii[-1])
+    assert len(outer) == 1000
+    assert outer[999] == r_hop_neighborhood(fig8_adjacency, 999, radii[-1])
 
 
 def test_grid_builder_beats_naive_at_10k(coords_10k):

@@ -34,7 +34,7 @@ transport passed via ``transport=`` — including the real asyncio runtime.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.distributed.runtime import MiniRoundRecord, ProtocolEngine, ProtocolResult
 from repro.distributed.transport import SimulatedTransport, Transport
@@ -121,9 +121,12 @@ class DistributedRobustPTAS:
         self._transport = transport
         if neighborhoods is None:
             neighborhoods = NeighborhoodTable(adjacency, protocol_radii(r))
-        # Set-up builds the table (for its first user), so no decision
-        # ever pays for it.
+        # Set-up builds the table (for its first user) and makes the balls
+        # the engine reads for every vertex at every decision, so no
+        # decision pays for them; a (3r + 2)-ball is made when its vertex
+        # first broadcasts a determination as a leader.
         self._neighborhoods = neighborhoods.build()
+        self._neighborhoods.make_sets((r, r + 1, 2 * r + 1))
         self._engine = ProtocolEngine(
             adjacency, r, self._neighborhoods, local_solver=local_solver
         )
@@ -143,8 +146,11 @@ class DistributedRobustPTAS:
         """The externally-supplied transport (``None`` = simulated per run)."""
         return self._transport
 
-    def transport_neighborhoods(self) -> Dict[int, List[Set[int]]]:
-        """The per-vertex balls at every protocol radius, keyed by radius."""
+    def transport_neighborhoods(self) -> Dict[int, Sequence[Set[int]]]:
+        """The per-vertex ball views at every protocol radius, keyed by radius.
+
+        Iterating a view makes every ball of its radius as a set.
+        """
         return {
             hops: self._neighborhoods.balls(hops) for hops in protocol_radii(self._r)
         }

@@ -16,7 +16,10 @@ total deliveries, mini-timeslots per phase).  Two implementations ship:
 
 The equivalence contract: under a lossless, in-order configuration any
 transport must yield a bit-identical :class:`~repro.distributed.runtime.
-ProtocolResult` to the simulated one (see ``docs/transport.md``).
+ProtocolResult` to the simulated one (see ``docs/transport.md``).  It holds
+for finite weights: the asyncio wire refuses ``±inf`` and ``NaN``, so an
+infinite weight raises :class:`~repro.distributed.serialize.WireError`
+there while the simulated transport decides.
 """
 
 from __future__ import annotations

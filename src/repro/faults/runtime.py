@@ -91,7 +91,7 @@ class FaultController:
         self,
         plan: FaultPlan,
         adjacency: Adjacency,
-        hood_2r1: List[Set[int]],
+        hood_2r1: Sequence[Set[int]],
         quorum: Optional[QuorumConfig] = None,
     ) -> None:
         self.plan = plan

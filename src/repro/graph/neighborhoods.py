@@ -26,14 +26,18 @@ under random churn sequences is locked by
 ``tests/graph/test_csr_equivalence.py``.
 
 :class:`NeighborhoodTable` holds the balls Algorithm 3 reads — radii ``r``,
-``r + 1``, ``2r + 1`` and ``3r + 2`` of every vertex — built by one layered
-BFS per vertex and kept up to date in place under topology dynamics.
+``r + 1``, ``2r + 1`` and ``3r + 2`` of every vertex — as sorted CSR
+arrays, built for every radius by one vectorised bitset pass over ``H``.
+A ball becomes a Python set only when it is first read.  Under topology
+dynamics the table is kept up to date in place: the recomputed balls are
+stored as sets, by the layered BFS the adjacency-set path uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -206,8 +210,116 @@ def _layered_balls(
     return balls
 
 
+#: Bytes one column block of :func:`_ball_arrays` may hold in its
+#: gathered neighbour rows plus its unpacked bits (a bound on the pass's
+#: scratch memory, whatever the size of ``H``).
+_BLOCK_BYTES = 1 << 24
+
+
+def _adjacency_csr(adjacency: Sequence[Set[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of adjacency sets (rows in set order)."""
+    n = len(adjacency)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adjacency), dtype=np.int64, count=n), out=indptr[1:])
+    indices = np.fromiter(
+        chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1])
+    )
+    return indptr, indices
+
+
+def _ball_arrays(
+    indptr: np.ndarray, indices: np.ndarray, radii: Sequence[int]
+) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """Every ``J_k(v)``, ``k`` in the ascending ``radii``, as sorted CSR.
+
+    Returns ``{k: (offsets, members)}`` with the ascending members of
+    ``J_k(v)`` at ``members[offsets[v]:offsets[v + 1]]``.  One bitset
+    reach expansion serves every radius: row ``v`` holds ``J_d(v)`` as bits,
+    and each hop ORs into it the rows of ``v``'s neighbours.  Reach is
+    column-separable, so the bits are expanded in column blocks that keep
+    the scratch memory under ``_BLOCK_BYTES``; the time is
+    ``O(hops * |E(H)| * |V(H)| / 64)`` word operations.
+    """
+    n = len(indptr) - 1
+    nonempty = np.diff(indptr) > 0
+    starts = indptr[:-1][nonempty]
+    block_words = max(1, _BLOCK_BYTES // (8 * len(indices) + 64 * n + 1))
+    # Per radius and column block: (members per row, members in row order).
+    found: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {hops: [] for hops in radii}
+    for first in range(0, n, 64 * block_words):
+        width = min(64 * block_words, n - first)
+        columns = np.arange(width)
+        reach = np.zeros((n, (width + 63) // 64), dtype=np.uint64)
+        reach[first + columns, columns >> 6] = np.left_shift(
+            np.uint64(1), (columns & 63).astype(np.uint64)
+        )
+        hops, settled = 0, not starts.size
+        for radius in radii:
+            while hops < radius and not settled:
+                grown = reach.copy()
+                grown[nonempty] |= np.bitwise_or.reduceat(reach[indices], starts, axis=0)
+                # Once no ball grows, no larger radius adds anything.
+                settled = np.array_equal(grown, reach)
+                reach = grown
+                hops += 1
+            # Little-endian words: bit b of word j is column 64 j + b.
+            words = reach.astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(words, axis=1, count=width, bitorder="little")
+            members = np.flatnonzero(bits)
+            members %= width
+            members += first
+            found[radius].append((np.count_nonzero(bits, axis=1), members.astype(np.int32)))
+    arrays = {}
+    for radius, blocks in found.items():
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sum((counts for counts, _ in blocks), np.zeros(n, np.int64)), out=offsets[1:])
+        members = np.concatenate([block for _, block in blocks] or [np.zeros(0, np.int32)])
+        if len(blocks) > 1:  # blocks come in column order: a stable row sort merges them
+            rows = np.concatenate([np.repeat(np.arange(n), counts) for counts, _ in blocks])
+            members = members[np.argsort(rows, kind="stable")]
+        arrays[radius] = (offsets, members)
+    return arrays
+
+
+class _BallView(Sequence[Set[int]]):
+    """The ``J_k(v)`` of one radius ``k``: a read-only per-vertex sequence.
+
+    ``view[v]`` makes ``J_k(v)`` as a set from its CSR row the first time
+    it is read and keeps it; the members are the table's shared int
+    objects, so every ball holding ``u`` holds the same object.  A set the
+    table stores (:meth:`NeighborhoodTable.update`) replaces the row.
+    """
+
+    __slots__ = ("_offsets", "_members", "_ints", "_sets")
+
+    def __init__(self, offsets: np.ndarray, members: np.ndarray, ints: np.ndarray) -> None:
+        self._offsets: List[int] = offsets.tolist()
+        self._members = members
+        self._ints = ints
+        self._sets: Dict[int, Set[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, vertex: int) -> Set[int]:
+        ball = self._sets.get(vertex)
+        if ball is None:
+            if not (0 <= vertex < len(self._offsets) - 1):
+                raise IndexError(f"vertex {vertex} out of range [0, {len(self)})")
+            row = self._members[self._offsets[vertex] : self._offsets[vertex + 1]]
+            # Concurrent first reads may each make a set; all keep the first.
+            ball = self._sets.setdefault(vertex, set(self._ints[row].tolist()))
+        return ball
+
+    def __iter__(self) -> Iterator[Set[int]]:
+        return map(self.__getitem__, range(len(self)))
+
+    def _store(self, vertex: int, ball: Set[int]) -> None:
+        self._sets[vertex] = ball
+
+
 class NeighborhoodTable:
-    """Every vertex's balls ``J_k(v)`` at a set of radii, one BFS per vertex.
+    """Every vertex's balls ``J_k(v)`` at a set of radii.
 
     A table at :func:`protocol_radii` is all the topology knowledge
     Algorithm 3 uses: it is built once per (graph, r) and shared by
@@ -216,9 +328,12 @@ class NeighborhoodTable:
     dynamics engine: it mutates the shared ``adjacency``, then calls
     :meth:`update`, so the live protocol sees the new balls at once.
 
-    Construction is cheap: the layered pass over ``radii`` runs at the first
-    :meth:`build` or read.  A radius outside ``radii`` is computed on first
-    read and kept.
+    Construction is cheap: one vectorised pass (:func:`_ball_arrays`) over
+    ``radii`` runs at the first :meth:`build` or read and holds each radius
+    as sorted CSR arrays.  A ball becomes a set only when it is read, so a
+    radius read only by some vertices (the ``3r + 2`` determination
+    broadcast, sent by leaders) is never made whole.  A radius outside
+    ``radii`` is served by the same pass on its first read, and kept.
     """
 
     def __init__(self, adjacency: Sequence[Set[int]], radii: Iterable[int] = ()) -> None:
@@ -226,7 +341,9 @@ class NeighborhoodTable:
         self._layered = tuple(sorted(set(radii)))
         if self._layered and self._layered[0] < 0:
             raise ValueError(f"radii must be non-negative, got {self._layered}")
-        self._balls: Dict[int, List[Set[int]]] = {}
+        self._views: Dict[int, _BallView] = {}
+        # One int object per vertex, shared by every ball (see _BallView).
+        self._ints = np.array(list(range(len(adjacency))), dtype=object)
 
     @property
     def adjacency(self) -> Sequence[Set[int]]:
@@ -236,40 +353,47 @@ class NeighborhoodTable:
     @property
     def radii(self) -> Tuple[int, ...]:
         """Every radius held, ascending."""
-        return tuple(sorted(set(self._layered).union(self._balls)))
+        return tuple(sorted(set(self._layered).union(self._views)))
+
+    def _make_views(self, radii: Sequence[int]) -> Dict[int, _BallView]:
+        arrays = _ball_arrays(*_adjacency_csr(self._adjacency), radii)
+        return {
+            hops: _BallView(offsets, members, self._ints)
+            for hops, (offsets, members) in arrays.items()
+        }
 
     def build(self) -> "NeighborhoodTable":
-        """Run the layered pass unless it has run; returns the table.
+        """Run the pass over ``radii`` unless it has run; returns the table.
 
         Concurrent first calls may each run it, but every radius keeps the
-        first list stored, so all callers read the same balls.
+        first view stored, so all callers read the same balls.
         """
         radii = self._layered
-        if radii and radii[-1] not in self._balls:
-            built: Dict[int, List[Set[int]]] = {hops: [] for hops in radii}
-            for vertex in range(len(self._adjacency)):
-                for hops, ball in zip(radii, _layered_balls(self._adjacency, vertex, radii)):
-                    built[hops].append(ball)
+        if radii and radii[-1] not in self._views:
+            built = self._make_views(radii)
             for hops in radii:  # the largest radius last: it marks the pass done
-                self._balls.setdefault(hops, built[hops])
+                self._views.setdefault(hops, built[hops])
         return self
 
-    def balls(self, hops: int) -> List[Set[int]]:
-        """The live per-vertex list of ``hops``-balls (updated in place)."""
-        balls = self._balls.get(hops)
-        if balls is None:
+    def balls(self, hops: int) -> Sequence[Set[int]]:
+        """The live per-vertex view of ``hops``-balls (updated in place)."""
+        view = self._views.get(hops)
+        if view is None:
             if hops in self._layered:
-                return self.build()._balls[hops]
+                return self.build()._views[hops]
             if hops < 0:
                 raise ValueError(f"hops must be non-negative, got {hops}")
-            balls = self._balls.setdefault(
-                hops,
-                [
-                    r_hop_neighborhood(self._adjacency, vertex, hops)
-                    for vertex in range(len(self._adjacency))
-                ],
-            )
-        return balls
+            view = self._views.setdefault(hops, self._make_views((hops,))[hops])
+        return view
+
+    def make_sets(self, radii: Iterable[int]) -> None:
+        """Make every ball of each of ``radii`` a set now.
+
+        For a reader that reads them all anyway, so that it pays for them
+        once, before its first use.
+        """
+        for hops in radii:
+            deque(self.balls(hops), maxlen=0)
 
     def update(self, touched_vertices: Iterable[int]) -> Set[int]:
         """Refresh every radius after the shared adjacency changed.
@@ -278,12 +402,15 @@ class NeighborhoodTable:
         edge.  A vertex's ball can change only when it holds a touched
         vertex in the old or the new graph: by symmetry, exactly the vertices
         of the touched vertices' old and new balls at the largest radius.
-        Every radius of those vertices is recomputed; they are returned.
+        Every radius of those vertices is recomputed by a layered BFS and
+        stored as a set, which the views read instead of their CSR rows
+        from then on; they are returned.
         """
         radii = self.build().radii
         if not radii:
             return set()
-        outer = self._balls[radii[-1]]
+        views = [self._views[hops] for hops in radii]
+        outer = views[-1]
         fresh: Dict[int, List[Set[int]]] = {}
         affected: Set[int] = set()
         for vertex in touched_vertices:
@@ -292,17 +419,16 @@ class NeighborhoodTable:
             affected |= fresh[vertex][-1]
         for vertex in affected:
             balls = fresh.get(vertex) or _layered_balls(self._adjacency, vertex, radii)
-            for hops, ball in zip(radii, balls):
-                self._balls[hops][vertex] = ball
+            for view, ball in zip(views, balls):
+                view._store(vertex, ball)
         return affected
 
     def verify_rebuild(self) -> None:
         """Assert every ball equals a from-scratch :func:`r_hop_neighborhood`."""
-        for hops, balls in self._balls.items():
-            for vertex, ball in enumerate(balls):
+        for hops, view in self._views.items():
+            for vertex, ball in enumerate(view):
                 if ball != r_hop_neighborhood(self._adjacency, vertex, hops):
                     raise AssertionError(
                         f"{hops}-hop ball of vertex {vertex} diverged from a "
                         "fresh rebuild"
                     )
-

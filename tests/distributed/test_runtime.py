@@ -8,6 +8,8 @@ seed and still terminate with a valid (possibly non-independent) result.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.distributed import (
     SimulatedTransport,
     VertexProtocol,
 )
+from repro.distributed.serialize import WireError
 from repro.graph.extended import ExtendedConflictGraph
 from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
 from repro.graph.topology import connected_random_network
@@ -86,6 +89,18 @@ class TestAsyncioEquivalence:
             asyncio_run.costs.stored_weights_per_vertex
             == simulated.costs.stored_weights_per_vertex
         )
+
+
+@pytest.mark.parametrize("weights", [[math.inf, 1.0], [-math.inf, -math.inf]])
+def test_asyncio_refuses_an_infinite_weight_on_the_wire(weights):
+    """Equivalence holds for finite weights: the wire carries no ``±inf``,
+    so an infinite WB weight raises ``WireError`` on the asyncio transport
+    while the simulated one decides."""
+    adjacency = [{1}, {0}]
+    simulated = run_with(adjacency, weights, SimulatedTransport(adjacency))
+    assert simulated.independent_set.vertices == frozenset({0})
+    with pytest.raises(WireError, match="not JSON-encodable"):
+        run_with(adjacency, weights, AsyncioTransport(adjacency))
 
 
 class TestLossyRuns:

@@ -66,7 +66,7 @@ def assert_matches_fresh_build(topology, extended, table):
     ]
     for radius in table.radii:
         adjacency = fresh.adjacency_sets()
-        assert table.balls(radius) == [
+        assert list(table.balls(radius)) == [
             r_hop_neighborhood(adjacency, v, radius) for v in range(len(adjacency))
         ]
 

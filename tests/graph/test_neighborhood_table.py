@@ -1,7 +1,9 @@
 """The one neighbourhood table: its balls, its dynamic updates and its sharing.
 
 * Static: every ball equals :func:`r_hop_neighborhood` at every protocol
-  radius (and at any radius :meth:`NeighborhoodTable.balls` serves lazily).
+  radius (and at any radius :meth:`NeighborhoodTable.balls` serves lazily),
+  isolated vertices and column-blocked passes included; every ball holding
+  a vertex holds the table's one int object for it.
 * Dynamic: after random event batches the dynamics engine's table still
   equals a fresh computation, and the recomputed count it reports equals
   the maximum over radii of the per-radius counts (each radius's touched
@@ -40,28 +42,129 @@ from repro.spec.runner import run_scenario
 
 @st.composite
 def adjacencies(draw):
+    """Random graphs of 1 to 14 vertices, some of them isolated (empty
+    adjacency rows first, inside and last: the rows ``reduceat`` must skip)."""
     n = draw(st.integers(1, 14))
+    isolated = draw(st.sets(st.integers(0, n - 1)))
     pairs = draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
     )
     adjacency = [set() for _ in range(n)]
     for u, v in pairs:
-        if u != v:
+        if u != v and u not in isolated and v not in isolated:
             adjacency[u].add(v)
             adjacency[v].add(u)
     return adjacency
 
 
+def fresh_balls(adjacency, hops):
+    return [r_hop_neighborhood(adjacency, vertex, hops) for vertex in range(len(adjacency))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(adjacency=adjacencies(), r=st.integers(1, 3))
 def test_table_equals_r_hop_neighborhood_at_every_radius(adjacency, r):
-    table = NeighborhoodTable(adjacency, protocol_radii(r))
-    assert table.radii == protocol_radii(r)
-    for hops in (*protocol_radii(r), 0, 4 * r):
-        assert table.balls(hops) == [
-            r_hop_neighborhood(adjacency, vertex, hops)
-            for vertex in range(len(adjacency))
+    """Every radius from 0 past the largest layered one, read from a table
+    that layers the protocol radii and from one that serves every radius on
+    demand (a transport's private table)."""
+    layered = NeighborhoodTable(adjacency, protocol_radii(r))
+    on_demand = NeighborhoodTable(adjacency)
+    assert layered.radii == protocol_radii(r)
+    for hops in range(4 * r + 1):
+        expected = fresh_balls(adjacency, hops)
+        assert list(layered.balls(hops)) == expected
+        assert list(on_demand.balls(hops)) == expected
+    assert on_demand.radii == tuple(range(4 * r + 1))
+
+
+@pytest.mark.parametrize(
+    "adjacency",
+    [[set()], [set(), set(), set()], [set(), {2}, {1}, set()]],
+    ids=["one-vertex", "all-isolated", "isolated-ends"],
+)
+def test_table_of_isolated_vertices_holds_each_vertex_alone(adjacency):
+    table = NeighborhoodTable(adjacency, protocol_radii(1))
+    for hops in (*protocol_radii(1), 0, 9):
+        assert list(table.balls(hops)) == fresh_balls(adjacency, hops)
+
+
+def test_column_blocked_pass_equals_one_block(monkeypatch):
+    """A pass split into 64-column blocks (merged by a row sort) builds the
+    same balls as one block over all columns."""
+    graph = random_network(60, 3, average_degree=4.0, rng=np.random.default_rng(5))
+    adjacency = graph.extended_graph().adjacency_sets()
+    assert len(adjacency) > 2 * 64
+    one_block = NeighborhoodTable(adjacency, protocol_radii(2))
+    monkeypatch.setattr(neighborhoods_module, "_BLOCK_BYTES", 1)
+    blocked = NeighborhoodTable(adjacency, protocol_radii(2))
+    for hops in protocol_radii(2):
+        assert list(blocked.balls(hops)) == list(one_block.balls(hops))
+        assert list(blocked.balls(hops)) == fresh_balls(adjacency, hops)
+
+
+def test_balls_share_one_int_object_per_vertex():
+    """Balls hold the table's ints, not one fresh int per row read: the
+    protocol's set copies and differences then touch one object per vertex.
+    Vertex ids above 256, which CPython does not cache, are checked."""
+    n = 400
+    adjacency = [{u for u in (v - 1, v + 1) if 0 <= u < n} for v in range(n)]
+    table = NeighborhoodTable(adjacency, protocol_radii(1))
+    for u in (300, 399):
+        holders = [
+            table.balls(hops)[v]
+            for hops in (*table.radii, 7)
+            for v in (u - 1, u, min(u + 1, n - 1))
         ]
+        objects = [next(member for member in ball if member == u) for ball in holders]
+        assert all(found is objects[0] for found in objects)
+
+
+def test_ball_sizes_after_an_update_equal_a_fresh_build():
+    """A view answers ``len`` from the set :meth:`NeighborhoodTable.update`
+    stored, never from the stale row of the pass."""
+    n = 30
+    adjacency = [{u for u in (v - 1, v + 1) if 0 <= u < n} for v in range(n)]
+    table = NeighborhoodTable(adjacency, protocol_radii(2))
+    table.balls(11)  # an on-demand radius is refreshed as well
+    before = {hops: [len(ball) for ball in table.balls(hops)] for hops in table.radii}
+    # Close the path into a ring and cut it in the middle.
+    adjacency[0].add(n - 1)
+    adjacency[n - 1].add(0)
+    adjacency[14].discard(15)
+    adjacency[15].discard(14)
+    affected = table.update({0, n - 1, 14, 15})
+    assert affected
+    for hops in table.radii:
+        sizes = [len(table.balls(hops)[vertex]) for vertex in range(n)]
+        assert sizes == [len(ball) for ball in fresh_balls(adjacency, hops)]
+        assert sizes != before[hops]
+
+
+def test_concurrent_first_reads_of_a_view_leave_the_table_as_built():
+    """Threads racing to make the same balls (more threads than cores,
+    frequent switches, opposite read orders) all get one set per vertex."""
+    graph = random_network(30, 3, average_degree=4.0, rng=np.random.default_rng(7))
+    adjacency = graph.extended_graph().adjacency_sets()
+    table = NeighborhoodTable(adjacency, protocol_radii(2))
+    view = table.balls(8)
+    order = list(range(len(view)))
+
+    def read_all(thread):
+        vertices = order if thread % 2 else order[::-1]
+        return {vertex: view[vertex] for vertex in vertices}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            reads = list(pool.map(read_all, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for read in reads:
+        assert all(read[vertex] is view[vertex] for vertex in order)
+    fresh = NeighborhoodTable(adjacency, table.radii)
+    for hops in table.radii:
+        assert list(table.balls(hops)) == list(fresh.balls(hops))
 
 
 def random_event(topology, rng, round_index):
@@ -125,7 +228,7 @@ def test_table_stays_exact_under_dynamic_event_batches(
             old, shadow.adjacency, touched, protocol_radii(r)
         )
         for hops in protocol_radii(r):
-            assert engine.neighborhoods.balls(hops) == [
+            assert list(engine.neighborhoods.balls(hops)) == [
                 r_hop_neighborhood(shadow.adjacency, vertex, hops)
                 for vertex in range(len(shadow.adjacency))
             ]
@@ -165,7 +268,7 @@ def test_a_run_builds_one_table_and_leaves_it_as_built(built_tables, preset):
     assert table.adjacency == adjacency
     fresh = NeighborhoodTable(adjacency, table.radii)
     for hops in table.radii:
-        assert table.balls(hops) == fresh.balls(hops)
+        assert list(table.balls(hops)) == list(fresh.balls(hops))
 
 
 def test_graph_hands_every_caller_one_table():
@@ -258,4 +361,4 @@ def test_pickled_graph_rebuilds_its_table():
     rebuilt = copy.neighborhood_table(1)
     assert rebuilt is not table
     for hops in table.radii:
-        assert rebuilt.balls(hops) == table.balls(hops)
+        assert list(rebuilt.balls(hops)) == list(table.balls(hops))
