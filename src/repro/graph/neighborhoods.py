@@ -302,14 +302,17 @@ class _BallView(Sequence[Set[int]]):
         return len(self._offsets) - 1
 
     def __getitem__(self, vertex: int) -> Set[int]:
-        ball = self._sets.get(vertex)
-        if ball is None:
-            if not (0 <= vertex < len(self._offsets) - 1):
-                raise IndexError(f"vertex {vertex} out of range [0, {len(self)})")
-            row = self._members[self._offsets[vertex] : self._offsets[vertex + 1]]
-            # Concurrent first reads may each make a set; all keep the first.
-            ball = self._sets.setdefault(vertex, set(self._ints[row].tolist()))
-        return ball
+        try:
+            return self._sets[vertex]
+        except KeyError:
+            return self._make(vertex)
+
+    def _make(self, vertex: int) -> Set[int]:
+        if not (0 <= vertex < len(self)):
+            raise IndexError(f"vertex {vertex} out of range [0, {len(self)})")
+        row = self._members[self._offsets[vertex] : self._offsets[vertex + 1]]
+        # Concurrent first reads may each make a set; all keep the first.
+        return self._sets.setdefault(vertex, set(self._ints[row].tolist()))
 
     def __iter__(self) -> Iterator[Set[int]]:
         return map(self.__getitem__, range(len(self)))
