@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.graph.neighborhoods as neighborhoods_module
@@ -63,29 +63,22 @@ def fresh_balls(adjacency, hops):
 
 @settings(max_examples=60, deadline=None)
 @given(adjacency=adjacencies(), r=st.integers(1, 3))
+@example(adjacency=[set()], r=1)
+@example(adjacency=[set(), set(), set()], r=1)
+@example(adjacency=[set(), {2}, {1}, set()], r=1)
 def test_table_equals_r_hop_neighborhood_at_every_radius(adjacency, r):
     """Every radius from 0 past the largest layered one, read from a table
     that layers the protocol radii and from one that serves every radius on
-    demand (a transport's private table)."""
+    demand (a transport's private table).  The explicit examples pin one
+    vertex, no edge at all, and isolated vertices at both ends."""
     layered = NeighborhoodTable(adjacency, protocol_radii(r))
     on_demand = NeighborhoodTable(adjacency)
     assert layered.radii == protocol_radii(r)
-    for hops in range(4 * r + 1):
+    for hops in range(3 * r + 4):
         expected = fresh_balls(adjacency, hops)
         assert list(layered.balls(hops)) == expected
         assert list(on_demand.balls(hops)) == expected
-    assert on_demand.radii == tuple(range(4 * r + 1))
-
-
-@pytest.mark.parametrize(
-    "adjacency",
-    [[set()], [set(), set(), set()], [set(), {2}, {1}, set()]],
-    ids=["one-vertex", "all-isolated", "isolated-ends"],
-)
-def test_table_of_isolated_vertices_holds_each_vertex_alone(adjacency):
-    table = NeighborhoodTable(adjacency, protocol_radii(1))
-    for hops in (*protocol_radii(1), 0, 9):
-        assert list(table.balls(hops)) == fresh_balls(adjacency, hops)
+    assert on_demand.radii == tuple(range(3 * r + 4))
 
 
 def test_column_blocked_pass_equals_one_block(monkeypatch):
