@@ -34,7 +34,9 @@ transport passed via ``transport=`` — including the real asyncio runtime.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.distributed.runtime import MiniRoundRecord, ProtocolEngine, ProtocolResult
 from repro.distributed.transport import SimulatedTransport, Transport
@@ -123,8 +125,8 @@ class DistributedRobustPTAS:
             neighborhoods = NeighborhoodTable(adjacency, protocol_radii(r))
         # Set-up builds the table (for its first user) and makes the balls
         # the engine reads for every vertex at every decision, so no
-        # decision pays for them; a (3r + 2)-ball is made when its vertex
-        # first broadcasts a determination as a leader.
+        # decision pays for them.  The (3r + 2)-balls stay CSR rows: only
+        # the determination broadcast reads them, by length or in order.
         self._neighborhoods = neighborhoods.build()
         self._neighborhoods.make_sets((r, r + 1, 2 * r + 1))
         self._engine = ProtocolEngine(
@@ -146,13 +148,15 @@ class DistributedRobustPTAS:
         """The externally-supplied transport (``None`` = simulated per run)."""
         return self._transport
 
-    def transport_neighborhoods(self) -> Dict[int, Sequence[Set[int]]]:
-        """The per-vertex ball views at every protocol radius, keyed by radius.
+    def transport_neighborhoods(self) -> Dict[int, Sequence[np.ndarray]]:
+        """The balls broadcast delivery reads, keyed by protocol radius.
 
-        Iterating a view makes every ball of its radius as a set.
+        Each value is the table's live per-vertex sequence of sorted member
+        rows (:meth:`~repro.graph.neighborhoods.NeighborhoodTable.rows`):
+        reading a row or its length makes no set.
         """
         return {
-            hops: self._neighborhoods.balls(hops) for hops in protocol_radii(self._r)
+            hops: self._neighborhoods.rows(hops) for hops in protocol_radii(self._r)
         }
 
     # ------------------------------------------------------------------

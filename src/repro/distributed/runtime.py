@@ -160,10 +160,10 @@ class VertexProtocol:
 
     The local knowledge covers the (2r+1)-hop neighbourhood: the estimated
     weights (primed with the newest weights when a strategy decision starts,
-    then updated only through received announcements) and the set of
-    vertices not yet known to be a Winner or Loser.  Keeping the knowledge
-    local, instead of reading global state, is what makes the simulation
-    faithful to a distributed implementation.
+    then updated only through received announcements) and which vertices
+    are known to be a Winner or Loser (:attr:`decided`).  Keeping the
+    knowledge local, instead of reading global state, is what makes the
+    simulation faithful to a distributed implementation.
 
     Parameters
     ----------
@@ -184,6 +184,14 @@ class VertexProtocol:
         LocalLeader election.  All are kept by reference and never mutated.
     local_solver:
         Solver for the local MWIS instances; ``None`` means exact enumeration.
+    decided:
+        A set of decided vertices shared with every other vertex of the
+        run, kept by its owner (the engine of an honest run whose transport
+        counts determinations unread: every vertex would have heard the
+        same decisions within its horizon, so one set serves all).  The
+        vertex only reads it.  ``None`` (the default) gives the vertex a
+        private set that starts empty and that it keeps itself, from its
+        own determinations and the ones it receives.
     """
 
     def __init__(
@@ -196,6 +204,7 @@ class VertexProtocol:
         hood_r1: Set[int],
         hood_2r1: Set[int],
         local_solver: Optional[MWISSolver] = None,
+        decided: Optional[Set[int]] = None,
     ) -> None:
         if vertex not in hood_2r1 or vertex not in hood_r:
             raise ValueError("neighbourhoods must contain the vertex itself")
@@ -207,9 +216,13 @@ class VertexProtocol:
         self.primed: Sequence[float] = _Unprimed()
         #: Horizon announcements heard since :meth:`prime` that differ from it.
         self.heard: Dict[int, float] = {}
-        #: The (2r+1)-hop neighbourhood minus self, minus every vertex known
-        #: to be a Winner or Loser.  Terminal statuses are never re-added.
-        self.undecided: Set[int] = hood_2r1 - {vertex}
+        #: Vertices known to be a Winner or Loser; it only grows.  It may hold
+        #: vertices outside the horizon, which no query reads.
+        self.decided: Set[int] = set() if decided is None else decided
+        self._keeps_decided = decided is None
+        #: The last vertex that beat this one in the election: checked
+        #: first, because it usually still does.
+        self._blocker: Optional[int] = None
         self._transport = transport
         self._r = r
         self._adjacency = adjacency
@@ -233,6 +246,7 @@ class VertexProtocol:
         horizon's entries), so the caller must not mutate it.
         """
         self.primed = weights
+        self._blocker = None
 
     def observe_weight(self, vertex: int, weight: float) -> None:
         """Record a weight announcement for a vertex in the knowledge horizon.
@@ -242,6 +256,7 @@ class VertexProtocol:
         in the real protocol.
         """
         if vertex in self.neighborhood_2r1:
+            self._blocker = None
             weight = float(weight)
             if weight == self.primed[vertex]:
                 self.heard.pop(vertex, None)
@@ -267,6 +282,12 @@ class VertexProtocol:
         """The weight this vertex currently announces for itself."""
         return self.heard.get(self.vertex, self.primed[self.vertex])
 
+    @property
+    def undecided(self) -> Set[int]:
+        """The (2r+1)-hop neighbourhood minus self and every vertex known
+        to be decided (a fresh set)."""
+        return self.neighborhood_2r1.difference(self.decided, (self.vertex,))
+
     def candidate_set_r(self, exclude: Optional[Set[int]] = None) -> Set[int]:
         """``A_r(v)``: Candidate vertices (including self) in the r-hop
         neighbourhood, according to local knowledge.
@@ -274,7 +295,7 @@ class VertexProtocol:
         ``exclude`` removes vertices (other than self) from the set, used by
         fault-mitigation runs so excluded senders never receive Winner slots.
         """
-        candidates = self.neighborhood_r & self.undecided
+        candidates = self.neighborhood_r - self.decided
         if exclude:
             candidates -= exclude
         candidates.add(self.vertex)
@@ -289,17 +310,32 @@ class VertexProtocol:
         adjacent equal-weight vertices could both become leaders and the
         output could lose independence.  ``exclude`` names vertices the
         election ignores (fault-mitigation runs pass the suspected and
-        evidence-excluded ones).  Stops at the first heavier Candidate.
+        evidence-excluded ones).  Scans the horizon, skipping decided
+        vertices, and stops at the first heavier Candidate; the last one
+        found is checked first.
         """
         if self.status != VertexStatus.CANDIDATE:
             return False
         heard = self.heard
         primed = self.primed
+        decided = self.decided
         own = (self.own_weight(), -self.vertex)
-        for other in self.undecided:
-            if (heard.get(other, primed[other]), -other) > own and (
-                not exclude or other not in exclude
+        blocker = self._blocker
+        if (
+            blocker is not None
+            and blocker not in decided
+            and (heard.get(blocker, primed[blocker]), -blocker) > own
+            and (not exclude or blocker not in exclude)
+        ):
+            return False
+        # The vertex itself never beats its own key, so it needs no skip.
+        for other in self.neighborhood_2r1:
+            if (
+                other not in decided
+                and (heard.get(other, primed[other]), -other) > own
+                and (not exclude or other not in exclude)
             ):
+                self._blocker = other
                 return False
         return True
 
@@ -354,7 +390,7 @@ class VertexProtocol:
         winner_neighbors: Set[int] = set()
         for winner in winners:
             winner_neighbors |= self._adjacency[winner]
-        removal = candidate_set | (winner_neighbors & self._hood_r1 & self.undecided)
+        removal = candidate_set | ((winner_neighbors & self._hood_r1) - self.decided)
         losers = removal - winners
         self.last_candidate_set_size = len(candidate_set)
         decisions: Dict[int, bool] = {vertex: True for vertex in winners}
@@ -369,7 +405,8 @@ class VertexProtocol:
         self.mark(
             VertexStatus.WINNER if decisions[self.vertex] else VertexStatus.LOSER
         )
-        self.undecided.difference_update(decisions)
+        if self._keeps_decided:
+            self.decided.update(decisions)
         return message
 
     def _election_exclusions(self) -> Optional[Set[int]]:
@@ -403,7 +440,7 @@ class VertexProtocol:
         Status determinations naming this vertex also mark it (unless it is
         already decided — possible only when a lossy transport let a leader
         act on stale knowledge; terminal statuses are never overwritten), and
-        every vertex they name leaves :attr:`undecided`.
+        every vertex they name joins a private :attr:`decided` set.
         Leader declarations need no handler: elections are decided from the
         weight knowledge, the declaration itself is informational.
         """
@@ -415,7 +452,8 @@ class VertexProtocol:
                     if decisions[self.vertex]
                     else VertexStatus.LOSER
                 )
-            self.undecided.difference_update(decisions)
+            if self._keeps_decided:
+                self.decided.update(decisions)
         elif isinstance(message, WeightBroadcast):
             self.observe_weight(message.sender, message.weight)
 
@@ -431,12 +469,19 @@ class ProtocolEngine:
     the broadcast decisions said.  All state transitions happen inside the
     vertex machines.
 
-    An honest run skips what no vertex reads.  It declares WB and LD
-    broadcasts unread (:meth:`Transport.count_only`), so
-    ``SimulatedTransport`` counts those deliveries without queueing them;
-    its barrier drains a Winner's or Loser's inbox without handing it over;
-    and each mini-round walks only the Candidates left.  Counters and
-    telemetry are those of full delivery.
+    An honest run skips what no vertex needs delivered.  It declares WB, LD
+    and LB broadcasts unread (:meth:`Transport.count_only`): an honest WB
+    repeats the primed weight every recipient holds, LD is informational,
+    and an LB tells each recipient only which vertices of its horizon are
+    decided, which the engine can keep for all of them at once.  On a
+    transport that counts all three (``SimulatedTransport``) every vertex
+    reads one engine-owned ``decided`` set; at each LB barrier the engine
+    adds the mini-round's determinations to it, marks each named vertex
+    itself (the first determination naming a vertex wins, as in
+    :meth:`VertexProtocol.receive`) and skips delivery.  Elsewhere the
+    barrier delivers in full, except that a Winner's or Loser's inbox is
+    drained unread.  Each mini-round walks only the Candidates left.
+    Counters and telemetry are those of full delivery.
 
     It is the only driver: fault-injection runs go through it too, by
     passing a fault participant to :meth:`run` (duck-typed, so this module
@@ -502,14 +547,19 @@ class ProtocolEngine:
         messages_before = transport.total_messages_sent
         deliveries_before = transport.total_deliveries
         dropped_before = transport.total_dropped
-        # An honest WB repeats the primed weight every recipient holds, and
-        # LD is informational: no honest vertex reads either.
-        unread = (WeightBroadcast, LeaderDeclaration) if faults is None else ()
-        with transport.count_only(unread), obs.span(
+        unread = (
+            (WeightBroadcast, LeaderDeclaration, StatusDetermination)
+            if faults is None
+            else ()
+        )
+        with transport.count_only(unread) as counted, obs.span(
             "protocol.run", num_vertices=self._num_vertices, r=self._r
         ) as run_span:
+            # When no frame is queued, the engine keeps what LB would tell.
+            decided = set() if unread and set(unread) <= set(counted) else None
             result = self._execute(
-                transport, weights, broadcasting_vertices, hard_limit, obs, faults
+                transport, weights, broadcasting_vertices, hard_limit, obs, faults,
+                decided,
             )
             run_span.set_attrs(
                 mini_rounds=result.num_mini_rounds, converged=result.converged
@@ -529,7 +579,10 @@ class ProtocolEngine:
         hard_limit: int,
         obs,
         faults,
+        decided: Optional[Set[int]],
     ) -> ProtocolResult:
+        """One decision; ``decided`` is the shared set the engine keeps in
+        place of delivery, ``None`` when the transport delivers."""
         make_vertex = VertexProtocol if faults is None else faults.make_vertex
         r = self._r
         hood_r = self._neighborhoods.balls(r)
@@ -545,6 +598,7 @@ class ProtocolEngine:
                 hood_r1=hood_r1[vertex],
                 hood_2r1=hood_2r1[vertex],
                 local_solver=self._local_solver,
+                decided=decided,
             )
             for vertex in range(self._num_vertices)
         ]
@@ -580,7 +634,8 @@ class ProtocolEngine:
                         f"[0, {self._num_vertices})"
                     )
                 vertices[sender].announce_weight()
-            deliver()
+            if decided is None:
+                deliver()
         if faults is not None:
             faults.after_barrier(0, deliver)
 
@@ -609,17 +664,31 @@ class ProtocolEngine:
                 with obs.span("protocol.phase", phase="LB"):
                     if faults is not None:
                         faults.enter_phase(mini_round, "LB")
+                    determinations = []
                     for leader in leaders:
                         determination = vertices[leader].determine_statuses(mini_round)
                         if determination is None:
                             continue  # a faulty leader crashed between LD and LB
+                        determinations.append(determination.decisions)
                         computation.local_mwis_calls += 1
                         computation.candidate_set_sizes.append(
                             vertices[leader].last_candidate_set_size
                         )
                         for vertex, is_winner in determination.decisions.items():
                             (new_winners if is_winner else new_losers).add(vertex)
-                    deliver()
+                    if decided is None:
+                        deliver()
+                    else:
+                        for decisions in determinations:
+                            for vertex, is_winner in decisions.items():
+                                machine = vertices[vertex]
+                                if not machine.status.is_decided:
+                                    machine.mark(
+                                        VertexStatus.WINNER
+                                        if is_winner
+                                        else VertexStatus.LOSER
+                                    )
+                            decided.update(decisions)
                 if faults is not None:
                     faults.after_barrier(mini_round, deliver)
                 round_span.set_attrs(
@@ -875,12 +944,12 @@ class AsyncioTransport(Transport):
     def _route(self, sender: int, line: bytes) -> None:
         """Stage one broadcast frame for delivery, applying the fault model.
 
-        Recipients are visited in sorted order so the fault stream (drop and
-        latency draws) is a deterministic function of the seed and the
-        message sequence.
+        Recipients are visited in ascending order (the table's rows are
+        sorted) so the fault stream (drop and latency draws) is a
+        deterministic function of the seed and the message sequence.
         """
         message = self._decode(line)
-        recipients = sorted(self._recipients(sender, message.hop_limit))
+        recipients = self._recipients(sender, message.hop_limit)
         self._clock += 1
         for recipient in recipients:
             if (

@@ -45,8 +45,9 @@ class Transport(abc.ABC):
     exactly the synchronous mini-timeslot structure of Algorithm 3.
 
     The base class owns what every transport shares: the topology, the k-hop
-    balls a broadcast reaches (read from a
-    :class:`~repro.graph.neighborhoods.NeighborhoodTable`) and the cost
+    balls a broadcast reaches (read as sorted rows from a
+    :class:`~repro.graph.neighborhoods.NeighborhoodTable`, so delivery makes
+    no set) and the cost
     accounting, so protocol results stay comparable across transports: one
     originated message per broadcast, one delivery per (message, recipient)
     pair and ``max(1, hop_limit)`` mini-timeslots per broadcast, with
@@ -111,9 +112,11 @@ class Transport(abc.ABC):
         self._mini_timeslots[phase] += max(1, message.hop_limit)
         return True
 
-    def _recipients(self, sender: int, hops: int) -> Set[int]:
-        """Every vertex within ``hops`` of ``sender``, the sender excluded."""
-        return self._neighborhoods.balls(hops)[sender] - {sender}
+    def _recipients(self, sender: int, hops: int) -> List[int]:
+        """Every vertex within ``hops`` of ``sender``, the sender excluded,
+        ascending (read from the table's sorted rows)."""
+        row = self._neighborhoods.rows(hops)[sender]
+        return row[row != sender].tolist()
 
     # ------------------------------------------------------------------
     # Broadcast and delivery
@@ -132,15 +135,21 @@ class Transport(abc.ABC):
         """Drain and return the inbox of ``vertex``."""
 
     @contextlib.contextmanager
-    def count_only(self, message_types: Tuple[type, ...]) -> Iterator[None]:
+    def count_only(
+        self, message_types: Tuple[type, ...]
+    ) -> Iterator[Tuple[type, ...]]:
         """Within the block, no recipient reads broadcasts of ``message_types``.
 
         A transport may then charge and count such a broadcast exactly as
         if it delivered it -- the same messages, deliveries, per-type counts
-        and mini-timeslots -- without queueing a frame.  This base class
-        ignores the hint and delivers in full.
+        and mini-timeslots -- without queueing a frame.  The block is given
+        the types the transport will count so: a caller must then keep
+        whatever those frames would have told their recipients itself (the
+        honest engine keeps one shared decided set when determinations are
+        counted).  This base class ignores the hint, delivers in full and
+        gives ``()``.
         """
-        yield
+        yield ()
 
     @abc.abstractmethod
     def pending(self, vertex: int) -> int:
@@ -254,10 +263,11 @@ class SimulatedTransport(Transport):
     :class:`Transport`.
 
     Inside :meth:`count_only` it queues no frame of the named types: it
-    charges and counts their ``len(ball) - 1`` deliveries and appends
-    nothing.  The honest protocol engine declares WB and LD unread, so an
-    honest simulated run counts those deliveries without queueing them; its
-    counters and telemetry are those of full delivery.
+    charges and counts their ``len(ball) - 1`` deliveries, reading the
+    ball's length from the table's CSR offsets, and appends nothing.  The
+    honest protocol engine declares WB, LD and LB unread, so an honest
+    simulated run queues no frame at all; its counters and telemetry are
+    those of full delivery.
     """
 
     def __init__(
@@ -271,10 +281,12 @@ class SimulatedTransport(Transport):
         self._unread: Tuple[type, ...] = ()
 
     @contextlib.contextmanager
-    def count_only(self, message_types: Tuple[type, ...]) -> Iterator[None]:
+    def count_only(
+        self, message_types: Tuple[type, ...]
+    ) -> Iterator[Tuple[type, ...]]:
         self._unread = tuple(message_types)
         try:
-            yield
+            yield self._unread
         finally:
             self._unread = ()
 
@@ -288,8 +300,8 @@ class SimulatedTransport(Transport):
         if not self._charge(message, phase):
             return 0
         if isinstance(message, self._unread):
-            ball = self._neighborhoods.balls(message.hop_limit)[message.sender]
-            delivered = len(ball) - 1
+            rows = self._neighborhoods.rows(message.hop_limit)
+            delivered = len(rows[message.sender]) - 1
         else:
             recipients = self._recipients(message.sender, message.hop_limit)
             for recipient in recipients:

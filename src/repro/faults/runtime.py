@@ -250,7 +250,7 @@ class FaultyVertexProtocol(VertexProtocol):
             partner = None
             partner_key = None
             for u in self._adjacency[self.vertex]:
-                if u not in self.undecided:
+                if u in self.decided:
                     continue
                 key = (self.known_weight(u, 0.0), -u)
                 if partner_key is None or key > partner_key:
@@ -299,7 +299,9 @@ class FaultyVertexProtocol(VertexProtocol):
         if self.status.is_decided:
             state.heard.clear()
             return
-        state.end_mini_round(self.undecided - state.excluded)
+        state.end_mini_round(
+            self.neighborhood_2r1.difference(self.decided, state.excluded, (self.vertex,))
+        )
 
     # ------------------------------------------------------------------
     # Delivery
@@ -366,8 +368,8 @@ class FaultyVertexProtocol(VertexProtocol):
         sender_weight = self.known_weight(sender)
         if sender_weight is not None:
             sender_key = (sender_weight, -sender)
-            for u in self._controller.hood_2r1[sender] & self.undecided:
-                if u == sender or state.ignores(u):
+            for u in self._controller.hood_2r1[sender] & self.neighborhood_2r1:
+                if u in (sender, self.vertex) or u in self.decided or state.ignores(u):
                     continue
                 weight = self.known_weight(u)
                 if weight is not None and (weight, -u) > sender_key:

@@ -28,7 +28,8 @@ under random churn sequences is locked by
 :class:`NeighborhoodTable` holds the balls Algorithm 3 reads — radii ``r``,
 ``r + 1``, ``2r + 1`` and ``3r + 2`` of every vertex — as sorted CSR
 arrays, built for every radius by one vectorised bitset pass over ``H``.
-A ball becomes a Python set only when it is first read.  Under topology
+Broadcast delivery reads those rows as they are; a ball becomes a Python
+set only when a vertex machine first reads it as one.  Under topology
 dynamics the table is kept up to date in place: the recomputed balls are
 stored as sets, by the layered BFS the adjacency-set path uses.
 """
@@ -281,25 +282,59 @@ def _ball_arrays(
     return arrays
 
 
+class _RowView(Sequence[np.ndarray]):
+    """The ``J_k(v)`` of one radius ``k`` as sorted member arrays.
+
+    ``rows[v]`` is ``v``'s CSR slice, or the sorted copy of the set the
+    table stored for ``v`` (:meth:`NeighborhoodTable.update`).  Reading a
+    row, or its length, makes no set.
+    """
+
+    __slots__ = ("_offsets", "_members", "_stored")
+
+    def __init__(self, offsets: List[int], members: np.ndarray) -> None:
+        self._offsets = offsets
+        self._members = members
+        self._stored: Dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, vertex: int) -> np.ndarray:
+        row = self._stored.get(vertex)
+        if row is None:
+            if not (0 <= vertex < len(self)):
+                raise IndexError(f"vertex {vertex} out of range [0, {len(self)})")
+            row = self._members[self._offsets[vertex] : self._offsets[vertex + 1]]
+        return row
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        if self._stored:
+            return map(self.__getitem__, range(len(self)))
+        members, offsets = self._members, self._offsets
+        return (members[start:stop] for start, stop in zip(offsets, offsets[1:]))
+
+
 class _BallView(Sequence[Set[int]]):
     """The ``J_k(v)`` of one radius ``k``: a read-only per-vertex sequence.
 
     ``view[v]`` makes ``J_k(v)`` as a set from its CSR row the first time
     it is read and keeps it; the members are the table's shared int
     objects, so every ball holding ``u`` holds the same object.  A set the
-    table stores (:meth:`NeighborhoodTable.update`) replaces the row.
+    table stores (:meth:`NeighborhoodTable.update`) replaces the row, in
+    :attr:`rows` as well.
     """
 
-    __slots__ = ("_offsets", "_members", "_ints", "_sets")
+    __slots__ = ("_ints", "_sets", "rows")
 
     def __init__(self, offsets: np.ndarray, members: np.ndarray, ints: np.ndarray) -> None:
-        self._offsets: List[int] = offsets.tolist()
-        self._members = members
         self._ints = ints
         self._sets: Dict[int, Set[int]] = {}
+        #: The same balls as sorted rows (:class:`_RowView`).
+        self.rows = _RowView(offsets.tolist(), members)
 
     def __len__(self) -> int:
-        return len(self._offsets) - 1
+        return len(self.rows)
 
     def __getitem__(self, vertex: int) -> Set[int]:
         try:
@@ -308,9 +343,7 @@ class _BallView(Sequence[Set[int]]):
             return self._make(vertex)
 
     def _make(self, vertex: int) -> Set[int]:
-        if not (0 <= vertex < len(self)):
-            raise IndexError(f"vertex {vertex} out of range [0, {len(self)})")
-        row = self._members[self._offsets[vertex] : self._offsets[vertex + 1]]
+        row = self.rows[vertex]
         # Concurrent first reads may each make a set; all keep the first.
         return self._sets.setdefault(vertex, set(self._ints[row].tolist()))
 
@@ -319,6 +352,7 @@ class _BallView(Sequence[Set[int]]):
 
     def _store(self, vertex: int, ball: Set[int]) -> None:
         self._sets[vertex] = ball
+        self.rows._stored[vertex] = np.array(sorted(ball), dtype=np.int32)
 
 
 class NeighborhoodTable:
@@ -333,10 +367,12 @@ class NeighborhoodTable:
 
     Construction is cheap: one vectorised pass (:func:`_ball_arrays`) over
     ``radii`` runs at the first :meth:`build` or read and holds each radius
-    as sorted CSR arrays.  A ball becomes a set only when it is read, so a
-    radius read only by some vertices (the ``3r + 2`` determination
-    broadcast, sent by leaders) is never made whole.  A radius outside
-    ``radii`` is served by the same pass on its first read, and kept.
+    as sorted CSR arrays.  Each radius is served two ways: :meth:`balls`
+    makes a ball a set when it is first read, and :meth:`rows` hands out
+    the sorted CSR rows, making no set.  The transports read rows, so the
+    ``3r + 2`` radius, which only the determination broadcast reaches, is
+    never made as sets.  A radius outside ``radii`` is served by the same
+    pass on its first read, and kept.
     """
 
     def __init__(self, adjacency: Sequence[Set[int]], radii: Iterable[int] = ()) -> None:
@@ -389,6 +425,14 @@ class NeighborhoodTable:
             view = self._views.setdefault(hops, self._make_views((hops,))[hops])
         return view
 
+    def rows(self, hops: int) -> Sequence[np.ndarray]:
+        """The live ``hops``-balls as sorted member arrays (no set is made).
+
+        What broadcast delivery reads: a transport needs each ball's members
+        in order, or only its length.
+        """
+        return self.balls(hops).rows
+
     def make_sets(self, radii: Iterable[int]) -> None:
         """Make every ball of each of ``radii`` a set now.
 
@@ -406,8 +450,8 @@ class NeighborhoodTable:
         vertex in the old or the new graph: by symmetry, exactly the vertices
         of the touched vertices' old and new balls at the largest radius.
         Every radius of those vertices is recomputed by a layered BFS and
-        stored as a set, which the views read instead of their CSR rows
-        from then on; they are returned.
+        stored as a set, which the views (and, sorted, :meth:`rows`) read
+        instead of their CSR rows from then on; they are returned.
         """
         radii = self.build().radii
         if not radii:

@@ -1,12 +1,13 @@
 """What an honest simulated run skips, and what every other run keeps.
 
-An honest run on ``SimulatedTransport`` counts its WB and LD broadcasts
-without queueing them, and the engine's barrier drains a decided vertex's
-inbox unread.  These tests pin the skip (no WB or LD frame reaches
-``VertexProtocol.receive``; no inbox is read by a vertex already decided when
-it was collected), check that fault runs still get every frame, also on a
-transport an honest run used before, and check the independence flag on
-lossy runs, where the barrier skip meets dropped determinations.
+An honest run on ``SimulatedTransport`` counts its WB, LD and LB broadcasts
+without queueing them, and the engine keeps one shared decided set in place
+of LB delivery.  These tests pin the skip (no inbox is collected and no
+frame reaches ``VertexProtocol.receive``, yet every delivery is counted),
+check that fault runs still get every frame, also on a transport an honest
+run used before, that only the honest simulated run shares its decided set,
+and check the independence flag on lossy runs, where the barrier skip meets
+dropped determinations.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.graph.neighborhoods as neighborhoods_module
 from repro.distributed import (
     AsyncioTransport,
     DistributedRobustPTAS,
@@ -26,8 +28,10 @@ from repro.distributed import (
 from repro.distributed.messages import Accusation, WeightBroadcast
 from repro.faults import ByzantineFault, FaultInjectionEngine, FaultPlan, QuorumConfig
 from repro.graph.extended import ExtendedConflictGraph
-from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii
+from repro.graph.neighborhoods import NeighborhoodTable, protocol_radii, r_hop_neighborhood
 from repro.graph.topology import connected_random_network
+from repro.spec import get_scenario
+from repro.spec.runner import run_scenario
 
 #: Few weight levels, so elections hit ties.
 LEVELS = (1.0, 2.0, 3.0)
@@ -81,43 +85,30 @@ def convictions(transport, liar):
     ]
 
 
-def test_honest_run_reads_no_wb_or_ld_and_no_decided_inbox(monkeypatch):
+def test_honest_simulated_run_collects_nothing_and_counts_every_delivery(monkeypatch):
     adjacency, weights = instance(7)
-    log = []
-    receive = VertexProtocol.receive
-
-    def logged_receive(self, message):
-        log.append(("receive", self.vertex, type(message).__name__, self.status.is_decided))
-        receive(self, message)
-
-    monkeypatch.setattr(VertexProtocol, "receive", logged_receive)
-    transport = RecordingTransport(adjacency, log=log)
+    received = []
+    monkeypatch.setattr(
+        VertexProtocol, "receive", lambda self, message: received.append(message)
+    )
+    transport = RecordingTransport(adjacency)
     result = DistributedRobustPTAS(adjacency, r=1, transport=transport).run(weights)
 
+    assert received == []
+    assert transport.log == []  # not even an empty inbox is collected
+    assert all(transport.pending(v) == 0 for v in range(len(adjacency)))
+    # Every broadcast is still counted as delivered to its whole ball.
+    expected = Counter()
+    for message in transport.sent:
+        ball = r_hop_neighborhood(adjacency, message.sender, message.hop_limit)
+        expected[type(message).__name__] += len(ball) - 1
+    assert set(expected) == {"WeightBroadcast", "LeaderDeclaration", "StatusDetermination"}
+    assert all(count > 0 for count in expected.values())
     telemetry = transport.telemetry_summary()
-    received = Counter(entry[2] for entry in log if entry[0] == "receive")
-    assert telemetry["net_delivered_WeightBroadcast"] > 0
-    assert telemetry["net_delivered_LeaderDeclaration"] > 0
-    assert received["WeightBroadcast"] == 0
-    assert received["LeaderDeclaration"] == 0
-    assert transport.collected() == {
-        "StatusDetermination": telemetry["net_delivered_StatusDetermination"]
-    }
-    # The first frame of every drained inbox that is read at all reaches a
-    # vertex still undecided at the barrier; decided ones drain unread.
-    skipped = 0
-    for entry, following in zip(log, log[1:] + [None]):
-        if entry[0] != "collect" or not entry[2]:
-            continue
-        if following is None or following[0] != "receive":
-            skipped += 1
-            continue
-        assert following[1] == entry[1]
-        assert not following[3]
-    assert skipped > 0
-    assert 0 < received["StatusDetermination"] < telemetry[
-        "net_delivered_StatusDetermination"
-    ]
+    for name, count in expected.items():
+        assert telemetry[f"net_delivered_{name}"] == count
+    assert transport.total_deliveries == result.costs.communication.total_deliveries
+    assert transport.total_deliveries == sum(expected.values())
     assert result.converged
 
 
@@ -139,8 +130,7 @@ def test_fault_run_after_an_honest_run_gets_every_frame():
     DistributedRobustPTAS(adjacency, r=1, neighborhoods=hoods, transport=transport).run(
         weights
     )
-    honest = transport.collected()
-    assert honest["WeightBroadcast"] == honest["LeaderDeclaration"] == 0
+    assert not transport.collected()
     # The run left no count-only state behind: a WB sent now is queued.
     neighbor = min(adjacency[0])
     transport.broadcast(WeightBroadcast(sender=0, hop_limit=1, weight=1.0), phase="WB")
@@ -155,6 +145,74 @@ def test_fault_run_after_an_honest_run_gets_every_frame():
         assert frames[name] == telemetry[f"net_delivered_{name}"] > 0
     assert "weight-mismatch" in convictions(transport, 0)
     assert 0 not in result.independent_set.vertices
+
+
+@pytest.fixture
+def machines(monkeypatch):
+    """Every vertex machine built while the test runs, one list per run."""
+    runs = []
+    init = VertexProtocol.__init__
+
+    def recording_init(self, vertex, *args, **kwargs):
+        init(self, vertex, *args, **kwargs)
+        if vertex == 0:
+            runs.append([])
+        runs[-1].append(self)
+
+    monkeypatch.setattr(VertexProtocol, "__init__", recording_init)
+    return runs
+
+
+def shared_sets(run):
+    """How many distinct decided sets the machines of one run hold."""
+    return len({id(machine.decided) for machine in run})
+
+
+def test_honest_simulated_decisions_share_one_decided_set_on_fig8_quick(
+    machines, monkeypatch
+):
+    made = []
+    make = neighborhoods_module._BallView._make
+
+    def recording_make(self, vertex):
+        made.append(self)
+        return make(self, vertex)
+
+    monkeypatch.setattr(neighborhoods_module._BallView, "_make", recording_make)
+    protocols = []
+    init = DistributedRobustPTAS.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        protocols.append(self)
+
+    monkeypatch.setattr(DistributedRobustPTAS, "__init__", recording_init)
+    run_scenario(get_scenario("fig8-quick"))
+    assert len(machines) > 1 and protocols
+    for run in machines:
+        assert shared_sets(run) == 1
+    assert len({id(run[0].decided) for run in machines}) == len(machines)
+    # No (3r + 2)-ball was made as a set: only the transports read that
+    # radius, and they read rows.
+    made = {id(view) for view in made}
+    for protocol in protocols:
+        outer = protocol._neighborhoods.balls(protocol_radii(protocol.r)[-1])
+        assert id(outer) not in made
+
+
+def test_asyncio_and_fault_runs_keep_a_decided_set_per_vertex(machines):
+    adjacency, weights = instance(3)
+    transport = AsyncioTransport(adjacency)
+    try:
+        DistributedRobustPTAS(adjacency, r=1, transport=transport).run(weights)
+    finally:
+        transport.close()
+    engine, hoods = liar_engine(adjacency, liar=0)
+    engine.run(SimulatedTransport(adjacency, hoods), weights)
+    assert len(machines) == 2
+    for run in machines:
+        assert shared_sets(run) == len(run) == len(adjacency)
+    assert any(machine.decided for run in machines for machine in run)
 
 
 def conflicting_pairs(adjacency, winners):

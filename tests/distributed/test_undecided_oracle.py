@@ -2,8 +2,8 @@
 
 ``ReferenceAgent`` keeps a full status map and a full weight map over the
 (2r+1)-hop horizon and re-scans them on every query; ``VertexProtocol`` keeps
-the ``undecided`` set and the ``heard`` overlay over a shared ``primed``
-vector.  Random horizons, tied weights, ``exclude`` sets and random
+the ``decided`` set, the last election blocker it found and the ``heard``
+overlay over a shared ``primed`` vector.  Random horizons, tied weights, ``exclude`` sets and random
 sequences of knowledge updates (lies, re-announced truths and announcements
 from outside the horizon among them) are applied to both; after every step
 the election, ``A_r(v)``, decidedness and every known weight must agree.

@@ -36,6 +36,7 @@ class TestVertexKnowledge:
     def test_initial_state(self, agent):
         assert agent.status == VertexStatus.CANDIDATE
         assert agent.undecided == {0, 1, 3, 4}
+        assert agent.decided == set()
         assert agent.heard == {}
         assert all(agent.known_weight(u) == 0.0 for u in range(5))
 
@@ -97,7 +98,8 @@ class TestLocalMaximum:
     def test_decided_neighbors_are_ignored(self, agent):
         weights = {0: 1.0, 1: 9.0, 2: 5.0, 3: 3.0, 4: 0.5}
         agent.prime(weights)
-        agent.undecided.discard(1)
+        assert not agent.is_local_maximum()
+        agent.decided.add(1)
         assert agent.is_local_maximum()
 
     def test_non_candidate_is_never_local_maximum(self, agent):
@@ -111,9 +113,9 @@ class TestCandidateSets:
         assert agent.candidate_set_r() == {1, 2, 3}
 
     def test_candidate_set_r_excludes_decided(self, agent):
-        agent.undecided -= {1, 3}
+        agent.decided |= {1, 3}
         assert agent.candidate_set_r() == {2}
 
     def test_undecided_excludes_self_and_decided(self, agent):
-        agent.undecided.discard(4)
+        agent.decided.update({2, 4, 99})
         assert agent.undecided == {0, 1, 3}

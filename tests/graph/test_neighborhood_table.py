@@ -207,6 +207,9 @@ def test_table_stays_exact_under_dynamic_event_batches(
     engine = DynamicStrategyEngine(base, r=r)
     # A shadow of the engine's graphs yields each batch's touched vertices.
     shadow = DynamicExtendedGraph(DynamicTopology(base))
+    # The rows the transports read, taken once: the table updates them live.
+    rows = engine.protocol.transport_neighborhoods()
+    assert set(rows) == set(protocol_radii(r))
     for round_index, size in enumerate(batches, start=1):
         old = [set(neighbors) for neighbors in shadow.adjacency]
         events, merged = [], GraphDelta()
@@ -221,12 +224,12 @@ def test_table_stays_exact_under_dynamic_event_batches(
             old, shadow.adjacency, touched, protocol_radii(r)
         )
         for hops in protocol_radii(r):
-            assert list(engine.neighborhoods.balls(hops)) == [
+            fresh = [
                 r_hop_neighborhood(shadow.adjacency, vertex, hops)
                 for vertex in range(len(shadow.adjacency))
             ]
-    shared = engine.protocol.transport_neighborhoods()
-    assert all(shared[hops] is engine.neighborhoods.balls(hops) for hops in shared)
+            assert list(engine.neighborhoods.balls(hops)) == fresh
+            assert [row.tolist() for row in rows[hops]] == [sorted(ball) for ball in fresh]
 
 
 @pytest.fixture

@@ -145,6 +145,13 @@ class TestWorkflow:
             "benchmark-trend must gate the serving-layer benchmarks"
         )
 
+    def test_benchmark_trend_checks_perfbench_correctness(self):
+        (check,) = [
+            command for command in _trend_commands() if "perfbench/run.py" in command
+        ]
+        assert "--workload all --trace 1" in check
+        assert '["correct"] is True' in check
+
     def test_jobs_cache_pip_against_pyproject(self):
         jobs = _load_workflow()["jobs"]
         for job in jobs.values():

@@ -43,8 +43,10 @@ def test_perfbench_installs_every_hook():
 
 def test_neighborhood_entry_count_is_the_sum_of_ball_sizes(monkeypatch):
     """``graph.neighborhood_entries`` sums ``len`` over every ball of a
-    protocol's ``transport_neighborhoods()``; the lazily made ball views
-    must still yield each ball whole (checked on fig8-quick)."""
+    protocol's ``transport_neighborhoods()``; the rows must yield each ball
+    whole, and counting them must make no ball a set, which would be
+    harness time (checked on fig8-quick)."""
+    import repro.graph.neighborhoods as neighborhoods_module
     from repro.distributed.ptas import DistributedRobustPTAS
     from repro.graph.neighborhoods import protocol_radii, r_hop_neighborhood
     from repro.spec import get_scenario
@@ -60,12 +62,17 @@ def test_neighborhood_entry_count_is_the_sum_of_ball_sizes(monkeypatch):
     monkeypatch.setattr(DistributedRobustPTAS, "__init__", recording_init)
     run_scenario(get_scenario("fig8-quick"))
     assert protocols
+    made = []
+    monkeypatch.setattr(
+        neighborhoods_module._BallView, "_make", lambda self, vertex: made.append(vertex)
+    )
     for protocol, adjacency in protocols:
         counted = sum(
             len(ball)
             for table in protocol.transport_neighborhoods().values()
             for ball in table
         )
+        assert made == []
         assert counted == sum(
             len(r_hop_neighborhood(adjacency, vertex, hops))
             for hops in protocol_radii(protocol.r)
